@@ -9,8 +9,8 @@ table      derived time-reversal state table (JSON or aligned text)
 rep-check  group-relation and conjugation-identity report (JSON)
 cross-id   regime identification for branches 5a/5b (JSON)
 
-Exit codes: 0 on success, 2 on validation errors (bad flags, bad values,
-grids outside the temporal half-domain), 1 on internal errors.  An optional
+Exit codes: 0 on success, 2 on validation errors (bad flags, bad or non-finite
+values, grids outside the half-domain), 1 on internal errors.  An optional
 ``--config FILE`` supplies flat key=value defaults; explicit flags win.
 """
 
@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from .core import Arrow, Kind, ResonancePole
-from .scenarios import Scenario, evolution_table, lineshape, run_decay
+from .core import Arrow, Kind, ResonancePole, require_finite
+from .scenarios import ResultTable, Scenario, evolution_table, lineshape, run_decay
 from .symmetry import build_representation, check_conjugation_identities, verify_group_relations
 from .transform import cross_identify, derive_table
 
@@ -153,32 +153,25 @@ def _scenario(opts: _Resolver) -> Scenario:
     return Scenario(pole, arrow, kind, regime, t_min, t_max, steps)
 
 
-def _cmd_evolve(opts: _Resolver) -> str:
-    scenario = _scenario(opts)
-    fmt = opts.get("format", str, "csv", choices={"csv", "json"})
-    table = evolution_table(scenario)
-    return table.to_csv() if fmt == "csv" else table.to_json() + "\n"
+def _table_command(build_table):
+    """A command that builds a ResultTable and emits it as CSV or JSON."""
+    def command(opts: _Resolver) -> str:
+        fmt = opts.get("format", str, "csv", choices={"csv", "json"})
+        table = build_table(opts)
+        return table.to_csv() if fmt == "csv" else table.to_json() + "\n"
+    return command
 
 
-def _cmd_decay(opts: _Resolver) -> str:
-    scenario = _scenario(opts)
-    fmt = opts.get("format", str, "csv", choices={"csv", "json"})
-    table = run_decay(scenario)
-    return table.to_csv() if fmt == "csv" else table.to_json() + "\n"
-
-
-def _cmd_lineshape(opts: _Resolver) -> str:
+def _lineshape_table(opts: _Resolver) -> ResultTable:
     pole = _resolve_pole(opts)
-    e_min = opts.get("emin", float, pole.energy - 25.0 * pole.width)
-    e_max = opts.get("emax", float, pole.energy + 25.0 * pole.width)
+    e_min = require_finite("emin", opts.get("emin", float, pole.energy - 25.0 * pole.width))
+    e_max = require_finite("emax", opts.get("emax", float, pole.energy + 25.0 * pole.width))
     steps = opts.get("steps", int, 201)
     if steps < 2:
         raise ValueError(f"lineshape grid needs at least 2 steps, got {steps}")
     if not e_max > e_min:
         raise ValueError(f"emax={e_max} must exceed emin={e_min}")
-    fmt = opts.get("format", str, "csv", choices={"csv", "json"})
-    table = lineshape(pole, np.linspace(e_min, e_max, steps))
-    return table.to_csv() if fmt == "csv" else table.to_json() + "\n"
+    return lineshape(pole, np.linspace(e_min, e_max, steps))
 
 
 def _format_table_text(data: dict) -> str:
@@ -231,9 +224,9 @@ def _cmd_cross_id(opts: _Resolver) -> str:
 
 
 _COMMANDS = {
-    "evolve": _cmd_evolve,
-    "decay": _cmd_decay,
-    "lineshape": _cmd_lineshape,
+    "evolve": _table_command(lambda opts: evolution_table(_scenario(opts))),
+    "decay": _table_command(lambda opts: run_decay(_scenario(opts))),
+    "lineshape": _table_command(_lineshape_table),
     "table": _cmd_table,
     "rep-check": _cmd_rep_check,
     "cross-id": _cmd_cross_id,

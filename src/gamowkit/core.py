@@ -22,6 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def require_finite(name: str, value):
+    """``value`` if all of it is finite, else a ValueError naming the input."""
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {np.asarray(value)[~finite][0]}")
+    return value
+
+
 class Kind(enum.Enum):
     """Which member of the conjugate pole pair a Gamow state carries."""
 
@@ -149,17 +157,18 @@ class ResonancePole:
     Parameters
     ----------
     energy : float
-        Resonance energy E_R.  Any real value is accepted; positivity is a
-        physical typicality, not a structural requirement.
+        Resonance energy E_R.  Any finite real value is accepted; positivity
+        is a physical typicality, not a structural requirement.
     width : float
-        Resonance width Gamma, the inverse lifetime.  Must be > 0.
+        Resonance width Gamma, the inverse lifetime.  Must be finite and > 0.
     """
 
     energy: float
     width: float
 
     def __post_init__(self) -> None:
-        if not self.width > 0.0:
+        require_finite("resonance energy", self.energy)
+        if not require_finite("resonance width", self.width) > 0.0:
             raise ValueError(f"resonance width must be positive, got {self.width}")
 
     @property

@@ -17,13 +17,13 @@ for all real times.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Arrow, GamowState, Kind, ResonancePole, TimeDomain, canonical_time_domain
+from .core import (Arrow, GamowState, Kind, ResonancePole, TimeDomain, canonical_time_domain,
+                   require_finite)
 
 DEFAULT_DIM_CAP = 64
 
@@ -50,12 +50,26 @@ class EvolutionBranch:
     growth_sign: int
     domain: TimeDomain
 
-    def factor(self, pole: ResonancePole, t: float) -> complex:
-        """The bare evolution factor at time t (no domain check)."""
-        return cmath.exp(complex(
-            self.growth_sign * 0.5 * pole.width * t,
-            self.phase_sign * pole.energy * t,
-        ))
+    def factor(self, pole: ResonancePole, t):
+        """The bare evolution factor at a time t (a complex) or at every time
+        of an array t (an array), with no domain check."""
+        t = np.asarray(t, dtype=float)
+        exponent = np.empty(t.shape, dtype=complex)  # parts set apart, as complex(x, y) keeps -0.0
+        exponent.real = self.growth_sign * 0.5 * pole.width * t
+        exponent.imag = self.phase_sign * pole.energy * t
+        np.exp(exponent, out=exponent)
+        return exponent if exponent.ndim else complex(exponent)
+
+    def checked_times(self, t) -> np.ndarray:
+        """A time or an array of times as floats, after the one finiteness
+        and half-domain check of the package."""
+        times = require_finite("t", np.asarray(t, dtype=float))
+        inside = self.domain.contains(times)
+        if not inside.all():
+            raise DomainViolationError(
+                f"t={times[~inside][0]} lies outside the {self.domain.half.value} half-domain of "
+                f"branch {self.label}; semigroup evolution has no inverse across t=0")
+        return times
 
 
 def _branch(label: str, phase_sign: int, growth_sign: int, kind: Kind, regime: int) -> EvolutionBranch:
@@ -116,17 +130,14 @@ def evolve(state: GamowState, t: float) -> complex:
 
     Raises
     ------
+    ValueError
+        If t is NaN or infinite.
     DomainViolationError
         If t lies outside the half-domain: the semigroup has no inverse,
         so evolution never crosses t = 0.
     """
     branch = branch_for(state)
-    if not branch.domain.contains(t):
-        raise DomainViolationError(
-            f"t={t} lies outside the {branch.domain.half.value} half-domain of "
-            f"branch {branch.label}; semigroup evolution has no inverse across t=0"
-        )
-    return branch.factor(state.pole, t) * state.amplitude
+    return branch.factor(state.pole, branch.checked_times(t)) * state.amplitude
 
 
 def survival_probability(state: GamowState, t: float) -> float:
@@ -138,12 +149,7 @@ def survival_probability(state: GamowState, t: float) -> float:
     if state.kind is not Kind.DECAYING:
         raise ValueError("survival probability is defined for decaying states only")
     branch = branch_for(state)
-    if not branch.domain.contains(t):
-        raise DomainViolationError(
-            f"t={t} lies outside the {branch.domain.half.value} half-domain of "
-            f"branch {branch.label}; semigroup evolution has no inverse across t=0"
-        )
-    return math.exp(branch.growth_sign * state.pole.width * t)
+    return math.exp(branch.growth_sign * state.pole.width * float(branch.checked_times(t)))
 
 
 def group_evolve(hamiltonian, t: float, vector, *, max_dim: int = DEFAULT_DIM_CAP,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Arrow, GamowState, Kind, ResonancePole, canonical_state
-from .evolution import DomainViolationError, branch_for, evolve
+from .core import Arrow, GamowState, Kind, ResonancePole, canonical_state, require_finite
+from .evolution import branch_for
 
 
 @dataclass
@@ -72,6 +72,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.steps < 2:
             raise ValueError(f"a scenario grid needs at least 2 steps, got {self.steps}")
+        require_finite("t_min", self.t_min)
+        require_finite("t_max", self.t_max)
         if not self.t_max >= self.t_min:
             raise ValueError(f"t_max={self.t_max} must not precede t_min={self.t_min}")
 
@@ -82,42 +84,41 @@ class Scenario:
         return np.linspace(self.t_min, self.t_max, self.steps)
 
     def checked_times(self) -> np.ndarray:
-        domain = branch_for(self.state()).domain
-        times = self.times()
-        for t in times:
-            if not domain.contains(float(t)):
-                raise DomainViolationError(
-                    f"grid point t={float(t)} lies outside the {domain.half.value} "
-                    f"half-domain of branch {branch_for(self.state()).label}"
-                )
-        return times
+        return branch_for(self.state()).checked_times(self.times())
+
+
+def _table(columns: tuple[str, ...], *arrays: np.ndarray) -> ResultTable:
+    return ResultTable(columns, list(zip(*(a.tolist() for a in arrays))))
+
+
+def _evolved(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """The checked grid and the evolved amplitude on it, as evolve() gives it."""
+    state = scenario.state()
+    times = scenario.checked_times()
+    factor = branch_for(state).factor(state.pole, times)
+    factor *= state.amplitude  # in place, as survival **= 2: a grid-sized array fewer at peak RSS
+    return times, factor
 
 
 def run_decay(scenario: Scenario) -> ResultTable:
     """Survival probability and evolution factor over the scenario grid.
 
     Columns are (t, survival, factor_real, factor_imag) with
-    survival = |factor|^2 / |amplitude|^2, which equals
-    exp(growth_sign * Gamma * t) on the scenario's branch.
+    survival = |factor|^2 (the scenario's state has unit amplitude), which
+    equals exp(growth_sign * Gamma * t) on the scenario's branch.
     """
-    state = scenario.state()
-    norm = abs(state.amplitude) ** 2
-    rows = []
-    for t in scenario.checked_times():
-        factor = evolve(state, float(t))
-        rows.append((float(t), abs(factor) ** 2 / norm, factor.real, factor.imag))
-    return ResultTable(("t", "survival", "factor_real", "factor_imag"), rows)
+    times, factor = _evolved(scenario)
+    survival = np.hypot(factor.real, factor.imag)
+    survival **= 2
+    return _table(("t", "survival", "factor_real", "factor_imag"),
+                  times, survival, factor.real, factor.imag)
 
 
 def evolution_table(scenario: Scenario) -> ResultTable:
     """Evolution factor over the scenario grid, columns (t, factor_real,
     factor_imag)."""
-    state = scenario.state()
-    rows = []
-    for t in scenario.checked_times():
-        factor = evolve(state, float(t))
-        rows.append((float(t), factor.real, factor.imag))
-    return ResultTable(("t", "factor_real", "factor_imag"), rows)
+    times, factor = _evolved(scenario)
+    return _table(("t", "factor_real", "factor_imag"), times, factor.real, factor.imag)
 
 
 def lorentzian_density(pole: ResonancePole, energies) -> np.ndarray:
@@ -134,9 +135,7 @@ def lineshape(pole: ResonancePole, energies) -> ResultTable:
     2 / (pi Gamma) at E = E_R, half the peak at E_R +- Gamma/2, and unit
     area over the whole real axis.
     """
-    e = np.asarray(energies, dtype=float)
+    e = require_finite("energies", np.asarray(energies, dtype=float))
     if e.size == 0:
         raise ValueError("lineshape needs a nonempty energy grid")
-    density = lorentzian_density(pole, e)
-    rows = [(float(ei), float(di)) for ei, di in zip(e, density)]
-    return ResultTable(("energy", "density"), rows)
+    return _table(("energy", "density"), e, lorentzian_density(pole, e))

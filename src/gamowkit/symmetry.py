@@ -24,7 +24,7 @@ ROWS = (1, 2, 3, 4)
 
 
 def _check_twice_j(twice_j: int) -> int:
-    if not isinstance(twice_j, (int, np.integer)) or twice_j < 0:
+    if isinstance(twice_j, bool) or not isinstance(twice_j, (int, np.integer)) or twice_j < 0:
         raise ValueError(f"twice_j must be a nonnegative integer, got {twice_j!r}")
     return int(twice_j)
 

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -52,6 +53,21 @@ class TestDecayCommand:
     def test_single_step_grid_rejected(self, capsys):
         code, _, err = invoke(capsys, "decay", "--steps", "1")
         assert code == 2 and "steps" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("decay", "--gamma", "inf"), "resonance width must be finite, got inf"),
+        (("decay", "--er", "nan"), "resonance energy must be finite, got nan"),
+        (("decay", "--tmax", "inf"), "t_max must be finite, got inf"),
+        (("evolve", "--kind", "grow", "--tmin", "nan"), "t_min must be finite, got nan"),
+        (("lineshape", "--emin=-inf", "--emax=inf"), "emin must be finite, got -inf"),
+        (("lineshape", "--emax", "nan"), "emax must be finite, got nan"),
+    ])
+    def test_nonfinite_value_is_validation_error(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the command
+            code, out, err = invoke(capsys, *argv)
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
 
 
 class TestEvolveCommand:

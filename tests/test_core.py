@@ -64,6 +64,13 @@ class TestResonancePole:
         with pytest.raises(ValueError, match="width"):
             ResonancePole(1.0, width)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["energy", "width"])
+    def test_nonfinite_rejected(self, field, value):
+        fields = {"energy": 1.0, "width": 0.2, field: value}
+        with pytest.raises(ValueError, match=f"resonance {field} must be finite, got {value}"):
+            ResonancePole(**fields)
+
     def test_negative_energy_allowed(self):
         pole = ResonancePole(-3.0, 0.5)
         assert pole.decaying_pole.imag < 0 < pole.growing_pole.imag

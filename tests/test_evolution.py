@@ -114,6 +114,14 @@ class TestEvolve:
         with pytest.raises(DomainViolationError):
             evolve(state, wrong)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("function", [evolve, survival_probability])
+    def test_nonfinite_time_rejected(self, pole, function, t):
+        state = state_for((PREP, Kind.DECAYING, 0), pole)
+        with pytest.raises(ValueError, match=f"t must be finite, got {t}") as excinfo:
+            function(state, t)
+        assert not isinstance(excinfo.value, DomainViolationError)
+
     def test_composition_random(self, pole):
         rng = np.random.default_rng(7)
         for key in ALL_KEYS:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamowkit import (
+    BRANCHES,
     Arrow,
     DomainViolationError,
     Kind,
@@ -14,6 +16,7 @@ from gamowkit import (
     Scenario,
     branch_for,
     evolution_table,
+    evolve,
     lineshape,
     lorentzian_density,
     run_decay,
@@ -21,11 +24,21 @@ from gamowkit import (
 
 PREP = Arrow.PREPARATION_REGISTRATION
 EXC = Arrow.EXCITATION_DEEXCITATION
+BRANCH_KEYS = sorted(BRANCHES, key=lambda key: BRANCHES[key].label)
 
 
 @pytest.fixture
 def pole():
     return ResonancePole(1.0, 0.2)
+
+
+def _in_domain(pole, key, lo, hi, steps):
+    """A scenario for state ``key`` whose grid covers magnitudes lo..hi on
+    the state's own half-domain."""
+    arrow, kind, regime = key
+    if kind is Kind.DECAYING:
+        return Scenario(pole, arrow, kind, regime, lo, hi, steps)
+    return Scenario(pole, arrow, kind, regime, -hi, -lo, steps)
 
 
 class TestRunDecay:
@@ -50,8 +63,18 @@ class TestRunDecay:
         assert survivals == sorted(survivals)  # increasing toward t = 0
 
     def test_grid_outside_domain(self, pole):
+        scenario = Scenario(pole, PREP, Kind.DECAYING, 0, -1.0, 1.0, 3)
         with pytest.raises(DomainViolationError, match="t=-1"):
-            run_decay(Scenario(pole, PREP, Kind.DECAYING, 0, -1.0, 1.0, 3))
+            run_decay(scenario)
+        # The grid check and the scalar check raise the one message: the
+        # first offending t, the half-domain and the branch label.
+        with pytest.raises(DomainViolationError) as from_grid:
+            scenario.checked_times()
+        with pytest.raises(DomainViolationError) as from_scalar:
+            evolve(scenario.state(), -1.0)
+        expected = ("t=-1.0 lies outside the t>=0 half-domain of branch 4b; "
+                    "semigroup evolution has no inverse across t=0")
+        assert str(from_grid.value) == str(from_scalar.value) == expected
 
     @pytest.mark.parametrize("arrow", [PREP, EXC])
     @pytest.mark.parametrize("kind", [Kind.GROWING, Kind.DECAYING])
@@ -73,15 +96,39 @@ class TestRunDecay:
         else:
             assert along == sorted(along, reverse=True)
 
-    def test_factor_columns_match_evolve(self, pole):
-        from gamowkit import canonical_state, evolve
-
-        scenario = Scenario(pole, EXC, Kind.DECAYING, 1, 0.0, 5.0, 6)
-        table = run_decay(scenario)
-        state = canonical_state(EXC, Kind.DECAYING, 1, pole)
-        for t, _, real, imag in table.rows:
+    @pytest.mark.parametrize("builder", [run_decay, evolution_table])
+    @pytest.mark.parametrize("key", BRANCH_KEYS)
+    def test_factor_columns_match_evolve(self, pole, key, builder):
+        scenario = _in_domain(pole, key, 0.0, 37.5, 101)
+        table = builder(scenario)
+        state = scenario.state()
+        for row in table.rows:
+            t, real, imag = row[0], row[-2], row[-1]
             factor = evolve(state, t)
             assert complex(real, imag) == factor
+            if builder is run_decay:
+                expected = abs(factor) ** 2
+                assert abs(row[1] - expected) <= math.ulp(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(index=st.integers(0, 7),
+           bounds=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2),
+           steps=st.integers(2, 64),
+           energy=st.floats(-50.0, 50.0),
+           width=st.floats(1e-3, 10.0))
+    def test_array_factor_bitwise_equals_scalar_evolve(self, index, bounds, steps, energy, width):
+        key = BRANCH_KEYS[index]
+        scenario = _in_domain(ResonancePole(energy, width), key, min(bounds), max(bounds), steps)
+        state = scenario.state()
+        branch = BRANCHES[key]
+        for t, real, imag in evolution_table(scenario).rows:
+            factor = evolve(state, t)
+            # reference: the closed form evaluated with cmath
+            reference = cmath.exp(complex(branch.growth_sign * 0.5 * width * t,
+                                          branch.phase_sign * energy * t)) * state.amplitude
+            bits = (real.hex(), imag.hex())
+            assert bits == (factor.real.hex(), factor.imag.hex())
+            assert bits == (reference.real.hex(), reference.imag.hex())
 
 
 class TestEvolutionTable:
@@ -103,6 +150,18 @@ class TestScenarioValidation:
     def test_ordered_grid(self, pole):
         with pytest.raises(ValueError, match="t_max"):
             Scenario(pole, PREP, Kind.DECAYING, 0, 5.0, 1.0, 3)
+
+    @pytest.mark.parametrize("t_min, t_max, name, value", [
+        (float("nan"), 1.0, "t_min", "nan"),
+        (float("-inf"), 0.0, "t_min", "-inf"),
+        (0.0, float("inf"), "t_max", "inf"),
+        # checked before the ordering check, which nan and -inf would fail
+        (0.0, float("nan"), "t_max", "nan"),
+        (5.0, float("-inf"), "t_max", "-inf"),
+    ])
+    def test_nonfinite_bounds_rejected(self, pole, t_min, t_max, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            Scenario(pole, PREP, Kind.DECAYING, 0, t_min, t_max, 3)
 
     def test_zero_only_edge(self, pole):
         # t = 0 belongs to both halves, so a grid ending at 0 is fine for
@@ -135,6 +194,11 @@ class TestLineshape:
                                pole.energy + 50 * pole.width, 200_001)
         area = np.trapezoid(lorentzian_density(pole, energies), energies)
         assert abs(area - 1.0) < 1e-2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_energy_rejected(self, pole, value):
+        with pytest.raises(ValueError, match=f"energies must be finite, got {value}"):
+            lineshape(pole, [0.5, value, 1.5])
 
     def test_empty_grid_rejected(self, pole):
         with pytest.raises(ValueError, match="nonempty"):

@@ -203,6 +203,11 @@ class TestBuildRepresentation:
         with pytest.raises(ValueError, match="row"):
             build_representation(row, 1)
 
+    @pytest.mark.parametrize("twice_j", [True, False, np.bool_(True)])
+    def test_bool_twice_j_rejected(self, twice_j):
+        with pytest.raises(ValueError, match="twice_j"):
+            build_representation(1, twice_j)
+
     @pytest.mark.parametrize("row", ROWS)
     @pytest.mark.parametrize("twice_j", TESTED_TWICE_J)
     def test_signs_match_formulas(self, row, twice_j):
