@@ -34,7 +34,7 @@ print(f"  amplitude 1+2j -> {time_reverse(amp_state).amplitude}  (antilinear)")
 print()
 
 for arrow in Arrow:
-    table = derive_table(arrow, pole)
+    table = derive_table(arrow)
     print(f"derived table, {arrow.value}:")
     header = f"  {'row':9} {'r':>1}  {'bracket':22} {'domain':7} {'read':8} branch"
     print(header)

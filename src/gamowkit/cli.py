@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .core import Arrow, Kind, ResonancePole, require_finite
-from .scenarios import ResultTable, Scenario, evolution_table, lineshape, run_decay
+from .scenarios import MAX_GRID_STEPS, ResultTable, Scenario, evolution_table, lineshape, run_decay
 from .symmetry import build_representation, check_conjugation_identities, verify_group_relations
 from .transform import cross_identify, derive_table
 
@@ -169,8 +169,11 @@ def _lineshape_table(opts: _Resolver) -> ResultTable:
     steps = opts.get("steps", int, 201)
     if steps < 2:
         raise ValueError(f"lineshape grid needs at least 2 steps, got {steps}")
+    if steps > MAX_GRID_STEPS:
+        raise ValueError(f"lineshape grid allows at most {MAX_GRID_STEPS} steps, got {steps}")
     if not e_max > e_min:
         raise ValueError(f"emax={e_max} must exceed emin={e_min}")
+    require_finite("emax - emin", e_max - e_min)
     return lineshape(pole, np.linspace(e_min, e_max, steps))
 
 

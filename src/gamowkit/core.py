@@ -83,15 +83,6 @@ class Role(enum.Enum):
     DEEXCITATION = "deexcitation"
 
 
-# Role partners swapped by time reversal within each arrow convention.
-_ROLE_SWAP = {
-    Role.STATE: Role.OBSERVABLE,
-    Role.OBSERVABLE: Role.STATE,
-    Role.EXCITATION: Role.DEEXCITATION,
-    Role.DEEXCITATION: Role.EXCITATION,
-}
-
-
 class TimeHalf(enum.Enum):
     """Temporal half-domain; t = 0 belongs to both halves."""
 
@@ -303,12 +294,6 @@ def canonical_state(arrow: Arrow, kind: Kind, regime: int, pole: ResonancePole,
         role=role,
         amplitude=complex(amplitude),
     )
-
-
-def swapped_role(role: Role) -> Role:
-    """The role partner exchanged by time reversal (state <-> observable,
-    excitation <-> de-excitation)."""
-    return _ROLE_SWAP[role]
 
 
 def resonance_s_matrix(pole: ResonancePole, energies) -> np.ndarray:

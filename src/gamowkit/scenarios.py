@@ -19,6 +19,10 @@ import numpy as np
 from .core import Arrow, GamowState, Kind, ResonancePole, canonical_state, require_finite
 from .evolution import branch_for
 
+# Largest accepted grid: at this size one `decay` run already takes seconds
+# and hundreds of MiB, almost all of it in text formatting.
+MAX_GRID_STEPS = 1_000_000
+
 
 @dataclass
 class ResultTable:
@@ -43,8 +47,7 @@ class ResultTable:
         return cls(tuple(header), rows)
 
     def to_json(self) -> str:
-        return json.dumps({"columns": list(self.columns),
-                           "rows": [list(row) for row in self.rows]})
+        return json.dumps({"columns": list(self.columns), "rows": self.rows})
 
     @classmethod
     def from_json(cls, text: str) -> "ResultTable":
@@ -72,10 +75,14 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.steps < 2:
             raise ValueError(f"a scenario grid needs at least 2 steps, got {self.steps}")
+        if self.steps > MAX_GRID_STEPS:
+            raise ValueError(f"a scenario grid allows at most {MAX_GRID_STEPS} steps, got {self.steps}")
         require_finite("t_min", self.t_min)
         require_finite("t_max", self.t_max)
         if not self.t_max >= self.t_min:
             raise ValueError(f"t_max={self.t_max} must not precede t_min={self.t_min}")
+        # Python floats overflow to inf without the warning numpy scalars print
+        require_finite("t_max - t_min", float(self.t_max) - float(self.t_min))
 
     def state(self) -> GamowState:
         return canonical_state(self.arrow, self.kind, self.regime, self.pole)

@@ -21,11 +21,18 @@ import numpy as np
 from .core import ResonancePole, resonance_s_matrix
 
 ROWS = (1, 2, 3, 4)
+# Relative signs (eps_R, eps_T) / (-1)^(2j) of each family (Wigner, Group
+# Theory, ch. 26); every Sigma, R and T below is derived from them.
+_FAMILY_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
+# Largest accepted 2j: the relation checks are dense O(d^3) integer products.
+MAX_TWICE_J = 511
 
 
 def _check_twice_j(twice_j: int) -> int:
     if isinstance(twice_j, bool) or not isinstance(twice_j, (int, np.integer)) or twice_j < 0:
         raise ValueError(f"twice_j must be a nonnegative integer, got {twice_j!r}")
+    if twice_j > MAX_TWICE_J:
+        raise ValueError(f"twice_j must be at most {MAX_TWICE_J}, got {twice_j}")
     return int(twice_j)
 
 
@@ -115,10 +122,6 @@ class AntilinearOperator:
     def is_antiunitary(self, tol: float = 1e-12) -> bool:
         return self.conjugates and self.is_unitary(tol)
 
-    @classmethod
-    def identity(cls, dim: int) -> "AntilinearOperator":
-        return cls(np.eye(dim, dtype=np.int64), False)
-
 
 @dataclass(frozen=True, eq=False)
 class RepresentationTriple:
@@ -137,7 +140,10 @@ class RepresentationTriple:
     total_inversion: AntilinearOperator
     reversal_sign: int
     inversion_sign: int
-    doubled: bool
+
+    @property
+    def doubled(self) -> bool:
+        return self.row != 1
 
     @property
     def dim(self) -> int:
@@ -147,52 +153,32 @@ class RepresentationTriple:
 def build_representation(row: int, twice_j: int) -> RepresentationTriple:
     """Construct the family ``row`` (1..4) at spin j = twice_j / 2.
 
-    Family 1: no doubling, Sigma = I, R = T = C (conjugating), with
-    eps_R = eps_T = (-1)^(2j).  Families 2-4 double the space and place C in
-    off-diagonal blocks; their signs differ from family 1 in the pattern
-    (-,+), (+,-), (-,-) for (eps_R, eps_T) relative to (-1)^(2j).
+    With (s_R, s_T) the family's signs relative to (-1)^(2j): family 1
+    (s_R = s_T = +1) needs no doubling and has Sigma = I, R = T = C
+    (conjugating).  Families 2-4 double the space and place C in
+    off-diagonal blocks, R = [[0, C], [s_R C, 0]], T = [[0, C], [s_T C, 0]]
+    and Sigma = diag(I, s_R s_T I), so that R^2 = eps_R I, T^2 = eps_T I and
+    T = Sigma R with eps_R = s_R (-1)^(2j), eps_T = s_T (-1)^(2j).
     """
     twice_j = _check_twice_j(twice_j)
     if row not in ROWS:
         raise ValueError(f"row must be one of {ROWS}, got {row!r}")
-    base_sign = (-1) ** twice_j
+    s_r, s_t = _FAMILY_SIGNS[row]
     c = time_reversal_matrix(twice_j)
-    d = twice_j + 1
-    eye = np.eye(d, dtype=np.int64)
-    zero = np.zeros((d, d), dtype=np.int64)
-
+    eye = np.eye(twice_j + 1, dtype=np.int64)
     if row == 1:
-        return RepresentationTriple(
-            row=1, twice_j=twice_j,
-            parity=AntilinearOperator(eye, False),
-            time_reversal=AntilinearOperator(c, True),
-            total_inversion=AntilinearOperator(c, True),
-            reversal_sign=base_sign, inversion_sign=base_sign,
-            doubled=False,
-        )
-
-    sigma_split = np.block([[eye, zero], [zero, -eye]])
-    sigma_full = np.block([[eye, zero], [zero, eye]])
-    r_antisym = np.block([[zero, c], [-c, zero]])
-    r_sym = np.block([[zero, c], [c, zero]])
-
-    if row == 2:
-        sigma, r_mat, t_mat = sigma_split, r_antisym, r_sym
-        eps_r, eps_t = -base_sign, base_sign
-    elif row == 3:
-        sigma, r_mat, t_mat = sigma_split, r_sym, r_antisym
-        eps_r, eps_t = base_sign, -base_sign
+        sigma, r_mat, t_mat = eye, c, c
     else:
-        sigma, r_mat, t_mat = sigma_full, r_antisym, r_antisym
-        eps_r, eps_t = -base_sign, -base_sign
-
+        sigma = np.kron(np.diag([1, s_r * s_t]), eye)
+        r_mat = np.kron([[0, 1], [s_r, 0]], c)
+        t_mat = np.kron([[0, 1], [s_t, 0]], c)
+    base_sign = (-1) ** twice_j
     return RepresentationTriple(
         row=row, twice_j=twice_j,
         parity=AntilinearOperator(sigma, False),
         time_reversal=AntilinearOperator(r_mat, True),
         total_inversion=AntilinearOperator(t_mat, True),
-        reversal_sign=eps_r, inversion_sign=eps_t,
-        doubled=True,
+        reversal_sign=s_r * base_sign, inversion_sign=s_t * base_sign,
     )
 
 
@@ -249,23 +235,13 @@ def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
     rather than asserted).  Failures become report entries, not exceptions.
     """
     checks = []
-
-    sigma_sq = rep.parity.compose(rep.parity)
-    s = scalar_multiple_of_identity(sigma_sq.matrix)
-    checks.append(RelationCheck(
-        "parity_squared", s == 1 and not sigma_sq.conjugates, "+1 * I", f"{s} * I"))
-
-    r_sq = rep.time_reversal.compose(rep.time_reversal)
-    s = scalar_multiple_of_identity(r_sq.matrix)
-    checks.append(RelationCheck(
-        "time_reversal_squared", s == rep.reversal_sign and not r_sq.conjugates,
-        f"{rep.reversal_sign:+d} * I", f"{s} * I"))
-
-    t_sq = rep.total_inversion.compose(rep.total_inversion)
-    s = scalar_multiple_of_identity(t_sq.matrix)
-    checks.append(RelationCheck(
-        "total_inversion_squared", s == rep.inversion_sign and not t_sq.conjugates,
-        f"{rep.inversion_sign:+d} * I", f"{s} * I"))
+    for name, op, sign in (("parity_squared", rep.parity, 1),
+                           ("time_reversal_squared", rep.time_reversal, rep.reversal_sign),
+                           ("total_inversion_squared", rep.total_inversion, rep.inversion_sign)):
+        square = op.compose(op)
+        s = scalar_multiple_of_identity(square.matrix)
+        checks.append(RelationCheck(name, s == sign and not square.conjugates,
+                                    f"{sign:+d} * I", f"{s} * I"))
 
     sigma_r = rep.parity.compose(rep.time_reversal)
     same = (np.array_equal(sigma_r.matrix, rep.total_inversion.matrix)
@@ -319,16 +295,6 @@ class ConjugationReport:
         }
 
 
-def _embedded_spin_matrices(rep: RepresentationTriple) -> tuple[np.ndarray, ...]:
-    """Spin matrices acting identically on both sheets of a doubled space."""
-    mats = spin_matrices(rep.twice_j)
-    if not rep.doubled:
-        return mats
-    d = rep.twice_j + 1
-    zero = np.zeros((d, d), dtype=complex)
-    return tuple(np.block([[m, zero], [zero, m]]) for m in mats)
-
-
 def reversed_wavefunction(psi) -> np.ndarray:
     """Time-reversal action on a wavefunction sampled on a grid symmetric
     about zero: psi(p) -> conj(psi(-p)), an exact index reversal."""
@@ -346,10 +312,7 @@ def check_conjugation_identities(
     rep: RepresentationTriple,
     pole: ResonancePole | None = None,
     *,
-    momentum_extent: float = 10.0,
     momentum_points: int = 201,
-    packet_center: float = 2.0,
-    packet_width: float = 1.0,
     energy_points: int = 1000,
 ) -> ConjugationReport:
     """Numerically check the conjugation identities of time reversal.
@@ -359,7 +322,8 @@ def check_conjugation_identities(
     * angular momentum flips sign, R J_i R^-1 = -J_i, with the spin
       matrices embedded block-diagonally when the family is doubled
       (tolerance 1e-12);
-    * on a symmetric odd momentum grid, R: psi(p) -> conj(psi(-p)) flips
+    * on a symmetric odd momentum grid over [-10, 10], with a unit-width
+      Gaussian packet centred at p = 2, R: psi(p) -> conj(psi(-p)) flips
       the expectation of the momentum multiplication operator and leaves
       the kinetic energy p^2/2m (m = 1) invariant (tolerance 1e-10);
     * the rank-one resonance S-matrix on the real axis satisfies |S| = 1
@@ -375,13 +339,14 @@ def check_conjugation_identities(
                               rep.time_reversal.conjugates)
     r_inv = r_op.inverse()
     dev = 0.0
-    for j_i in _embedded_spin_matrices(rep):
+    sheets = np.eye(2 if rep.doubled else 1)
+    for j_i in (np.kron(sheets, m) for m in spin_matrices(rep.twice_j)):
         conjugated = r_op.compose(AntilinearOperator(j_i, False)).compose(r_inv)
         dev = max(dev, float(np.max(np.abs(conjugated.matrix + j_i))))
     entries.append(IdentityCheck("angular_momentum_flip", dev <= 1e-12, dev, 1e-12))
 
-    p = np.linspace(-momentum_extent, momentum_extent, momentum_points)
-    psi = np.exp(-((p - packet_center) ** 2) / (2.0 * packet_width**2)).astype(complex)
+    p = np.linspace(-10.0, 10.0, momentum_points)
+    psi = np.exp(-((p - 2.0) ** 2) / 2.0).astype(complex)
     psi_rev = reversed_wavefunction(psi)
     p_before = grid_expectation(p, psi)
     p_after = grid_expectation(p, psi_rev)

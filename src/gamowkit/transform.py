@@ -25,7 +25,6 @@ from .core import (
     ResonancePole,
     TimeHalf,
     canonical_state,
-    swapped_role,
 )
 from .evolution import EvolutionBranch, branch_by_label, branch_for
 from .symmetry import RepresentationTriple, scalar_multiple_of_identity
@@ -130,17 +129,17 @@ def _cell(row_label: str, state: GamowState) -> TableCell:
     )
 
 
-def derive_table(arrow: Arrow, pole: ResonancePole | None = None) -> DerivedTable:
+def derive_table(arrow: Arrow) -> DerivedTable:
     """Derive the four-cell summary table for one arrow convention.
 
     Builds the two r = 0 canonical states, applies :func:`time_reverse` to
     each, and lists (bracket, half-domain, orientation) for all four.  Rows
     are labelled by the r = 0 progenitor's kind; each row's r = 1 cell is
     the time-reversed partner, which carries the opposite pole kind but the
-    same growth character along its own reading direction.
+    same growth character along its own reading direction.  No label,
+    domain or branch depends on the pole, so a fixed one is used.
     """
-    if pole is None:
-        pole = ResonancePole(1.0, 0.2)
+    pole = ResonancePole(1.0, 0.2)
     cells = []
     for row_label, kind in (("growing", Kind.GROWING), ("decaying", Kind.DECAYING)):
         original = canonical_state(arrow, kind, 0, pole)
@@ -233,11 +232,10 @@ class FactorConsistencyEntry:
         }
 
 
-def factor_consistency_report(pole: ResonancePole | None = None,
-                              n_times: int = 50) -> tuple[FactorConsistencyEntry, ...]:
+def factor_consistency_report(pole: ResonancePole | None = None) -> tuple[FactorConsistencyEntry, ...]:
     """Compare each branch's factor with its time-reversed partner's.
 
-    For every canonical state s (unit amplitude) and a sample of times t in
+    For every canonical state s (unit amplitude) and 50 times t in
     its half-domain, evaluates evolve(s, t), evolve(R s, -t) and
     conj(evolve(s, t)) over the whole sample at once and records the
     maximal deviations described on :class:`FactorConsistencyEntry`.
@@ -249,7 +247,7 @@ def factor_consistency_report(pole: ResonancePole | None = None,
         state = canonical_state(arrow, kind, regime, pole)
         branch, reversed_branch = branch_for(state), branch_for(time_reverse(state))
         sign = 1.0 if branch.domain.half is TimeHalf.NONNEG else -1.0
-        times = branch.checked_times(sign * np.linspace(0.0, 10.0 / pole.width, n_times))
+        times = branch.checked_times(sign * np.linspace(0.0, 10.0 / pole.width, 50))
         forward = branch.factor(pole, times)
         mirrored = reversed_branch.factor(pole, reversed_branch.checked_times(-times))
         conjugated = np.conj(forward)

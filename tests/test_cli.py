@@ -8,6 +8,8 @@ import pytest
 
 from gamowkit import Arrow, Kind, ResonancePole, ResultTable, Scenario, derive_table, run_decay
 from gamowkit.cli import main
+from gamowkit.scenarios import MAX_GRID_STEPS
+from gamowkit.symmetry import MAX_TWICE_J
 
 
 def invoke(capsys, *argv):
@@ -61,6 +63,11 @@ class TestDecayCommand:
         (("evolve", "--kind", "grow", "--tmin", "nan"), "t_min must be finite, got nan"),
         (("lineshape", "--emin=-inf", "--emax=inf"), "emin must be finite, got -inf"),
         (("lineshape", "--emax", "nan"), "emax must be finite, got nan"),
+        # finite bounds whose span overflows float64 are caught before np.linspace
+        (("lineshape", "--emin=-1e308", "--emax=1e308", "--steps", "3"),
+         "emax - emin must be finite, got inf"),
+        (("decay", "--tmin=-1e308", "--tmax=1e308", "--steps", "3"),
+         "t_max - t_min must be finite, got inf"),
     ])
     def test_nonfinite_value_is_validation_error(self, capsys, argv, message):
         with warnings.catch_warnings():
@@ -97,6 +104,21 @@ class TestLineshapeCommand:
     def test_degenerate_window_rejected(self, capsys):
         code, _, err = invoke(capsys, "lineshape", "--emin", "2", "--emax", "1")
         assert code == 2 and "emax" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("decay", "--steps", str(MAX_GRID_STEPS + 1)),
+     f"a scenario grid allows at most {MAX_GRID_STEPS} steps, got {MAX_GRID_STEPS + 1}"),
+    (("lineshape", "--steps", str(MAX_GRID_STEPS + 1)),
+     f"lineshape grid allows at most {MAX_GRID_STEPS} steps, got {MAX_GRID_STEPS + 1}"),
+    (("rep-check", "--row", "4", "--twice-j", str(MAX_TWICE_J + 1)),
+     f"twice_j must be at most {MAX_TWICE_J}, got {MAX_TWICE_J + 1}"),
+])
+def test_size_cap_is_validation_error(capsys, argv, message):
+    # only cap + 1 is run: the check comes before anything is allocated
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
 
 
 class TestTableCommand:

@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +149,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="steps"):
             Scenario(pole, PREP, Kind.DECAYING, 0, 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("bound", [float, np.float64])
+    def test_overflowing_span_rejected(self, pole, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(ValueError, match="t_max - t_min must be finite, got inf"):
+                Scenario(pole, PREP, Kind.DECAYING, 0, bound(-1e308), bound(1e308), 3)
+
     def test_ordered_grid(self, pole):
         with pytest.raises(ValueError, match="t_max"):
             Scenario(pole, PREP, Kind.DECAYING, 0, 5.0, 1.0, 3)
@@ -213,6 +222,11 @@ class TestResultTableRoundTrip:
     def test_json_round_trip_exact(self, pole):
         table = run_decay(Scenario(pole, EXC, Kind.GROWING, 1, -9.0, 0.0, 37))
         assert ResultTable.from_json(table.to_json()) == table
+
+    def test_json_writes_rows_as_lists(self, pole):
+        table = run_decay(Scenario(pole, PREP, Kind.DECAYING, 0, 0.0, 10.0, 9))
+        assert table.to_json() == json.dumps({"columns": list(table.columns),
+                                              "rows": [list(row) for row in table.rows]})
 
     def test_csv_header_first_row(self):
         table = ResultTable(("a", "b"), [(1.5, -2.25)])

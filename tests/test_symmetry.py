@@ -198,6 +198,28 @@ class TestBuildRepresentation:
         assert not rep.parity.conjugates
         assert rep.reversal_sign == -1 and rep.inversion_sign == -1
 
+    @pytest.mark.parametrize("row, sigma, r_mat, t_mat", [  # row 4: the test above
+        (2, [[1, 0], [0, -1]], [[0, 1], [-1, 0]], [[0, 1], [1, 0]]),
+        (3, [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]),
+    ])
+    def test_doubled_spin_zero_blocks(self, row, sigma, r_mat, t_mat):
+        rep = build_representation(row, 0)
+        np.testing.assert_array_equal(rep.parity.matrix, sigma)
+        np.testing.assert_array_equal(rep.time_reversal.matrix, r_mat)
+        np.testing.assert_array_equal(rep.total_inversion.matrix, t_mat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(row=st.sampled_from(ROWS), twice_j=st.integers(0, 40))
+    def test_families_are_signed_permutations(self, row, twice_j):
+        rep = build_representation(row, twice_j)
+        for op in (rep.parity, rep.time_reversal, rep.total_inversion):
+            m = op.matrix
+            assert m.dtype == np.int64 and m.shape == (rep.dim, rep.dim)
+            assert set(np.unique(m)) <= {-1, 0, 1}
+            assert (np.abs(m).sum(axis=0) == 1).all() and (np.abs(m).sum(axis=1) == 1).all()
+        assert verify_group_relations(rep).all_passed
+        assert (rep.reversal_sign, rep.inversion_sign) == expected_signs(row, twice_j)
+
     @pytest.mark.parametrize("row", [0, 5, -1])
     def test_invalid_row(self, row):
         with pytest.raises(ValueError, match="row"):
