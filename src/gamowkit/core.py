@@ -17,7 +17,7 @@ arbitrary unit and times in its inverse.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,18 +105,15 @@ class Orientation(enum.Enum):
     TOWARD_MINUS_INF = "-inf<-0"
 
 
-_ALLOWED_ORIENTATIONS = {
-    TimeHalf.NONNEG: {Orientation.TOWARD_PLUS_INF, Orientation.TOWARD_ZERO_FROM_PLUS_INF},
-    TimeHalf.NONPOS: {Orientation.TOWARD_ZERO_FROM_MINUS_INF, Orientation.TOWARD_MINUS_INF},
+# The reading direction of each half-domain in each regime: r=0 reads it
+# forward in time, r=1 backward.
+_ORIENTATION = {
+    (TimeHalf.NONNEG, 0): Orientation.TOWARD_PLUS_INF,
+    (TimeHalf.NONNEG, 1): Orientation.TOWARD_ZERO_FROM_PLUS_INF,
+    (TimeHalf.NONPOS, 0): Orientation.TOWARD_ZERO_FROM_MINUS_INF,
+    (TimeHalf.NONPOS, 1): Orientation.TOWARD_MINUS_INF,
 }
-
-# t -> -t maps each reading path onto its mirror image.
-_REFLECTED_ORIENTATION = {
-    Orientation.TOWARD_ZERO_FROM_MINUS_INF: Orientation.TOWARD_ZERO_FROM_PLUS_INF,
-    Orientation.TOWARD_ZERO_FROM_PLUS_INF: Orientation.TOWARD_ZERO_FROM_MINUS_INF,
-    Orientation.TOWARD_PLUS_INF: Orientation.TOWARD_MINUS_INF,
-    Orientation.TOWARD_MINUS_INF: Orientation.TOWARD_PLUS_INF,
-}
+_HALF_AND_REGIME = {orientation: key for key, orientation in _ORIENTATION.items()}
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ class TimeDomain:
     orientation: Orientation
 
     def __post_init__(self) -> None:
-        if self.orientation not in _ALLOWED_ORIENTATIONS[self.half]:
+        if _HALF_AND_REGIME[self.orientation][0] is not self.half:
             raise ValueError(
                 f"orientation {self.orientation.value!r} does not lie in the "
                 f"{self.half.value!r} half-domain"
@@ -137,8 +134,10 @@ class TimeDomain:
         return self.half.contains(t)
 
     def reflected(self) -> "TimeDomain":
-        """The image of this domain under t -> -t."""
-        return TimeDomain(self.half.flipped(), _REFLECTED_ORIENTATION[self.orientation])
+        """The image of this domain under t -> -t: the other half, read in the
+        other regime's direction."""
+        half, regime = _HALF_AND_REGIME[self.orientation]
+        return TimeDomain(half.flipped(), _ORIENTATION[(half.flipped(), 1 - regime)])
 
 
 @dataclass(frozen=True)
@@ -176,59 +175,52 @@ class ResonancePole:
         return self.growing_pole if kind is Kind.GROWING else self.decaying_pole
 
 
-# Half-plane and role are fixed by (arrow, kind): time reversal flips kind
-# and half-plane together, so the pairing is the same in both regimes.
+# Half-plane, role and bra are fixed by (arrow, kind): time reversal flips
+# kind and half-plane together, so the pairing is the same in both regimes.
 _CANONICAL_LABELS = {
-    (Arrow.PREPARATION_REGISTRATION, Kind.GROWING): (HalfPlane.MINUS, Role.STATE),
-    (Arrow.PREPARATION_REGISTRATION, Kind.DECAYING): (HalfPlane.PLUS, Role.OBSERVABLE),
-    (Arrow.EXCITATION_DEEXCITATION, Kind.GROWING): (HalfPlane.PLUS, Role.EXCITATION),
-    (Arrow.EXCITATION_DEEXCITATION, Kind.DECAYING): (HalfPlane.MINUS, Role.DEEXCITATION),
-}
-
-# Growing states live on t <= 0, decaying states on t >= 0; the regime
-# decides whether the half-domain is read forward (r=0) or backward (r=1).
-_CANONICAL_DOMAIN = {
-    (Kind.GROWING, 0): TimeDomain(TimeHalf.NONPOS, Orientation.TOWARD_ZERO_FROM_MINUS_INF),
-    (Kind.GROWING, 1): TimeDomain(TimeHalf.NONPOS, Orientation.TOWARD_MINUS_INF),
-    (Kind.DECAYING, 0): TimeDomain(TimeHalf.NONNEG, Orientation.TOWARD_PLUS_INF),
-    (Kind.DECAYING, 1): TimeDomain(TimeHalf.NONNEG, Orientation.TOWARD_ZERO_FROM_PLUS_INF),
+    (Arrow.PREPARATION_REGISTRATION, Kind.GROWING): (HalfPlane.MINUS, Role.STATE, "phi"),
+    (Arrow.PREPARATION_REGISTRATION, Kind.DECAYING): (HalfPlane.PLUS, Role.OBSERVABLE, "psi"),
+    (Arrow.EXCITATION_DEEXCITATION, Kind.GROWING): (HalfPlane.PLUS, Role.EXCITATION, "phi_+"),
+    (Arrow.EXCITATION_DEEXCITATION, Kind.DECAYING): (HalfPlane.MINUS, Role.DEEXCITATION, "phi_-"),
 }
 
 
 def canonical_time_domain(kind: Kind, regime: int) -> TimeDomain:
-    """Half-domain and reading direction governing a (kind, regime) pair."""
+    """Half-domain and reading direction governing a (kind, regime) pair:
+    growing states live on t <= 0, decaying states on t >= 0."""
     if regime not in (0, 1):
         raise ValueError(f"regime must be 0 or 1, got {regime}")
-    return _CANONICAL_DOMAIN[(kind, regime)]
+    half = TimeHalf.NONPOS if kind is Kind.GROWING else TimeHalf.NONNEG
+    return TimeDomain(half, _ORIENTATION[(half, regime)])
 
 
 @dataclass(frozen=True)
 class GamowState:
-    """One generalized eigenvector with all of its bookkeeping labels.
+    """One generalized eigenvector, keyed by (arrow, kind, regime).
 
-    Only canonical label combinations are constructible: the half-plane and
-    role must match the (arrow, kind) pairing and the regime must be 0 or 1.
-    Use :func:`canonical_state` rather than filling the labels by hand.
+    The half-plane, role, bracket and time domain are derived from that key,
+    so only canonical label combinations exist; the regime must be 0 or 1.
     """
 
     pole: ResonancePole
     kind: Kind
-    half_plane: HalfPlane
     regime: int
     arrow: Arrow
-    role: Role
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
         if self.regime not in (0, 1):
             raise ValueError(f"regime must be 0 or 1, got {self.regime}")
-        expected = _CANONICAL_LABELS[(self.arrow, self.kind)]
-        if (self.half_plane, self.role) != expected:
-            raise ValueError(
-                f"{self.arrow.value}/{self.kind.value} states carry "
-                f"half_plane={expected[0].value!r} and role={expected[1].value!r}; "
-                f"got ({self.half_plane.value!r}, {self.role.value!r})"
-            )
+        if (self.arrow, self.kind) not in _CANONICAL_LABELS:
+            raise ValueError(f"no canonical state for arrow={self.arrow!r} and kind={self.kind!r}")
+
+    @property
+    def half_plane(self) -> HalfPlane:
+        return _CANONICAL_LABELS[(self.arrow, self.kind)][0]
+
+    @property
+    def role(self) -> Role:
+        return _CANONICAL_LABELS[(self.arrow, self.kind)][1]
 
     @property
     def time_domain(self) -> TimeDomain:
@@ -242,23 +234,12 @@ class GamowState:
     @property
     def bracket(self) -> str:
         """ASCII descriptor of the bracket, e.g. ``<psi,r=1|Z_R,r=1>``."""
-        if self.arrow is Arrow.PREPARATION_REGISTRATION:
-            bra = "phi" if self.half_plane is HalfPlane.MINUS else "psi"
-        else:
-            bra = "phi_+" if self.half_plane is HalfPlane.PLUS else "phi_-"
+        bra = _CANONICAL_LABELS[(self.arrow, self.kind)][2]
         ket = "Z_R*" if self.kind is Kind.GROWING else "Z_R"
         return f"<{bra},r={self.regime}|{ket},r={self.regime}>"
 
     def with_amplitude(self, amplitude: complex) -> "GamowState":
-        return GamowState(
-            pole=self.pole,
-            kind=self.kind,
-            half_plane=self.half_plane,
-            regime=self.regime,
-            arrow=self.arrow,
-            role=self.role,
-            amplitude=complex(amplitude),
-        )
+        return replace(self, amplitude=complex(amplitude))
 
 
 def canonical_state(arrow: Arrow, kind: Kind, regime: int, pole: ResonancePole,
@@ -284,16 +265,7 @@ def canonical_state(arrow: Arrow, kind: Kind, regime: int, pole: ResonancePole,
         The unique state with the canonical half-plane, role, and
         time-domain assignment for those labels.
     """
-    half_plane, role = _CANONICAL_LABELS[(arrow, kind)]
-    return GamowState(
-        pole=pole,
-        kind=kind,
-        half_plane=half_plane,
-        regime=regime,
-        arrow=arrow,
-        role=role,
-        amplitude=complex(amplitude),
-    )
+    return GamowState(pole, kind, regime, arrow, complex(amplitude))
 
 
 def resonance_s_matrix(pole: ResonancePole, energies) -> np.ndarray:

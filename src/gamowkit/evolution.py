@@ -72,26 +72,26 @@ class EvolutionBranch:
         return times
 
 
-def _branch(label: str, phase_sign: int, growth_sign: int, kind: Kind, regime: int) -> EvolutionBranch:
-    return EvolutionBranch(label, phase_sign, growth_sign, canonical_time_domain(kind, regime))
-
-
 _PREP = Arrow.PREPARATION_REGISTRATION
 _EXC = Arrow.EXCITATION_DEEXCITATION
 
-# The sign/domain pattern of the eight formulas, keyed by the state labels.
-# Growing states always carry growth_sign +1 on t<=0, decaying states -1 on
-# t>=0; the phase sign depends on the arrow convention because of the
-# picture split between the two conventions.
+# The label and phase sign of each of the eight formulas, keyed by the state
+# labels; the phase sign depends on the arrow convention because of the
+# picture split between the two conventions.  Growing states always carry
+# growth_sign +1, decaying states -1, on their kind's half-domain.
 BRANCHES: dict[tuple[Arrow, Kind, int], EvolutionBranch] = {
-    (_PREP, Kind.GROWING, 0): _branch("4a", -1, +1, Kind.GROWING, 0),
-    (_PREP, Kind.DECAYING, 0): _branch("4b", -1, -1, Kind.DECAYING, 0),
-    (_PREP, Kind.DECAYING, 1): _branch("10", +1, -1, Kind.DECAYING, 1),
-    (_PREP, Kind.GROWING, 1): _branch("11", +1, +1, Kind.GROWING, 1),
-    (_EXC, Kind.GROWING, 0): _branch("12", +1, +1, Kind.GROWING, 0),
-    (_EXC, Kind.DECAYING, 0): _branch("5b", -1, -1, Kind.DECAYING, 0),
-    (_EXC, Kind.DECAYING, 1): _branch("13", -1, -1, Kind.DECAYING, 1),
-    (_EXC, Kind.GROWING, 1): _branch("5a", +1, +1, Kind.GROWING, 1),
+    (arrow, kind, regime): EvolutionBranch(label, phase_sign, +1 if kind is Kind.GROWING else -1,
+                                           canonical_time_domain(kind, regime))
+    for label, phase_sign, arrow, kind, regime in (
+        ("4a", -1, _PREP, Kind.GROWING, 0),
+        ("4b", -1, _PREP, Kind.DECAYING, 0),
+        ("10", +1, _PREP, Kind.DECAYING, 1),
+        ("11", +1, _PREP, Kind.GROWING, 1),
+        ("12", +1, _EXC, Kind.GROWING, 0),
+        ("5b", -1, _EXC, Kind.DECAYING, 0),
+        ("13", -1, _EXC, Kind.DECAYING, 1),
+        ("5a", +1, _EXC, Kind.GROWING, 1),
+    )
 }
 
 BRANCH_LABELS = tuple(sorted(b.label for b in BRANCHES.values()))
@@ -152,8 +152,7 @@ def survival_probability(state: GamowState, t: float) -> float:
     return math.exp(branch.growth_sign * state.pole.width * float(branch.checked_times(t)))
 
 
-def group_evolve(hamiltonian, t: float, vector, *, max_dim: int = DEFAULT_DIM_CAP,
-                 hermiticity_tol: float = 1e-10) -> np.ndarray:
+def group_evolve(hamiltonian, t: float, vector, *, max_dim: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """Unitary group evolution exp(-i H t) v by spectral decomposition.
 
     Unlike the semigroup branches this is defined for every real t and
@@ -171,7 +170,7 @@ def group_evolve(hamiltonian, t: float, vector, *, max_dim: int = DEFAULT_DIM_CA
     Raises
     ------
     NonHermitianError
-        If max |H - H^dagger| exceeds ``hermiticity_tol``.
+        If max |H - H^dagger| exceeds 1e-10.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -179,7 +178,7 @@ def group_evolve(hamiltonian, t: float, vector, *, max_dim: int = DEFAULT_DIM_CA
     if h.shape[0] > max_dim:
         raise ValueError(f"dimension {h.shape[0]} exceeds the configured cap {max_dim}")
     deviation = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
-    if deviation > hermiticity_tol:
+    if deviation > 1e-10:
         raise NonHermitianError(
             f"hamiltonian is not Hermitian: max |H - H^dagger| = {deviation:.3e}"
         )

@@ -32,12 +32,10 @@ class ResultTable:
     rows: list[tuple[float, ...]]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([repr(float(x)) for x in row])
-        return buf.getvalue()
+        header = io.StringIO()  # column names may need quoting; float reprs never do
+        csv.writer(header, lineterminator="").writerow(self.columns)
+        rows = (",".join(map(repr, map(float, row))) for row in self.rows)
+        return "\n".join([header.getvalue(), *rows, ""])  # one join, no second copy of the text
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
@@ -131,8 +129,9 @@ def evolution_table(scenario: Scenario) -> ResultTable:
 def lorentzian_density(pole: ResonancePole, energies) -> np.ndarray:
     """Unit-area Lorentzian lineshape attached to a resonance pole."""
     e = np.asarray(energies, dtype=float)
-    half_width = 0.5 * pole.width
-    return (pole.width / (2.0 * np.pi)) / ((e - pole.energy) ** 2 + half_width**2)
+    half_width = np.float64(0.5 * pole.width)  # squares to inf where a float raises OverflowError
+    with np.errstate(over="ignore"):  # an infinite denominator is a density of 0.0
+        return (pole.width / (2.0 * np.pi)) / ((e - pole.energy) ** 2 + half_width**2)
 
 
 def lineshape(pole: ResonancePole, energies) -> ResultTable:

@@ -75,8 +75,7 @@ def spin_matrices(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = twice_j + 1
     jz = np.diag(m).astype(complex)
     jplus = np.zeros((d, d), dtype=complex)
-    for i in range(d - 1):
-        jplus[i + 1, i] = np.sqrt(j * (j + 1) - m[i] * (m[i] + 1))
+    jplus[np.arange(1, d), np.arange(d - 1)] = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
     jminus = jplus.conj().T
     jx = 0.5 * (jplus + jminus)
     jy = -0.5j * (jplus - jminus)

@@ -105,6 +105,18 @@ class TestLineshapeCommand:
         code, _, err = invoke(capsys, "lineshape", "--emin", "2", "--emax", "1")
         assert code == 2 and "emax" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--gamma", "1e308", "--emin", "0", "--emax", "1", "--steps", "3"),
+        ("--emin", "0", "--emax", "1e300", "--steps", "3"),
+    ])
+    def test_overflowing_density_is_zero(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            code, out, err = invoke(capsys, "lineshape", *argv)
+        assert code == 0 and err == ""
+        densities = [density for _, density in ResultTable.from_csv(out).rows]
+        assert all(math.isfinite(d) and d >= 0.0 for d in densities)
+
 
 @pytest.mark.parametrize("argv, message", [
     (("decay", "--steps", str(MAX_GRID_STEPS + 1)),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,13 +113,23 @@ class TestCanonicalStates:
         with pytest.raises(ValueError, match="regime"):
             canonical_state(PREP, Kind.GROWING, 2, pole)
 
-    def test_non_canonical_pairing_rejected(self, pole):
-        with pytest.raises(ValueError, match="half_plane"):
-            GamowState(pole=pole, kind=Kind.GROWING, half_plane=HalfPlane.PLUS,
-                       regime=0, arrow=PREP, role=Role.STATE)
-        with pytest.raises(ValueError):
-            GamowState(pole=pole, kind=Kind.DECAYING, half_plane=HalfPlane.PLUS,
-                       regime=0, arrow=PREP, role=Role.STATE)
+    def test_state_stores_only_its_key(self, pole):
+        # Half-plane and role are derived, so a non-canonical pairing cannot be written.
+        assert [f.name for f in dataclasses.fields(GamowState)] == \
+               ["pole", "kind", "regime", "arrow", "amplitude"]
+        for arrow, kind, regime, *_ in CANONICAL_TABLE:
+            state = GamowState(pole, kind, regime, arrow)
+            assert state == canonical_state(arrow, kind, regime, pole)
+            scaled = state.with_amplitude(0.5j)
+            assert scaled.amplitude == 0.5j
+            assert (scaled.half_plane, scaled.role, scaled.bracket) == \
+                   (state.half_plane, state.role, state.bracket)
+
+    def test_ill_typed_key_rejected(self, pole):
+        with pytest.raises(ValueError, match="kind='growing'"):
+            canonical_state(PREP, "growing", 0, pole)
+        with pytest.raises(ValueError, match="arrow='prep'"):
+            GamowState(pole, Kind.GROWING, 0, "prep")
 
     def test_amplitude_carried(self, pole):
         state = canonical_state(EXC, Kind.DECAYING, 1, pole, amplitude=2.0 - 1.0j)

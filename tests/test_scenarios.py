@@ -243,6 +243,10 @@ class TestResultTableRoundTrip:
         recovered = ResultTable.from_csv(table.to_csv())
         assert recovered == table
 
+    def test_csv_text_pinned(self):
+        table = ResultTable(("t", "a,b"), [(-0.0, 5e-324), (1e300, float("nan"))])
+        assert table.to_csv() == 't,"a,b"\n-0.0,5e-324\n1e+300,nan\n'
+
     def test_extreme_floats_survive(self):
         table = ResultTable(("x", "y"), [(1e-300, -1e300), (5e-324, 0.1 + 0.2)])
         assert ResultTable.from_csv(table.to_csv()) == table
