@@ -9,6 +9,9 @@ import numpy as np
 
 from gamowkit import ResonancePole, lineshape, lorentzian_density, resonance_s_matrix
 
+# numpy < 2.0 names the trapezoidal rule trapz
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
 pole = ResonancePole(energy=1.0, width=0.2)
 peak = lorentzian_density(pole, [pole.energy])[0]
 print(f"resonance E_R = {pole.energy}, Gamma = {pole.width}")
@@ -17,7 +20,7 @@ half = lorentzian_density(pole, [pole.energy + 0.5 * pole.width])[0]
 print(f"  density at E_R + Gamma/2: {half:.10f}  (= peak/2 = {0.5 * peak:.10f})")
 
 energies = np.linspace(pole.energy - 50 * pole.width, pole.energy + 50 * pole.width, 100_001)
-area = np.trapezoid(lorentzian_density(pole, energies), energies)
+area = trapezoid(lorentzian_density(pole, energies), energies)
 print(f"  area over +-50 widths:    {area:.6f}  (unit area up to truncation)")
 print()
 

@@ -124,6 +124,10 @@ class TimeDomain:
     orientation: Orientation
 
     def __post_init__(self) -> None:
+        if not isinstance(self.half, TimeHalf):
+            raise ValueError(f"half must be a TimeHalf, got {self.half!r}")
+        if not isinstance(self.orientation, Orientation):
+            raise ValueError(f"orientation must be an Orientation, got {self.orientation!r}")
         if _HALF_AND_REGIME[self.orientation][0] is not self.half:
             raise ValueError(
                 f"orientation {self.orientation.value!r} does not lie in the "

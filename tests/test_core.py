@@ -172,6 +172,14 @@ class TestTimeDomain:
         with pytest.raises(ValueError, match="orientation"):
             TimeDomain(half, orientation)
 
+    def test_orientation_must_be_an_orientation(self):
+        with pytest.raises(ValueError, match="orientation must be an Orientation, got '0->inf'"):
+            TimeDomain(TimeHalf.NONNEG, "0->inf")
+
+    def test_half_must_be_a_time_half(self):
+        with pytest.raises(ValueError, match="half must be a TimeHalf, got 't>=0'"):
+            TimeDomain("t>=0", Orientation.TOWARD_PLUS_INF)
+
     def test_membership(self):
         nonneg = TimeDomain(TimeHalf.NONNEG, Orientation.TOWARD_PLUS_INF)
         assert nonneg.contains(3.5) and nonneg.contains(0.0)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gamowkit import (
     AntilinearOperator,
@@ -15,6 +18,10 @@ from gamowkit import (
     time_reversal_matrix,
     verify_group_relations,
 )
+from gamowkit.symmetry import MAX_TWICE_J
+
+# numpy < 2.0 names the trapezoidal rule trapz
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 TESTED_TWICE_J = (0, 1, 2, 3, 4)
 ROWS = (1, 2, 3, 4)
@@ -151,6 +158,50 @@ class TestAntilinearOperator:
         right = a.compose(b.compose(c))
         assert left.conjugates == right.conjugates
         np.testing.assert_allclose(left.matrix, right.matrix, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           kind=st.sampled_from(["signed_permutation", "one_per_row", "zero_row", "two_in_a_row",
+                                 "zero_row_and_two_in_another"]),
+           left_dtype=st.sampled_from([np.int8, np.int32, np.int64]),
+           right_dtype=st.sampled_from([np.int8, np.int32, np.int64]),
+           m=st.integers(1, 6), k=st.integers(2, 6), n=st.integers(1, 6),
+           left_conj=st.booleans(), right_conj=st.booleans())
+    def test_integer_compose_equals_matmul(self, data, kind, left_dtype, right_dtype,
+                                           m, k, n, left_conj, right_conj):
+        if kind == "zero_row_and_two_in_another":  # as many nonzeros as rows
+            m = max(m, 2)
+        if kind == "signed_permutation":
+            m = k
+            cols = data.draw(st.permutations(range(k)))
+            values = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m))
+        else:  # repeated columns allowed, values beyond +/-1 (int8 products wrap)
+            cols = data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+            values = data.draw(st.lists(st.integers(-100, 100).filter(bool),
+                                        min_size=m, max_size=m))
+        left = np.zeros((m, k), dtype=left_dtype)
+        left[np.arange(m), cols] = values
+        row = data.draw(st.integers(0, m - 1))
+        if kind in ("zero_row", "zero_row_and_two_in_another"):
+            left[row] = 0
+        if kind in ("two_in_a_row", "zero_row_and_two_in_another"):
+            other = row if kind == "two_in_a_row" else (row + 1) % m
+            left[other, (cols[other] + 1) % k] = 7
+        right = data.draw(hnp.arrays(right_dtype, (k, n), elements=st.integers(-100, 100)))
+        a = AntilinearOperator(left, left_conj)
+        b = AntilinearOperator(right, right_conj)
+        expected = left @ (np.conj(right) if left_conj else right)
+        product = a.compose(b)
+        assert product.matrix.dtype == expected.dtype
+        assert product.matrix.shape == expected.shape
+        np.testing.assert_array_equal(product.matrix, expected)
+        assert product.conjugates == (left_conj ^ right_conj)
+
+    def test_integer_compose_shape_mismatch_raises(self):
+        a = AntilinearOperator(np.eye(2, dtype=np.int64), False)
+        b = AntilinearOperator(np.ones((3, 3), dtype=np.int64), False)
+        with pytest.raises(ValueError):
+            a.compose(b)
 
     def test_inverse(self):
         rng = np.random.default_rng(5)
@@ -310,10 +361,10 @@ class TestConjugationIdentities:
         p = np.linspace(-10.0, 10.0, 201)
         psi = np.exp(-((p - 2.0) ** 2) / 2.0).astype(complex)
         density = np.abs(psi) ** 2
-        expectation_before = np.trapezoid(p * density, p) / np.trapezoid(density, p)
+        expectation_before = trapezoid(p * density, p) / trapezoid(density, p)
         psi_rev = reversed_wavefunction(psi)
         density_rev = np.abs(psi_rev) ** 2
-        expectation_after = np.trapezoid(p * density_rev, p) / np.trapezoid(density_rev, p)
+        expectation_after = trapezoid(p * density_rev, p) / trapezoid(density_rev, p)
         assert expectation_before == pytest.approx(2.0, abs=1e-6)
         assert abs(expectation_after + expectation_before) < 1e-10
 
@@ -334,6 +385,37 @@ class TestConjugationIdentities:
         assert names["s_matrix_reciprocity"].max_deviation < 1e-12
         # spot value at the resonance energy
         assert resonance_s_matrix(pole, [1.0])[0] == pytest.approx(-1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("row", ROWS)
+    @pytest.mark.parametrize("twice_j", [0, 63, 255, MAX_TWICE_J])
+    def test_exact_up_to_the_cap(self, row, twice_j):
+        rep = build_representation(row, twice_j)
+        assert verify_group_relations(rep).all_passed
+        report = check_conjugation_identities(rep)
+        assert report.all_passed, report.to_dict()
+        flip = next(e for e in report.entries if e.name == "angular_momentum_flip")
+        assert flip.max_deviation == 0.0
+
+    @pytest.mark.parametrize("r_mat", [
+        [[0, 1], [0, 0]],        # a zero row
+        [[1, 1], [-1, 0]],       # two nonzeros in a row
+        [[0, 1], [0, -1]],       # one nonzero per row, repeated column
+        [[0, 2], [-1, 0]],       # an entry beyond +/-1
+        [[0, 1j], [-1j, 0]],     # a phase, not a sign
+        [[0, 1, 0], [-1, 0, 0], [0, 0, 1]],  # wrong dimension
+    ])
+    def test_time_reversal_must_be_signed_permutation(self, r_mat):
+        rep = dataclasses.replace(build_representation(1, 1),
+                                  time_reversal=AntilinearOperator(np.array(r_mat), True))
+        with pytest.raises(ValueError, match="time_reversal must be a 2x2 signed permutation"):
+            check_conjugation_identities(rep)
+
+    def test_wrong_signed_permutation_reported_not_raised(self):
+        rep = dataclasses.replace(build_representation(1, 1),
+                                  time_reversal=AntilinearOperator(np.eye(2, dtype=np.int64), True))
+        flip = check_conjugation_identities(rep).entries[0]
+        assert flip.name == "angular_momentum_flip"
+        assert not flip.passed and flip.max_deviation == 1.0
 
     def test_even_grid_rejected(self):
         with pytest.raises(ValueError, match="odd"):
