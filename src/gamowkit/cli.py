@@ -154,11 +154,18 @@ def _scenario(opts: _Resolver) -> Scenario:
 
 
 def _table_command(build_table):
-    """A command that builds a ResultTable and emits it as CSV or JSON."""
-    def command(opts: _Resolver) -> str:
+    """A command that builds a ResultTable and returns the writer that
+    streams it as CSV or JSON."""
+    def command(opts: _Resolver):
         fmt = opts.get("format", str, "csv", choices={"csv", "json"})
         table = build_table(opts)
-        return table.to_csv() if fmt == "csv" else table.to_json() + "\n"
+        if fmt == "csv":
+            return table.write_csv
+
+        def write_json(fh) -> None:
+            table.write_json(fh)
+            fh.write("\n")
+        return write_json
     return command
 
 
@@ -241,14 +248,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _Resolver(args)
-        text = _COMMANDS[args.command](opts)
+        output = _COMMANDS[args.command](opts)  # a string, or a writer that streams a table
+        write = output if callable(output) else lambda fh: fh.write(output)
         out_path = opts.get("out", str, None)
         opts.reject_unknown()
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                write(fh)
         else:
-            sys.stdout.write(text)
+            write(sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

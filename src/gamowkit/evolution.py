@@ -17,6 +17,7 @@ for all real times.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,12 @@ class EvolutionBranch:
     def factor(self, pole: ResonancePole, t):
         """The bare evolution factor at a time t (a complex) or at every time
         of an array t (an array), with no domain check."""
+        if isinstance(t, (int, float)):
+            try:  # cmath gives the array path's bits, and raises where numpy gives inf or nan
+                return cmath.exp(complex(self.growth_sign * 0.5 * pole.width * t,
+                                         self.phase_sign * pole.energy * t))
+            except (OverflowError, ValueError):
+                pass
         t = np.asarray(t, dtype=float)
         exponent = np.empty(t.shape, dtype=complex)  # parts set apart, as complex(x, y) keeps -0.0
         exponent.real = self.growth_sign * 0.5 * pole.width * t
@@ -60,16 +67,22 @@ class EvolutionBranch:
         np.exp(exponent, out=exponent)
         return exponent if exponent.ndim else complex(exponent)
 
-    def checked_times(self, t) -> np.ndarray:
-        """A time or an array of times as floats, after the one finiteness
-        and half-domain check of the package."""
-        times = require_finite("t", np.asarray(t, dtype=float))
-        inside = self.domain.contains(times)
-        if not inside.all():
-            raise DomainViolationError(
-                f"t={times[~inside][0]} lies outside the {self.domain.half.value} half-domain of "
-                f"branch {self.label}; semigroup evolution has no inverse across t=0")
-        return times
+    def checked_times(self, t):
+        """A time as a float, or an array of times as a float array, after
+        the one finiteness and half-domain check of the package."""
+        if isinstance(t, (int, float)) and math.isfinite(t):
+            times = outside = float(t)  # a Python float: no array for one time
+            if self.domain.contains(times):
+                return times
+        else:
+            times = require_finite("t", np.asarray(t, dtype=float))
+            inside = self.domain.contains(times)
+            if inside.all():
+                return times
+            outside = times[~inside][0]
+        raise DomainViolationError(
+            f"t={outside} lies outside the {self.domain.half.value} half-domain of "
+            f"branch {self.label}; semigroup evolution has no inverse across t=0")
 
 
 _PREP = Arrow.PREPARATION_REGISTRATION

@@ -2,9 +2,10 @@
 
 A :class:`Scenario` pins a resonance, a canonical state, and a uniform time
 grid; :func:`run_decay` and :func:`evolution_table` sweep the grid through
-the semigroup evolution.  Results come back as :class:`ResultTable` values
-that serialize to CSV (shortest round-trip float formatting) and JSON and
-parse back without loss.
+the semigroup evolution.  Results come back as :class:`ResultTable` values,
+one float64 array each, that stream to CSV (shortest round-trip float
+formatting) and JSON a block of rows at a time, so writing a grid holds no
+more text than one block, and parse back without loss.
 """
 
 from __future__ import annotations
@@ -19,39 +20,91 @@ import numpy as np
 from .core import Arrow, GamowState, Kind, ResonancePole, canonical_state, require_finite
 from .evolution import branch_for
 
-# Largest accepted grid: at this size one `decay` run already takes seconds
-# and hundreds of MiB, almost all of it in text formatting.
+# Largest accepted grid.  Output is written in blocks, so its text is never
+# held whole; the bound is time: a 1e6-point `decay` spends seconds
+# formatting text.
 MAX_GRID_STEPS = 1_000_000
 
+# Rows formatted per write.  Far below the 50001-point grids of a typical
+# run, so a grid's text is never held whole.
+_BLOCK_ROWS = 4096
 
-@dataclass
+
 class ResultTable:
-    """A small column-labelled table of floats."""
+    """A column-labelled table of floats, held as one n x k float64 array.
 
-    columns: tuple[str, ...]
-    rows: list[tuple[float, ...]]
+    ``rows`` gives the values as a list of tuples.  :meth:`write_csv` and
+    :meth:`write_json` stream the table to a text file a block of rows at a
+    time; CSV uses the shortest round-trip float formatting, and both
+    formats parse back without loss.
+    """
+
+    def __init__(self, columns, rows):
+        self.columns = tuple(columns)
+        values = np.asarray(rows, dtype=float)
+        if values.ndim > 1 and values.shape[1:] != (len(self.columns),):
+            raise ValueError(f"rows of shape {values.shape} do not fit {len(self.columns)} columns")
+        self._values = values.reshape(-1, len(self.columns))
+
+    @property
+    def rows(self) -> list[tuple[float, ...]]:
+        return list(map(tuple, self._values.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, ResultTable):
+            return NotImplemented
+        return self.columns == other.columns and bool(np.array_equal(self._values, other._values))
+
+    def __repr__(self) -> str:
+        return f"ResultTable(columns={self.columns!r}, rows={self.rows!r})"
+
+    def _blocks(self):
+        for start in range(0, len(self._values), _BLOCK_ROWS):
+            yield self._values[start:start + _BLOCK_ROWS].tolist()
+
+    def write_csv(self, fh) -> None:
+        csv.writer(fh, lineterminator="\n").writerow(self.columns)  # names may need quoting
+        for block in self._blocks():
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
+
+    def write_json(self, fh) -> None:
+        fh.write(json.dumps({"columns": list(self.columns), "rows": []})[:-2])
+        separator = ""
+        for block in self._blocks():
+            fh.write(separator + json.dumps(block)[1:-1])
+            separator = ", "
+        fh.write("]}")
 
     def to_csv(self) -> str:
-        header = io.StringIO()  # column names may need quoting; float reprs never do
-        csv.writer(header, lineterminator="").writerow(self.columns)
-        rows = (",".join(map(repr, map(float, row))) for row in self.rows)
-        return "\n".join([header.getvalue(), *rows, ""])  # one join, no second copy of the text
+        return _text(self.write_csv)
+
+    def to_json(self) -> str:
+        return _text(self.write_json)
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
         reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        rows = [tuple(float(x) for x in row) for row in reader if row]
-        return cls(tuple(header), rows)
+        columns = next(reader)
 
-    def to_json(self) -> str:
-        return json.dumps({"columns": list(self.columns), "rows": self.rows})
+        def values():
+            for row in reader:
+                if row and len(row) != len(columns):
+                    raise ValueError(f"CSV line {reader.line_num} has {len(row)} fields, "
+                                     f"expected {len(columns)}")
+                yield from map(float, row)
+
+        return cls(columns, np.fromiter(values(), dtype=float))
 
     @classmethod
     def from_json(cls, text: str) -> "ResultTable":
         data = json.loads(text)
-        return cls(tuple(data["columns"]),
-                   [tuple(float(x) for x in row) for row in data["rows"]])
+        return cls(data["columns"], data["rows"])
+
+
+def _text(write) -> str:
+    buffer = io.StringIO()
+    write(buffer)
+    return buffer.getvalue()
 
 
 @dataclass(frozen=True)
@@ -93,7 +146,7 @@ class Scenario:
 
 
 def _table(columns: tuple[str, ...], *arrays: np.ndarray) -> ResultTable:
-    return ResultTable(columns, list(zip(*(a.tolist() for a in arrays))))
+    return ResultTable(columns, np.column_stack(arrays))
 
 
 def _evolved(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:

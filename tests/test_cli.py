@@ -1,14 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+import gamowkit
 from gamowkit import Arrow, Kind, ResonancePole, ResultTable, Scenario, derive_table, run_decay
 from gamowkit.cli import main
-from gamowkit.scenarios import MAX_GRID_STEPS
+from gamowkit.scenarios import _BLOCK_ROWS, MAX_GRID_STEPS
 from gamowkit.symmetry import MAX_TWICE_J
 
 
@@ -241,6 +243,67 @@ class TestOutputAndConfig:
         config.write_text("steps=plenty\n")
         code, _, err = invoke(capsys, "decay", "--config", str(config))
         assert code == 2 and "steps" in err
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("argv, config", [
+        (("--config", "{config}"), "volume=11\n"),
+        (("--tmin", "-1", "--tmax", "1", "--steps", "3"), None),
+        (("--steps", "1"), None),
+    ], ids=["unknown-config-key", "grid-crosses-zero", "one-step"])
+    def test_rejected_run_leaves_no_out_file(self, tmp_path, capsys, argv, config):
+        config_path = tmp_path / "run.cfg"
+        if config is not None:
+            config_path.write_text(config)
+        target = tmp_path / "decay.csv"
+        code, out, err = invoke(capsys, "decay", *(a.format(config=config_path) for a in argv),
+                                "--out", str(target))
+        assert code == 2 and err.startswith("error: ") and not out
+        assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_and_out_file_agree(self, tmp_path, capsys, fmt):
+        steps = 3 * _BLOCK_ROWS + 7
+        argv = ("decay", "--steps", str(steps), "--format", fmt)
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0 and not err
+        target = tmp_path / f"decay.{fmt}"
+        assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+        table = run_decay(Scenario(ResonancePole(1.0, 0.2), Arrow.PREPARATION_REGISTRATION,
+                                   Kind.DECAYING, 0, 0.0, 10.0, steps))
+        assert out == (table.to_csv() if fmt == "csv" else table.to_json() + "\n")
+
+
+# Runs `gamowkit` in a fresh interpreter and reports the process's own peak
+# resident set (VmHWM, KiB).  A child's ru_maxrss would not do: a fork of a
+# large process counts the parent's pages.
+_PEAK_RSS_CHILD = """
+import sys
+from gamowkit.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(line for line in status if line.startswith("VmHWM:")).split()[1]
+print(code, peak, file=sys.stderr)
+"""
+
+
+def _peak_rss_kib(*argv) -> int:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gamowkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True)
+    code, peak = proc.stderr.split()[-2:]
+    assert code == "0", proc.stderr
+    return int(peak)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_output_memory_does_not_grow_with_steps(fmt):
+    small = _peak_rss_kib("decay", "--steps", "2", "--format", fmt)
+    large = _peak_rss_kib("decay", "--steps", "200001", "--format", fmt)
+    # the grid's arrays take about 12 MiB at 200001 points; whole-text output took over 70
+    assert (large - small) / 1024 < 32
 
 
 class TestExitCodes:

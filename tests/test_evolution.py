@@ -122,6 +122,27 @@ class TestEvolve:
             function(state, t)
         assert not isinstance(excinfo.value, DomainViolationError)
 
+    @pytest.mark.parametrize("energy, t", [
+        (1e300, 1e10),    # the phase overflows to inf: cmath refuses it
+        (-1e300, 1e10),
+        (1.0, -1e4),      # off the domain, the modulus overflows: cmath refuses it
+        (1.0, 2),         # an int time
+        (1.0, -0.0),
+    ])
+    def test_scalar_factor_equals_array_factor(self, energy, t):
+        pole = ResonancePole(energy, 0.2)
+        branch = branch_for(state_for((PREP, Kind.DECAYING, 0), pole))
+        with np.errstate(all="ignore"):
+            scalar = branch.factor(pole, t)
+            array = branch.factor(pole, np.array([t]))[0]
+        assert type(scalar) is complex
+        assert (scalar.real.hex(), scalar.imag.hex()) == (array.real.hex(), array.imag.hex())
+
+    def test_scalar_time_checked_as_float(self, pole):
+        state = state_for((PREP, Kind.DECAYING, 0), pole)
+        assert type(branch_for(state).checked_times(2)) is float
+        assert evolve(state, 2) == evolve(state, 2.0)
+
     def test_composition_random(self, pole):
         rng = np.random.default_rng(7)
         for key in ALL_KEYS:

@@ -1,4 +1,7 @@
 import cmath
+import csv
+import io
+import itertools
 import json
 import math
 import warnings
@@ -23,6 +26,7 @@ from gamowkit import (
     lorentzian_density,
     run_decay,
 )
+from gamowkit.scenarios import _BLOCK_ROWS
 
 # numpy < 2.0 names the trapezoidal rule trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -134,6 +138,15 @@ class TestRunDecay:
             bits = (real.hex(), imag.hex())
             assert bits == (factor.real.hex(), factor.imag.hex())
             assert bits == (reference.real.hex(), reference.imag.hex())
+        # A scalar time takes the Python-float path of evolve; its bits are
+        # those of the array path, signed zeros included (an amplitude with
+        # a -0.0 part keeps the sign of the factor's zero part).
+        for t, amplitude in itertools.product((-0.0, 0.0), (1.0 + 0.0j, complex(1.0, -0.0))):
+            array_factor = branch.factor(state.pole, np.array([t]))
+            array_factor *= amplitude
+            factor = evolve(state.with_amplitude(amplitude), t)
+            assert (factor.real.hex(), factor.imag.hex()) == \
+                (array_factor[0].real.hex(), array_factor[0].imag.hex())
 
 
 class TestEvolutionTable:
@@ -254,3 +267,87 @@ class TestResultTableRoundTrip:
         table = ResultTable(("x", "y"), [(1e-300, -1e300), (5e-324, 0.1 + 0.2)])
         assert ResultTable.from_csv(table.to_csv()) == table
         assert ResultTable.from_json(table.to_json()) == table
+
+
+# Every float that formats unusually: signed zero, the smallest subnormal,
+# non-finite values, a value without a short decimal form, a large exponent.
+_SPECIAL = (-0.0, 5e-324, float("nan"), float("inf"), float("-inf"), 0.1 + 0.2, -1e300)
+
+
+def _whole_csv(columns, rows):
+    """CSV as one string, the way it was written before block streaming."""
+    header = io.StringIO()
+    csv.writer(header, lineterminator="").writerow(columns)
+    return "\n".join([header.getvalue(), *(",".join(map(repr, map(float, row))) for row in rows), ""])
+
+
+class _Chunks:
+    """A text sink that keeps each write apart."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+
+
+class TestResultTableBlocks:
+    COLUMNS = ("t", "a,b", "c")
+
+    @staticmethod
+    def _rows(n):
+        return [(_SPECIAL[i % 7], _SPECIAL[(3 * i + 1) % 7], float(i)) for i in range(n)]
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 1])
+    def test_text_equals_whole_string_formula(self, n):
+        rows = self._rows(n)
+        table = ResultTable(self.COLUMNS, rows)
+        expected_csv = _whole_csv(self.COLUMNS, rows)
+        expected_json = json.dumps({"columns": list(self.COLUMNS), "rows": rows})
+        for write, to_text, expected in ((table.write_csv, table.to_csv, expected_csv),
+                                         (table.write_json, table.to_json, expected_json)):
+            buffer = io.StringIO()
+            write(buffer)
+            assert buffer.getvalue() == expected
+            assert to_text() == expected
+
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS + 1, 3 * _BLOCK_ROWS])
+    def test_no_write_holds_more_than_a_block(self, n):
+        table = ResultTable(self.COLUMNS, self._rows(n))
+        csv_sink, json_sink = _Chunks(), _Chunks()
+        table.write_csv(csv_sink)
+        table.write_json(json_sink)
+        assert max(chunk.count("\n") for chunk in csv_sink.chunks) == _BLOCK_ROWS
+        assert max(chunk.count("]") for chunk in json_sink.chunks) == _BLOCK_ROWS
+        assert "".join(csv_sink.chunks) == table.to_csv()
+        assert "".join(json_sink.chunks) == table.to_json()
+
+    @settings(max_examples=12, deadline=None)
+    @given(pool=st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=16),
+           width=st.integers(1, 5),
+           n=st.integers(_BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trips_across_blocks_are_lossless(self, pool, width, n, seed):
+        values = np.random.default_rng(seed).choice(np.array(pool), size=(n, width))
+        table = ResultTable(tuple(f"c{i}" for i in range(width)), values)
+        for recovered in (ResultTable.from_csv(table.to_csv()),
+                          ResultTable.from_json(table.to_json())):
+            assert recovered == table
+            assert np.array(recovered.rows).tobytes() == values.tobytes()  # -0.0 too
+
+    def test_rows_are_tuples_of_floats(self):
+        table = ResultTable(("x", "y"), np.array([[1.0, -0.0], [2.5, 3.0]]))
+        assert table.rows == [(1.0, -0.0), (2.5, 3.0)]
+        assert all(type(v) is float for row in table.rows for v in row)
+        assert table == ResultTable(("x", "y"), [(1.0, 0.0), (2.5, 3.0)])
+        assert table != ResultTable(("x", "z"), table.rows)
+        assert table != ResultTable(("x", "y"), table.rows[:1])
+
+    def test_rows_must_fit_the_columns(self):
+        with pytest.raises(ValueError, match="do not fit 2 columns"):
+            ResultTable(("x", "y"), [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)])
+        with pytest.raises(ValueError, match="CSV line 3 has 1 fields, expected 2"):
+            ResultTable.from_csv("x,y\n1.0,2.0\n3.0\n")
+        with pytest.raises(ValueError, match="do not fit 2 columns"):
+            ResultTable.from_json('{"columns": ["x", "y"], "rows": [[1, 2, 3], [4, 5, 6]]}')
