@@ -10,24 +10,25 @@ from gamowkit import (
     Arrow,
     Kind,
     ResonancePole,
+    branch_for,
     build_representation,
     canonical_state,
     cross_identify,
     derive_table,
     time_reverse,
     time_reverse_twice,
-    transform_record,
 )
 
 pole = ResonancePole(1.0, 0.2)
 
 print("one time-reversal step in the laboratory convention:")
-record = transform_record(canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.GROWING, 0, pole))
-print(f"  {record.before.bracket}  (branch {record.branch_before.label}, "
-      f"{record.branch_before.domain.half.value}, read {record.branch_before.domain.orientation.value})")
-print(f"    -> {record.after.bracket}  (branch {record.branch_after.label}, "
-      f"{record.branch_after.domain.half.value}, read {record.branch_after.domain.orientation.value})")
-print(f"  roles: {record.before.role.value} -> {record.after.role.value}")
+before = canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.GROWING, 0, pole)
+after = time_reverse(before)
+for prefix, state in (("  ", before), ("    -> ", after)):
+    branch = branch_for(state)
+    print(f"{prefix}{state.bracket}  (branch {branch.label}, "
+          f"{branch.domain.half.value}, read {branch.domain.orientation.value})")
+print(f"  roles: {before.role.value} -> {after.role.value}")
 amp_state = canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.GROWING, 0, pole,
                             amplitude=1.0 + 2.0j)
 print(f"  amplitude 1+2j -> {time_reverse(amp_state).amplitude}  (antilinear)")

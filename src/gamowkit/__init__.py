@@ -15,7 +15,6 @@ from .core import (
     HalfPlane,
     Kind,
     Orientation,
-    Picture,
     ResonancePole,
     Role,
     TimeDomain,
@@ -63,13 +62,11 @@ from .transform import (
     DerivedTable,
     FactorConsistencyEntry,
     TableCell,
-    TransformRecord,
     cross_identify,
     derive_table,
     factor_consistency_report,
     time_reverse,
     time_reverse_twice,
-    transform_record,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +77,6 @@ __all__ = [
     "HalfPlane",
     "Kind",
     "Orientation",
-    "Picture",
     "ResonancePole",
     "Role",
     "TimeDomain",
@@ -120,11 +116,9 @@ __all__ = [
     "DerivedTable",
     "FactorConsistencyEntry",
     "TableCell",
-    "TransformRecord",
     "cross_identify",
     "derive_table",
     "factor_consistency_report",
     "time_reverse",
     "time_reverse_twice",
-    "transform_record",
 ]

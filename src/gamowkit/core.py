@@ -50,11 +50,6 @@ class HalfPlane(enum.Enum):
         return HalfPlane.MINUS if self is HalfPlane.PLUS else HalfPlane.PLUS
 
 
-class Picture(enum.Enum):
-    SCHROEDINGER_HEISENBERG_MIXED = "schroedinger_heisenberg_mixed"
-    SCHROEDINGER_ONLY = "schroedinger_only"
-
-
 class Arrow(enum.Enum):
     """The two time-arrow conventions.
 
@@ -68,12 +63,6 @@ class Arrow(enum.Enum):
 
     PREPARATION_REGISTRATION = "preparation_registration"
     EXCITATION_DEEXCITATION = "excitation_deexcitation"
-
-    @property
-    def picture(self) -> Picture:
-        if self is Arrow.PREPARATION_REGISTRATION:
-            return Picture.SCHROEDINGER_HEISENBERG_MIXED
-        return Picture.SCHROEDINGER_ONLY
 
 
 class Role(enum.Enum):

@@ -53,7 +53,7 @@ class EvolutionBranch:
 
     def factor(self, pole: ResonancePole, t):
         """The bare evolution factor at a time t (a complex) or at every time
-        of an array t (an array), with no domain check."""
+        of an array t (an array), with no domain or phase check."""
         if isinstance(t, (int, float)):
             try:  # cmath gives the array path's bits, and raises where numpy gives inf or nan
                 return cmath.exp(complex(self.growth_sign * 0.5 * pole.width * t,
@@ -62,8 +62,10 @@ class EvolutionBranch:
                 pass
         t = np.asarray(t, dtype=float)
         exponent = np.empty(t.shape, dtype=complex)  # parts set apart, as complex(x, y) keeps -0.0
-        exponent.real = self.growth_sign * 0.5 * pole.width * t
-        exponent.imag = self.phase_sign * pole.energy * t
+        # On the domain the real part overflows only toward -inf, where exp gives exactly 0.
+        with np.errstate(over="ignore"):
+            exponent.real = self.growth_sign * 0.5 * pole.width * t
+            exponent.imag = self.phase_sign * pole.energy * t
         np.exp(exponent, out=exponent)
         return exponent if exponent.ndim else complex(exponent)
 
@@ -126,6 +128,13 @@ def branch_by_label(label: str) -> EvolutionBranch:
         ) from None
 
 
+def _require_finite_phase(pole: ResonancePole, t) -> None:
+    """Reject a time t whose phase E_R * t overflows a double."""
+    phase = pole.energy * float(t)  # a Python float overflows to inf without numpy's warning
+    if not math.isfinite(phase):  # cheaper than require_finite on the scalar path of evolve
+        require_finite("E_R * t", phase)
+
+
 def evolve(state: GamowState, t: float) -> complex:
     """Evolve a state's bracket amplitude by time t along its branch.
 
@@ -144,13 +153,15 @@ def evolve(state: GamowState, t: float) -> complex:
     Raises
     ------
     ValueError
-        If t is NaN or infinite.
+        If t is NaN or infinite, or the phase E_R * t overflows a double.
     DomainViolationError
         If t lies outside the half-domain: the semigroup has no inverse,
         so evolution never crosses t = 0.
     """
     branch = branch_for(state)
-    return branch.factor(state.pole, branch.checked_times(t)) * state.amplitude
+    times = branch.checked_times(t)
+    _require_finite_phase(state.pole, times)
+    return branch.factor(state.pole, times) * state.amplitude
 
 
 def survival_probability(state: GamowState, t: float) -> float:

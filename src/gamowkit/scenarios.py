@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Arrow, GamowState, Kind, ResonancePole, canonical_state, require_finite
-from .evolution import branch_for
+from .evolution import _require_finite_phase, branch_for
 
 # Largest accepted grid.  Output is written in blocks, so its text is never
 # held whole; the bound is time: a 1e6-point `decay` spends seconds
@@ -112,7 +112,8 @@ class Scenario:
     """A canonical state swept over a uniform time grid.
 
     The grid must lie inside the half-domain of the state's branch (t = 0
-    is inside both halves) and must have at least two points.
+    is inside both halves), must have at least two points, and its phase
+    E_R * t must not overflow a double.
     """
 
     pole: ResonancePole
@@ -134,6 +135,7 @@ class Scenario:
             raise ValueError(f"t_max={self.t_max} must not precede t_min={self.t_min}")
         # Python floats overflow to inf without the warning numpy scalars print
         require_finite("t_max - t_min", float(self.t_max) - float(self.t_min))
+        _require_finite_phase(self.pole, max(abs(self.t_min), abs(self.t_max)))
 
     def state(self) -> GamowState:
         return canonical_state(self.arrow, self.kind, self.regime, self.pole)

@@ -8,10 +8,10 @@ up to signs, and exactly four sign families exist for each spin j.  The
 first family acts on the bare (2j+1)-dimensional spin space; the other
 three double it, with a two-valued index r = 0, 1 labelling the sheets.
 
-All operator matrices built here are integral signed permutations (one
-+-1 per row and per column), so the group relations are verified with exact
-integer arithmetic: each product of a signed permutation with a matrix is a
-row gather, O(d^2) rather than an O(d^3) dense product.
+Every Sigma, R and T is a signed permutation, one +-1 in each row and each
+column (Wigner's co-representations).  The checks read each matrix once as
+its rows' signed columns; a product of two such operators is then an O(d)
+integer gather, and no dense product is formed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ ROWS = (1, 2, 3, 4)
 # Theory, ch. 26); every Sigma, R and T below is derived from them.
 _FAMILY_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
 # Largest accepted 2j: the dense d x d complex spin matrices of the
-# conjugation check bound the size; the relation checks are O(d^2) gathers.
+# conjugation check bound the size.  The relation checks read each dense
+# operator once and then multiply with O(d) gathers.
 MAX_TWICE_J = 511
 
 
@@ -85,15 +86,6 @@ def spin_matrices(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def _one_nonzero_per_row(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(columns, values) of each row's only nonzero entry, or None if some
-    row has no nonzero entry or more than one."""
-    rows, cols = np.nonzero(matrix)
-    if not np.array_equal(rows, np.arange(matrix.shape[0])):
-        return None
-    return cols, matrix[rows, cols]
-
-
 @dataclass(frozen=True, eq=False)
 class AntilinearOperator:
     """A matrix together with an optional complex conjugation.
@@ -101,10 +93,7 @@ class AntilinearOperator:
     ``apply(v)`` is ``matrix @ conj(v)`` when ``conjugates`` is set and
     ``matrix @ v`` otherwise.  Composition tracks the conjugation through
     the left factor: (A o B).matrix = A.matrix @ conj(B.matrix) if A
-    conjugates, and the conjugation flags combine by XOR.  When both
-    matrices are integral and the left one has one nonzero per row, the
-    product is the row gather ``values[:, None] * right[columns]``, which
-    gives the same integers as ``@`` in O(d^2).
+    conjugates, and the conjugation flags combine by XOR.
     """
 
     matrix: np.ndarray
@@ -116,22 +105,7 @@ class AntilinearOperator:
 
     def compose(self, other: "AntilinearOperator") -> "AntilinearOperator":
         right = np.conj(other.matrix) if self.conjugates else other.matrix
-        conjugates = self.conjugates ^ other.conjugates
-        left = self.matrix
-        if (np.issubdtype(left.dtype, np.integer) and np.issubdtype(right.dtype, np.integer)
-                and left.ndim == right.ndim == 2 and left.shape[1] == right.shape[0]):
-            gather = _one_nonzero_per_row(left)
-            if gather is not None:
-                cols, values = gather
-                return AntilinearOperator(values[:, None] * right[cols], conjugates)
-        return AntilinearOperator(left @ right, conjugates)
-
-    def __matmul__(self, other: "AntilinearOperator") -> "AntilinearOperator":
-        return self.compose(other)
-
-    def inverse(self) -> "AntilinearOperator":
-        mat = np.conj(self.matrix) if self.conjugates else self.matrix
-        return AntilinearOperator(np.linalg.inv(mat), self.conjugates)
+        return AntilinearOperator(self.matrix @ right, self.conjugates ^ other.conjugates)
 
     @property
     def dim(self) -> int:
@@ -204,13 +178,34 @@ def build_representation(row: int, twice_j: int) -> RepresentationTriple:
     )
 
 
-def scalar_multiple_of_identity(matrix: np.ndarray) -> int | None:
-    """The integer s with matrix == s*I, or None if there is no such s."""
-    d = matrix.shape[0]
-    s = matrix[0, 0]
-    if np.array_equal(matrix, s * np.eye(d, dtype=matrix.dtype)):
-        return int(s)
-    return None
+def _signed_columns(name: str, op: AntilinearOperator, dim: int) -> np.ndarray:
+    """Each row's signed, 1-based column a[i] = s_i (p_i + 1) of an operator
+    whose matrix is a dim x dim signed permutation, A[i, p_i] = s_i.
+
+    A product is then a gather, (A B)'s columns are sign(a) * b[|a| - 1],
+    conjugation leaves the real signs alone, and s I is a == s (1, ..., dim).
+    Any other matrix raises ValueError naming the operator.
+    """
+    m = op.matrix
+    if m.shape == (dim, dim):
+        rows, cols = np.nonzero(m)
+        signs = m[rows, cols]
+        if (np.array_equal(rows, np.arange(dim)) and np.isin(signs, (-1, 1)).all()
+                and (np.bincount(cols, minlength=dim) == 1).all()):
+            return signs.real.astype(np.int64) * (cols + 1)
+    raise ValueError(f"{name} must be a {dim}x{dim} signed permutation matrix")
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The signed columns of A B, from those of A and of B."""
+    return np.sign(a) * b[np.abs(a) - 1]
+
+
+def _square_scalar(a: np.ndarray) -> int | None:
+    """The s with A^2 = s I, or None if the square is no multiple of I."""
+    square = _product(a, a)
+    s = int(np.sign(square[0]))
+    return s if np.array_equal(square, s * np.arange(1, len(a) + 1)) else None
 
 
 @dataclass(frozen=True)
@@ -254,30 +249,33 @@ def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
     Verifies Sigma^2 = I, R^2 = eps_R I, T^2 = eps_T I and T = Sigma R, and
     records the sign s in Sigma R = s R Sigma (the relative order of parity
     and time reversal is physically immaterial, so the sign is reported
-    rather than asserted).  Every product is an exact integer row gather
-    (see ``AntilinearOperator.compose``), since each operator has one
-    nonzero per row.  Failures become report entries, not exceptions.
-    """
-    checks = []
-    for name, op, sign in (("parity_squared", rep.parity, 1),
-                           ("time_reversal_squared", rep.time_reversal, rep.reversal_sign),
-                           ("total_inversion_squared", rep.total_inversion, rep.inversion_sign)):
-        square = op.compose(op)
-        s = scalar_multiple_of_identity(square.matrix)
-        checks.append(RelationCheck(name, s == sign and not square.conjugates,
-                                    f"{sign:+d} * I", f"{s} * I"))
+    rather than asserted).  Each operator is read once as a signed
+    permutation, and every product is an exact O(d) integer gather.
 
-    sigma_r = rep.parity.compose(rep.time_reversal)
-    same = (np.array_equal(sigma_r.matrix, rep.total_inversion.matrix)
-            and sigma_r.conjugates == rep.total_inversion.conjugates)
+    Raises ValueError, naming the operator, if Sigma, R or T is not a d x d
+    signed permutation matrix.  A relation that fails between signed
+    permutations becomes a report entry, not an exception.
+    """
+    sigma, r, t = (_signed_columns(name, getattr(rep, name), rep.dim)
+                   for name in ("parity", "time_reversal", "total_inversion"))
+    checks = []
+    for name, a, sign in (("parity_squared", sigma, 1),
+                          ("time_reversal_squared", r, rep.reversal_sign),
+                          ("total_inversion_squared", t, rep.inversion_sign)):
+        s = _square_scalar(a)
+        checks.append(RelationCheck(name, s == sign, f"{sign:+d} * I", f"{s} * I"))
+
+    sigma_r = _product(sigma, r)
+    conjugates = rep.parity.conjugates ^ rep.time_reversal.conjugates
+    same = np.array_equal(sigma_r, t) and conjugates == rep.total_inversion.conjugates
     checks.append(RelationCheck(
         "total_inversion_is_parity_then_reversal", same,
         "T == Sigma o R", "equal" if same else "different"))
 
-    r_sigma = rep.time_reversal.compose(rep.parity)
-    if np.array_equal(sigma_r.matrix, r_sigma.matrix):
+    r_sigma = _product(r, sigma)
+    if np.array_equal(sigma_r, r_sigma):
         comm_sign = 1
-    elif np.array_equal(sigma_r.matrix, -r_sigma.matrix):
+    elif np.array_equal(sigma_r, -r_sigma):
         comm_sign = -1
     else:
         comm_sign = None
@@ -361,13 +359,8 @@ def check_conjugation_identities(
         raise ValueError("momentum grid needs an odd point count so p -> -p is exact")
     entries = []
 
-    r_mat = rep.time_reversal.matrix
-    gather = _one_nonzero_per_row(r_mat) if r_mat.shape == (rep.dim, rep.dim) else None
-    if (gather is None or not np.isin(gather[1], (-1, 1)).all()
-            or not (np.bincount(gather[0], minlength=rep.dim) == 1).all()):
-        raise ValueError(f"time_reversal must be a {rep.dim}x{rep.dim} signed permutation matrix")
-    perm, signs = gather
-    sign_outer = np.outer(signs, signs)
+    r = _signed_columns("time_reversal", rep.time_reversal, rep.dim)
+    perm, sign_outer = np.abs(r) - 1, np.outer(np.sign(r), np.sign(r))
     dev = 0.0
     sheets = np.eye(2 if rep.doubled else 1)
     for j_i in (np.kron(sheets, m) for m in spin_matrices(rep.twice_j)):

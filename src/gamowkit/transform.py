@@ -26,8 +26,8 @@ from .core import (
     TimeHalf,
     canonical_state,
 )
-from .evolution import EvolutionBranch, branch_by_label, branch_for
-from .symmetry import RepresentationTriple, scalar_multiple_of_identity
+from .evolution import branch_by_label, branch_for
+from .symmetry import RepresentationTriple, _signed_columns, _square_scalar
 
 
 def time_reverse(state: GamowState) -> GamowState:
@@ -50,10 +50,12 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
     """Apply time reversal twice, returning (restored state, scalar sign).
 
     The descriptor labels always return to themselves; the scalar is
-    computed by squaring the family's time-reversal matrix and therefore
-    equals that family's eps_R.  Requires a doubled family: the single-sheet
-    family 1 has nowhere to put the r = 1 content the first application
-    produces.
+    computed by squaring the family's time-reversal matrix as a signed
+    permutation and therefore equals that family's eps_R.  Requires a
+    doubled family: the single-sheet family 1 has nowhere to put the r = 1
+    content the first application produces.  A time reversal that is not a
+    signed permutation, or whose square is no multiple of I, raises
+    ValueError.
     """
     if not rep.doubled:
         raise ValueError(
@@ -61,26 +63,10 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
             "is not representable; use one of families 2-4"
         )
     restored = time_reverse(time_reverse(state))
-    squared = rep.time_reversal.compose(rep.time_reversal)
-    sign = scalar_multiple_of_identity(squared.matrix)
-    if sign is None or squared.conjugates:
+    sign = _square_scalar(_signed_columns("time_reversal", rep.time_reversal, rep.dim))
+    if sign is None:
         raise ValueError("time reversal squared is not a scalar multiple of the identity")
     return restored, sign
-
-
-@dataclass(frozen=True)
-class TransformRecord:
-    """A state, its time-reversed image, and both governing branches."""
-
-    before: GamowState
-    after: GamowState
-    branch_before: EvolutionBranch
-    branch_after: EvolutionBranch
-
-
-def transform_record(state: GamowState) -> TransformRecord:
-    after = time_reverse(state)
-    return TransformRecord(state, after, branch_for(state), branch_for(after))
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,32 @@ class TestDecayCommand:
         assert err == f"error: {message}\n"
 
 
+class TestOverflowingExponent:
+    def test_decaying_modulus_underflows_to_zero_silently(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the command
+            code, out, err = invoke(capsys, "decay", "--gamma", "1e300", "--tmax", "1e10",
+                                    "--steps", "5")
+        assert (code, err) == (0, "")
+        assert out == ("t,survival,factor_real,factor_imag\n"
+                       "0.0,1.0,1.0,0.0\n"
+                       "2500000000.0,0.0,-0.0,0.0\n"
+                       "5000000000.0,0.0,0.0,-0.0\n"
+                       "7500000000.0,0.0,0.0,0.0\n"
+                       "10000000000.0,0.0,0.0,0.0\n")
+
+    @pytest.mark.parametrize("command", ["decay", "evolve"])
+    @pytest.mark.parametrize("energy", ["1e300", "-1e300"])
+    def test_overflowing_phase_is_validation_error(self, tmp_path, capsys, command, energy):
+        target = tmp_path / "out.csv"
+        argv = (command, f"--er={energy}", "--tmax", "1e10", "--steps", "5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invoke(capsys, *argv, "--out", str(target)) == (
+                2, "", f"error: E_R * t must be finite, got {energy.replace('1e300', 'inf')}\n")
+        assert not target.exists()
+
+
 class TestEvolveCommand:
     def test_regime_one_branch(self, capsys):
         code, out, _ = invoke(capsys, "evolve", "--regime", "1", "--kind", "grow",

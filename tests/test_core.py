@@ -9,7 +9,6 @@ from gamowkit import (
     HalfPlane,
     Kind,
     Orientation,
-    Picture,
     ResonancePole,
     Role,
     TimeDomain,
@@ -142,10 +141,6 @@ class TestCanonicalStates:
 
 
 class TestArrowConvention:
-    def test_pictures(self):
-        assert PREP.picture is Picture.SCHROEDINGER_HEISENBERG_MIXED
-        assert EXC.picture is Picture.SCHROEDINGER_ONLY
-
     def test_exactly_two_arrows_and_half_planes(self):
         assert len(list(Arrow)) == 2
         assert len(list(HalfPlane)) == 2

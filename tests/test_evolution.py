@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,14 @@ class TestEvolve:
             array = branch.factor(pole, np.array([t]))[0]
         assert type(scalar) is complex
         assert (scalar.real.hex(), scalar.imag.hex()) == (array.real.hex(), array.imag.hex())
+
+    @pytest.mark.parametrize("energy, message", [(1e300, "inf"), (-1e300, "-inf")])
+    def test_overflowing_phase_rejected(self, energy, message):
+        state = state_for((PREP, Kind.DECAYING, 0), ResonancePole(energy, 0.2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            with pytest.raises(ValueError, match=rf"^E_R \* t must be finite, got {message}$"):
+                evolve(state, 1e10)
 
     def test_scalar_time_checked_as_float(self, pole):
         state = state_for((PREP, Kind.DECAYING, 0), pole)

@@ -8,14 +8,18 @@ from hypothesis.extra import numpy as hnp
 
 from gamowkit import (
     AntilinearOperator,
+    Arrow,
+    Kind,
     ResonancePole,
     build_representation,
+    canonical_state,
     check_conjugation_identities,
     grid_expectation,
     resonance_s_matrix,
     reversed_wavefunction,
     spin_matrices,
     time_reversal_matrix,
+    time_reverse_twice,
     verify_group_relations,
 )
 from gamowkit.symmetry import MAX_TWICE_J
@@ -202,19 +206,6 @@ class TestAntilinearOperator:
         b = AntilinearOperator(np.ones((3, 3), dtype=np.int64), False)
         with pytest.raises(ValueError):
             a.compose(b)
-
-    def test_inverse(self):
-        rng = np.random.default_rng(5)
-        for conjugates in (False, True):
-            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            op = AntilinearOperator(m, conjugates)
-            identity = op.compose(op.inverse())
-            assert not identity.conjugates
-            np.testing.assert_allclose(identity.matrix, np.eye(3), atol=1e-12)
-
-    def test_matmul_operator(self):
-        a = AntilinearOperator(np.eye(2), True)
-        assert not (a @ a).conjugates
 
     @pytest.mark.parametrize("row", ROWS)
     @pytest.mark.parametrize("twice_j", TESTED_TWICE_J)
@@ -424,3 +415,74 @@ class TestConjugationIdentities:
     def test_grid_expectation_helper(self):
         psi = np.array([0.0, 1.0, 0.0])
         assert grid_expectation(np.array([-1.0, 0.5, 1.0]), psi) == 0.5
+
+
+OPERATORS = ("parity", "time_reversal", "total_inversion")
+
+# The six matrices of test_time_reversal_must_be_signed_permutation.
+MALFORMED = [
+    [[0, 1], [0, 0]],
+    [[1, 1], [-1, 0]],
+    [[0, 1], [0, -1]],
+    [[0, 2], [-1, 0]],
+    [[0, 1j], [-1j, 0]],
+    [[0, 1, 0], [-1, 0, 0], [0, 0, 1]],
+]
+
+
+def dense_relation_report(rep):
+    """The report of verify_group_relations, computed with dense products."""
+    eye = np.eye(rep.dim, dtype=np.int64)
+    checks = []
+    for name, op, sign in (("parity_squared", rep.parity, 1),
+                           ("time_reversal_squared", rep.time_reversal, rep.reversal_sign),
+                           ("total_inversion_squared", rep.total_inversion, rep.inversion_sign)):
+        square = op.compose(op)
+        s = next((s for s in (1, -1) if np.array_equal(square.matrix, s * eye)), None)
+        checks.append({"name": name, "passed": s == sign and not square.conjugates,
+                       "expected": f"{sign:+d} * I", "observed": f"{s} * I"})
+    sigma_r = rep.parity.compose(rep.time_reversal)
+    same = (np.array_equal(sigma_r.matrix, rep.total_inversion.matrix)
+            and sigma_r.conjugates == rep.total_inversion.conjugates)
+    checks.append({"name": "total_inversion_is_parity_then_reversal", "passed": same,
+                   "expected": "T == Sigma o R", "observed": "equal" if same else "different"})
+    r_sigma = rep.time_reversal.compose(rep.parity)
+    comm = next((c for c in (1, -1) if np.array_equal(sigma_r.matrix, c * r_sigma.matrix)), None)
+    checks.append({"name": "parity_reversal_commute_up_to_sign", "passed": comm is not None,
+                   "expected": "Sigma o R == +/- R o Sigma", "observed": f"sign {comm}"})
+    return {"row": rep.row, "twice_j": rep.twice_j, "checks": checks,
+            "commutation_sign": comm, "all_passed": all(c["passed"] for c in checks)}
+
+
+class TestSignedPermutationRelations:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), row=st.sampled_from(ROWS))
+    def test_matches_dense_products(self, data, row):
+        twice_j = data.draw(st.integers(0, 11 if row == 1 else 5))  # dimension 1 to 12
+        rep = build_representation(row, twice_j)
+        replaced = {}
+        for name in OPERATORS:
+            if data.draw(st.booleans(), label=f"replace {name}"):
+                perm = data.draw(st.permutations(range(rep.dim)))
+                signs = data.draw(st.lists(st.sampled_from([-1, 1]),
+                                           min_size=rep.dim, max_size=rep.dim))
+                matrix = np.zeros((rep.dim, rep.dim), dtype=np.int64)
+                matrix[np.arange(rep.dim), perm] = signs
+                replaced[name] = AntilinearOperator(matrix, data.draw(st.booleans()))
+        rep = dataclasses.replace(rep, **replaced)
+        assert verify_group_relations(rep).to_dict() == dense_relation_report(rep)
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    @pytest.mark.parametrize("matrix", MALFORMED)
+    def test_malformed_operator_rejected(self, name, matrix):
+        rep = build_representation(4, 0)
+        operator = dataclasses.replace(getattr(rep, name), matrix=np.array(matrix))
+        rep = dataclasses.replace(rep, **{name: operator})
+        message = f"^{name} must be a 2x2 signed permutation matrix$"
+        with pytest.raises(ValueError, match=message):
+            verify_group_relations(rep)
+        if name == "time_reversal":
+            state = canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.DECAYING, 0,
+                                    ResonancePole(1.0, 0.2))
+            with pytest.raises(ValueError, match=message):
+                time_reverse_twice(state, rep)

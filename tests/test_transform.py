@@ -19,7 +19,6 @@ from gamowkit import (
     factor_consistency_report,
     time_reverse,
     time_reverse_twice,
-    transform_record,
 )
 from golden_tables import EXCITATION_DEEXCITATION_TABLE, PREPARATION_REGISTRATION_TABLE
 
@@ -85,12 +84,6 @@ class TestTimeReverse:
         before = branch_for(state).domain
         after = branch_for(time_reverse(state)).domain
         assert after == before.reflected()
-
-    def test_record_bundles_branches(self, pole):
-        record = transform_record(canonical_state(PREP, Kind.GROWING, 0, pole))
-        assert record.branch_before.label == "4a"
-        assert record.branch_after.label == "10"
-        assert record.after == time_reverse(record.before)
 
 
 class TestTimeReverseTwice:
