@@ -51,7 +51,6 @@ from .symmetry import (
     RepresentationTriple,
     build_representation,
     check_conjugation_identities,
-    grid_expectation,
     reversed_wavefunction,
     spin_matrices,
     time_reversal_matrix,
@@ -107,7 +106,6 @@ __all__ = [
     "RepresentationTriple",
     "build_representation",
     "check_conjugation_identities",
-    "grid_expectation",
     "reversed_wavefunction",
     "spin_matrices",
     "time_reversal_matrix",

@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from .core import Arrow, Kind, ResonancePole, require_finite
-from .scenarios import MAX_GRID_STEPS, ResultTable, Scenario, evolution_table, lineshape, run_decay
+from .core import DEFAULT_POLE, Arrow, Kind, ResonancePole, require_finite
+from .scenarios import ResultTable, Scenario, check_steps, evolution_table, lineshape, run_decay
 from .symmetry import build_representation, check_conjugation_identities, verify_group_relations
 from .transform import cross_identify, derive_table
 
@@ -46,15 +46,16 @@ def _parse_config(path: str) -> dict[str, str]:
 
 
 class _Resolver:
-    """Merge explicit flags, config-file entries, and built-in defaults."""
+    """Merge flags, config-file keys and defaults; unknown keys fail before any command runs."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = _parse_config(args.config) if getattr(args, "config", None) else {}
-        self.used: set[str] = set()
+        unknown = set(self.config) - (set(vars(args)) - {"command", "config"})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
     def get(self, name: str, convert, default=None, choices=None):
-        self.used.add(name)
         value = getattr(self.args, name, None)
         if value is None and name in self.config:
             value = self.config[name]
@@ -70,15 +71,10 @@ class _Resolver:
                 f"option {name!r} must be one of {sorted(choices)}, got {value!r}")
         return value
 
-    def reject_unknown(self) -> None:
-        unknown = set(self.config) - self.used
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
 
 def _add_pole_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--er", type=float, help="resonance energy E_R (default 1.0)")
-    parser.add_argument("--gamma", type=float, help="resonance width Gamma (default 0.2)")
+    parser.add_argument("--er", type=float, help=f"resonance energy E_R (default {DEFAULT_POLE.energy})")
+    parser.add_argument("--gamma", type=float, help=f"resonance width Gamma (default {DEFAULT_POLE.width})")
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...],
@@ -138,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_pole(opts: _Resolver) -> ResonancePole:
-    return ResonancePole(opts.get("er", float, 1.0), opts.get("gamma", float, 0.2))
+    return ResonancePole(opts.get("er", float, DEFAULT_POLE.energy),
+                         opts.get("gamma", float, DEFAULT_POLE.width))
 
 
 def _scenario(opts: _Resolver) -> Scenario:
@@ -174,10 +171,7 @@ def _lineshape_table(opts: _Resolver) -> ResultTable:
     e_min = require_finite("emin", opts.get("emin", float, pole.energy - 25.0 * pole.width))
     e_max = require_finite("emax", opts.get("emax", float, pole.energy + 25.0 * pole.width))
     steps = opts.get("steps", int, 201)
-    if steps < 2:
-        raise ValueError(f"lineshape grid needs at least 2 steps, got {steps}")
-    if steps > MAX_GRID_STEPS:
-        raise ValueError(f"lineshape grid allows at most {MAX_GRID_STEPS} steps, got {steps}")
+    check_steps("lineshape grid", steps)
     if not e_max > e_min:
         raise ValueError(f"emax={e_max} must exceed emin={e_min}")
     require_finite("emax - emin", e_max - e_min)
@@ -243,15 +237,33 @@ _COMMANDS = {
 }
 
 
+def _attach_negative_values(argv) -> list[str]:
+    """``--flag -1e3`` as ``--flag=-1e3``: argparse reads only ``-1000`` and
+    ``-.5`` as negative numbers, and takes ``-1e3`` or ``-inf`` for an option."""
+    tokens: list[str] = []
+    for token in argv:
+        prev = tokens[-1] if tokens else ""
+        if (token.startswith("-") and prev.startswith("--") and "=" not in prev
+                and prev not in ("--", "--help")):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                tokens[-1] = f"{prev}={token}"
+                continue
+        tokens.append(token)
+    return tokens
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         opts = _Resolver(args)
         output = _COMMANDS[args.command](opts)  # a string, or a writer that streams a table
         write = output if callable(output) else lambda fh: fh.write(output)
         out_path = opts.get("out", str, None)
-        opts.reject_unknown()
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 write(fh)

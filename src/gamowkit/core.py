@@ -168,6 +168,10 @@ class ResonancePole:
         return self.growing_pole if kind is Kind.GROWING else self.decaying_pole
 
 
+# The pole used wherever a caller gives none, the CLI's included.
+DEFAULT_POLE = ResonancePole(1.0, 0.2)
+
+
 # Half-plane, role and bra are fixed by (arrow, kind): time reversal flips
 # kind and half-plane together, so the pairing is the same in both regimes.
 _CANONICAL_LABELS = {
@@ -181,8 +185,6 @@ _CANONICAL_LABELS = {
 def canonical_time_domain(kind: Kind, regime: int) -> TimeDomain:
     """Half-domain and reading direction governing a (kind, regime) pair:
     growing states live on t <= 0, decaying states on t >= 0."""
-    if regime not in (0, 1):
-        raise ValueError(f"regime must be 0 or 1, got {regime}")
     half = TimeHalf.NONPOS if kind is Kind.GROWING else TimeHalf.NONNEG
     return TimeDomain(half, _ORIENTATION[(half, regime)])
 

@@ -30,6 +30,14 @@ MAX_GRID_STEPS = 1_000_000
 _BLOCK_ROWS = 4096
 
 
+def check_steps(grid: str, steps: int) -> None:
+    """Reject a grid of fewer than 2 or more than MAX_GRID_STEPS points."""
+    if steps < 2:
+        raise ValueError(f"{grid} needs at least 2 steps, got {steps}")
+    if steps > MAX_GRID_STEPS:
+        raise ValueError(f"{grid} allows at most {MAX_GRID_STEPS} steps, got {steps}")
+
+
 class ResultTable:
     """A column-labelled table of floats, held as one n x k float64 array.
 
@@ -125,10 +133,7 @@ class Scenario:
     steps: int
 
     def __post_init__(self) -> None:
-        if self.steps < 2:
-            raise ValueError(f"a scenario grid needs at least 2 steps, got {self.steps}")
-        if self.steps > MAX_GRID_STEPS:
-            raise ValueError(f"a scenario grid allows at most {MAX_GRID_STEPS} steps, got {self.steps}")
+        check_steps("a scenario grid", self.steps)
         require_finite("t_min", self.t_min)
         require_finite("t_max", self.t_max)
         if not self.t_max >= self.t_min:

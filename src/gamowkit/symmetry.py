@@ -16,11 +16,11 @@ integer gather, and no dense product is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ResonancePole, resonance_s_matrix
+from .core import DEFAULT_POLE, ResonancePole, require_finite, resonance_s_matrix
 
 ROWS = (1, 2, 3, 4)
 # Relative signs (eps_R, eps_T) / (-1)^(2j) of each family (Wigner, Group
@@ -111,12 +111,12 @@ class AntilinearOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_unitary(self, tol: float = 1e-12) -> bool:
+    def is_unitary(self) -> bool:
         m = np.asarray(self.matrix, dtype=complex)
-        return bool(np.max(np.abs(m @ m.conj().T - np.eye(self.dim))) <= tol)
+        return bool(np.max(np.abs(m @ m.conj().T - np.eye(self.dim))) <= 1e-12)
 
-    def is_antiunitary(self, tol: float = 1e-12) -> bool:
-        return self.conjugates and self.is_unitary(tol)
+    def is_antiunitary(self) -> bool:
+        return self.conjugates and self.is_unitary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,10 +215,6 @@ class RelationCheck:
     expected: str
     observed: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "expected": self.expected, "observed": self.observed}
-
 
 @dataclass(frozen=True)
 class RelationReport:
@@ -237,7 +233,7 @@ class RelationReport:
         return {
             "row": self.row,
             "twice_j": self.twice_j,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "commutation_sign": self.commutation_sign,
             "all_passed": self.all_passed,
         }
@@ -293,10 +289,6 @@ class IdentityCheck:
     max_deviation: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "max_deviation": self.max_deviation, "tolerance": self.tolerance}
-
 
 @dataclass(frozen=True)
 class ConjugationReport:
@@ -312,7 +304,7 @@ class ConjugationReport:
         return {
             "row": self.row,
             "twice_j": self.twice_j,
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
             "all_passed": self.all_passed,
         }
 
@@ -323,7 +315,7 @@ def reversed_wavefunction(psi) -> np.ndarray:
     return np.conj(np.asarray(psi)[::-1])
 
 
-def grid_expectation(weights, psi) -> float:
+def _grid_expectation(weights, psi) -> float:
     """Riemann-sum expectation of a multiplication operator on a uniform
     grid; the grid spacing cancels in the normalized ratio."""
     density = np.abs(np.asarray(psi)) ** 2
@@ -332,7 +324,7 @@ def grid_expectation(weights, psi) -> float:
 
 def check_conjugation_identities(
     rep: RepresentationTriple,
-    pole: ResonancePole | None = None,
+    pole: ResonancePole = DEFAULT_POLE,
     *,
     momentum_points: int = 201,
     energy_points: int = 1000,
@@ -350,13 +342,17 @@ def check_conjugation_identities(
       Gaussian packet centred at p = 2, R: psi(p) -> conj(psi(-p)) flips
       the expectation of the momentum multiplication operator and leaves
       the kinetic energy p^2/2m (m = 1) invariant (tolerance 1e-10);
-    * the rank-one resonance S-matrix on the real axis satisfies |S| = 1
-      and conj(S) = S^-1, the reciprocity relation (tolerance 1e-12).
+    * the rank-one resonance S-matrix of ``pole`` (default E_R = 1.0,
+      Gamma = 0.2) satisfies |S| = 1 and conj(S) = S^-1, the reciprocity
+      relation, on E_R +- 25 Gamma (tolerance 1e-12); a window whose
+      bounds or span overflow a double raises ValueError.
     """
-    if pole is None:
-        pole = ResonancePole(1.0, 0.2)
     if momentum_points % 2 == 0:
         raise ValueError("momentum grid needs an odd point count so p -> -p is exact")
+    half = 25.0 * float(pole.width)  # Python floats overflow to inf without numpy's warning
+    e_min, e_max = float(pole.energy) - half, float(pole.energy) + half
+    require_finite("energy window E_R +- 25*Gamma", (e_min, e_max))
+    require_finite("energy window span", e_max - e_min)
     entries = []
 
     r = _signed_columns("time_reversal", rep.time_reversal, rep.dim)
@@ -372,20 +368,18 @@ def check_conjugation_identities(
     p = np.linspace(-10.0, 10.0, momentum_points)
     psi = np.exp(-((p - 2.0) ** 2) / 2.0).astype(complex)
     psi_rev = reversed_wavefunction(psi)
-    p_before = grid_expectation(p, psi)
-    p_after = grid_expectation(p, psi_rev)
+    p_before = _grid_expectation(p, psi)
+    p_after = _grid_expectation(p, psi_rev)
     dev = abs(p_after + p_before)
     entries.append(IdentityCheck("momentum_expectation_flip", dev <= 1e-10, dev, 1e-10))
 
     kinetic = 0.5 * p**2
-    k_before = grid_expectation(kinetic, psi)
-    k_after = grid_expectation(kinetic, psi_rev)
+    k_before = _grid_expectation(kinetic, psi)
+    k_after = _grid_expectation(kinetic, psi_rev)
     dev = abs(k_after - k_before)
     entries.append(IdentityCheck("kinetic_energy_invariance", dev <= 1e-10, dev, 1e-10))
 
-    energies = np.linspace(pole.energy - 25.0 * pole.width,
-                           pole.energy + 25.0 * pole.width, energy_points)
-    s = resonance_s_matrix(pole, energies)
+    s = resonance_s_matrix(pole, np.linspace(e_min, e_max, energy_points))
     dev = float(np.max(np.abs(np.abs(s) - 1.0)))
     entries.append(IdentityCheck("s_matrix_unitarity", dev <= 1e-12, dev, 1e-12))
     dev = float(np.max(np.abs(np.conj(s) - 1.0 / s)))

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_POLE,
     Arrow,
     GamowState,
     Kind,
@@ -123,12 +124,11 @@ def derive_table(arrow: Arrow) -> DerivedTable:
     are labelled by the r = 0 progenitor's kind; each row's r = 1 cell is
     the time-reversed partner, which carries the opposite pole kind but the
     same growth character along its own reading direction.  No label,
-    domain or branch depends on the pole, so a fixed one is used.
+    domain or branch depends on the pole, so the default one is used.
     """
-    pole = ResonancePole(1.0, 0.2)
     cells = []
     for row_label, kind in (("growing", Kind.GROWING), ("decaying", Kind.DECAYING)):
-        original = canonical_state(arrow, kind, 0, pole)
+        original = canonical_state(arrow, kind, 0, DEFAULT_POLE)
         cells.append(_cell(row_label, original))
         cells.append(_cell(row_label, time_reverse(original)))
     return DerivedTable(arrow, tuple(cells))
@@ -207,27 +207,15 @@ class FactorConsistencyEntry:
     modulus_deviation: float
     conjugation_deviation: float
 
-    def to_dict(self) -> dict:
-        return {
-            "bracket": self.bracket_before,
-            "branch": self.branch_before,
-            "time_reversed_branch": self.branch_after,
-            "reflected_factor_deviation": self.reflected_factor_deviation,
-            "modulus_deviation": self.modulus_deviation,
-            "conjugation_deviation": self.conjugation_deviation,
-        }
 
-
-def factor_consistency_report(pole: ResonancePole | None = None) -> tuple[FactorConsistencyEntry, ...]:
+def factor_consistency_report(pole: ResonancePole = DEFAULT_POLE) -> tuple[FactorConsistencyEntry, ...]:
     """Compare each branch's factor with its time-reversed partner's.
 
-    For every canonical state s (unit amplitude) and 50 times t in
-    its half-domain, evaluates evolve(s, t), evolve(R s, -t) and
-    conj(evolve(s, t)) over the whole sample at once and records the
-    maximal deviations described on :class:`FactorConsistencyEntry`.
+    For every canonical state s of ``pole`` (default E_R = 1.0, Gamma = 0.2)
+    with unit amplitude and 50 times t in its half-domain, evaluates
+    evolve(s, t), evolve(R s, -t) and conj(evolve(s, t)) at once and
+    records the maximal deviations described on :class:`FactorConsistencyEntry`.
     """
-    if pole is None:
-        pole = ResonancePole(1.0, 0.2)
     entries = []
     for arrow, kind, regime in itertools.product(Arrow, Kind, (0, 1)):
         state = canonical_state(arrow, kind, regime, pole)

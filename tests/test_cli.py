@@ -115,6 +115,37 @@ class TestEvolveCommand:
         assert len(table.rows) == 6
 
 
+class TestNegativeValueAfterSpace:
+    GROW = ("evolve", "--kind", "grow", "--tmax", "0", "--steps", "3")
+
+    @pytest.mark.parametrize("value", ["-1e3", "-1E+3", "-.5e1", "-1000"])
+    def test_same_bytes_as_equals_form(self, capsys, value):
+        spaced = invoke(capsys, *self.GROW, "--tmin", value)
+        assert spaced == invoke(capsys, *self.GROW, f"--tmin={value}")
+        assert spaced[0] == 0 and len(spaced[1].splitlines()) == 4
+
+    def test_nonfinite_value_is_validation_error(self, capsys):
+        assert invoke(capsys, *self.GROW, "--tmin", "-inf") == (
+            2, "", "error: t_min must be finite, got -inf\n")
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("--tmin", "--tmax", "0"), 2, "argument --tmin: expected one argument"),
+        (("--help", "-1e3"), 0, ""),
+        (("--", "-1e3"), 2, "unrecognized arguments: -- -1e3"),
+    ])
+    def test_other_tokens_left_alone(self, capsys, argv, code, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evolve", *argv])
+        assert excinfo.value.code == code and message in capsys.readouterr().err
+
+    def test_console_arguments(self, capsys):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gamowkit", *self.GROW, "--tmin", "-1e3"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == invoke(
+            capsys, *self.GROW, "--tmin=-1e3")
+
+
 class TestLineshapeCommand:
     def test_peak_present(self, capsys):
         code, out, _ = invoke(capsys, "lineshape", "--emin", "0.999", "--emax",
@@ -132,6 +163,10 @@ class TestLineshapeCommand:
     def test_degenerate_window_rejected(self, capsys):
         code, _, err = invoke(capsys, "lineshape", "--emin", "2", "--emax", "1")
         assert code == 2 and "emax" in err
+
+    def test_single_step_grid_rejected(self, capsys):
+        assert invoke(capsys, "lineshape", "--steps", "1") == (
+            2, "", "error: lineshape grid needs at least 2 steps, got 1\n")
 
     @pytest.mark.parametrize("argv", [
         ("--gamma", "1e308", "--emin", "0", "--emax", "1", "--steps", "3"),
@@ -195,6 +230,16 @@ class TestRepCheckCommand:
             main(["rep-check", "--row", "7", "--twice-j", "0"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("gamma, message", [
+        ("1e307", "energy window E_R +- 25*Gamma must be finite, got -inf"),
+        ("7e306", "energy window span must be finite, got inf"),
+    ])
+    def test_overflowing_energy_window_is_validation_error(self, capsys, gamma, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert invoke(capsys, "rep-check", "--row", "1", "--twice-j", "0",
+                          "--gamma", gamma) == (2, "", f"error: {message}\n")
+
 
 class TestCrossIdCommand:
     def test_branch_5a(self, capsys):
@@ -253,6 +298,26 @@ class TestOutputAndConfig:
         config.write_text("volume=11\n")
         code, _, err = invoke(capsys, "decay", "--config", str(config))
         assert code == 2 and "unknown config" in err
+
+    @pytest.mark.parametrize("key", ["volume", "command", "config"])
+    def test_unknown_config_key_rejected_before_the_command_runs(
+            self, tmp_path, capsys, monkeypatch, key):
+        import gamowkit.cli as cli_module
+
+        def never(_):
+            pytest.fail("the command ran despite an unknown config key")
+
+        monkeypatch.setitem(cli_module._COMMANDS, "decay", never)
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"steps=plenty\n{key}=11\n")  # the unknown key is reported first
+        assert invoke(capsys, "decay", "--config", str(config)) == (
+            2, "", f"error: unknown config keys: {key}\n")
+
+    def test_config_value_outside_choices(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("kind = sideways\n")
+        assert invoke(capsys, "decay", "--config", str(config)) == (
+            2, "", "error: option 'kind' must be one of ['decay', 'grow'], got 'sideways'\n")
 
     def test_malformed_config_line(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -250,6 +250,13 @@ class TestResultTableRoundTrip:
         assert lines[0] == "a,b"
         assert lines[1] == "1.5,-2.25"
 
+    def test_not_equal_to_other_types(self):
+        assert (ResultTable(("x",), [(1.0,)]) == object()) is False
+
+    def test_repr_one_row(self):
+        assert repr(ResultTable(("x", "y"), [(1.5, -2.0)])) == \
+            "ResultTable(columns=('x', 'y'), rows=[(1.5, -2.0)])"
+
     @settings(max_examples=80, deadline=None)
     @given(values=st.lists(
         st.floats(allow_nan=False, allow_infinity=False, width=64),

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from gamowkit import (
     build_representation,
     canonical_state,
     check_conjugation_identities,
-    grid_expectation,
     resonance_s_matrix,
     reversed_wavefunction,
     spin_matrices,
@@ -412,9 +412,16 @@ class TestConjugationIdentities:
         with pytest.raises(ValueError, match="odd"):
             check_conjugation_identities(build_representation(1, 0), momentum_points=200)
 
-    def test_grid_expectation_helper(self):
-        psi = np.array([0.0, 1.0, 0.0])
-        assert grid_expectation(np.array([-1.0, 0.5, 1.0]), psi) == 0.5
+    @pytest.mark.parametrize("width, message", [
+        (1e307, "energy window E_R +- 25*Gamma must be finite, got -inf"),  # a bound overflows
+        (7e306, "energy window span must be finite, got inf"),  # finite bounds, span overflows
+    ])
+    def test_overflowing_energy_window_rejected(self, width, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before numpy sees the window
+            with pytest.raises(ValueError) as excinfo:
+                check_conjugation_identities(build_representation(1, 0), ResonancePole(1.0, width))
+        assert str(excinfo.value) == message
 
 
 OPERATORS = ("parity", "time_reversal", "total_inversion")

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from gamowkit import (
+    AntilinearOperator,
     Arrow,
     HalfPlane,
     Kind,
@@ -105,6 +107,16 @@ class TestTimeReverseTwice:
         rep = build_representation(1, 1)
         state = canonical_state(PREP, Kind.GROWING, 0, pole)
         with pytest.raises(ValueError, match="doubled"):
+            time_reverse_twice(state, rep)
+
+    def test_non_scalar_square_rejected(self, pole):
+        # a signed permutation that cycles three of the four basis vectors:
+        # its square is another 3-cycle, no multiple of I
+        cycle = np.eye(4, dtype=np.int64)[[1, 2, 0, 3]]
+        rep = dataclasses.replace(build_representation(2, 1),
+                                  time_reversal=AntilinearOperator(cycle, True))
+        state = canonical_state(PREP, Kind.GROWING, 0, pole)
+        with pytest.raises(ValueError, match="not a scalar multiple of the identity"):
             time_reverse_twice(state, rep)
 
 
