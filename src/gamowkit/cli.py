@@ -17,18 +17,30 @@ values, grids outside the half-domain), 1 on internal errors.  An optional
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import sys
 
-import numpy as np
-
-from .core import DEFAULT_POLE, Arrow, Kind, ResonancePole, require_finite
+from .core import DEFAULT_POLE, Arrow, Kind, ResonancePole, energy_window, np, require_finite
 from .scenarios import ResultTable, Scenario, check_steps, evolution_table, lineshape, run_decay
-from .symmetry import build_representation, check_conjugation_identities, verify_group_relations
+from .symmetry import (ROWS, build_representation, check_conjugation_identities,
+                       verify_group_relations)
 from .transform import cross_identify, derive_table
 
 ARROWS = {"prep": Arrow.PREPARATION_REGISTRATION, "exc": Arrow.EXCITATION_DEEXCITATION}
 KINDS = {"grow": Kind.GROWING, "decay": Kind.DECAYING}
+
+# Each option as (flag, help, default, type, choices), stated once for argparse,
+# the config file and the help.
+_POLE_OPTIONS = (("--er", "resonance energy E_R", DEFAULT_POLE.energy, float, None),
+                 ("--gamma", "resonance width Gamma", DEFAULT_POLE.width, float, None))
+_ARROW_OPTION = ("--arrow", "time-arrow convention", "prep", None, sorted(ARROWS))
+_GRID_OPTIONS = (_ARROW_OPTION,
+                 ("--kind", "state kind", "decay", None, sorted(KINDS)),
+                 ("--regime", "regime r", 0, int, (0, 1)),
+                 ("--tmin", "grid start (default depends on kind)", None, float, None),
+                 ("--tmax", "grid end (default depends on kind)", None, float, None),
+                 ("--steps", "grid points", 101, int, None))
 
 
 def _parse_config(path: str) -> dict[str, str]:
@@ -45,6 +57,11 @@ def _parse_config(path: str) -> dict[str, str]:
     return values
 
 
+# What argparse stores for an option not given as a flag: its default, and the
+# type and choices that a config-file value for it must meet.
+_Unset = collections.namedtuple("_Unset", "default convert choices")
+
+
 class _Resolver:
     """Merge flags, config-file keys and defaults; unknown keys fail before any command runs."""
 
@@ -55,43 +72,23 @@ class _Resolver:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    def get(self, name: str, convert, default=None, choices=None):
-        value = getattr(self.args, name, None)
-        if value is None and name in self.config:
-            value = self.config[name]
-        if value is None:
-            return default
-        if isinstance(value, str) and convert is not str:
+    def get(self, name: str, default=None):
+        """The flag, else the config key, else the option's default, else ``default``."""
+        unset = getattr(self.args, name)
+        if not isinstance(unset, _Unset):
+            return unset  # a flag, converted and checked by argparse
+        if name not in self.config:
+            return default if unset.default is None else unset.default
+        value = self.config[name]
+        if unset.convert is not None:
             try:
-                value = convert(value)
+                value = unset.convert(value)
             except (TypeError, ValueError):
                 raise ValueError(f"invalid value {value!r} for option {name!r}") from None
-        if choices is not None and value not in choices:
+        if unset.choices is not None and value not in unset.choices:
             raise ValueError(
-                f"option {name!r} must be one of {sorted(choices)}, got {value!r}")
+                f"option {name!r} must be one of {sorted(unset.choices)}, got {value!r}")
         return value
-
-
-def _add_pole_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--er", type=float, help=f"resonance energy E_R (default {DEFAULT_POLE.energy})")
-    parser.add_argument("--gamma", type=float, help=f"resonance width Gamma (default {DEFAULT_POLE.width})")
-
-
-def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...],
-                default_format: str) -> None:
-    parser.add_argument("--format", choices=formats,
-                        help=f"output format (default {default_format})")
-    parser.add_argument("--out", help="output file (default standard output)")
-    parser.add_argument("--config", help="key=value config file; flags override it")
-
-
-def _add_grid_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--arrow", choices=sorted(ARROWS), help="time-arrow convention (default prep)")
-    parser.add_argument("--kind", choices=sorted(KINDS), help="state kind (default decay)")
-    parser.add_argument("--regime", type=int, choices=(0, 1), help="regime r (default 0)")
-    parser.add_argument("--tmin", type=float, help="grid start (default depends on kind)")
-    parser.add_argument("--tmax", type=float, help="grid end (default depends on kind)")
-    parser.add_argument("--steps", type=int, help="grid points (default 101)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,59 +99,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, description in (("evolve", "evolution factor over a time grid"),
-                              ("decay", "survival probability over a time grid")):
-        p = sub.add_parser(name, help=description)
-        _add_pole_options(p)
-        _add_grid_options(p)
-        _add_common(p, ("csv", "json"), "csv")
+    def add(name, help, options, formats=("csv", "json")):
+        """A subcommand: ``options``, then the output options (the first format is the default)."""
+        p = sub.add_parser(name, help=help)
+        for flag, text, default, type, choices in (
+                *options, ("--format", "output format", formats[0], None, formats),
+                ("--out", "output file (default standard output)", None, None, None)):
+            p.add_argument(flag, type=type, choices=choices,
+                           help=text if default is None else f"{text} (default {default})",
+                           default=_Unset(default, type, choices))
+        p.add_argument("--config", help="key=value config file; flags override it")
 
-    p = sub.add_parser("lineshape", help="Lorentzian lineshape over an energy grid")
-    _add_pole_options(p)
-    p.add_argument("--emin", type=float, help="grid start (default E_R - 25*Gamma)")
-    p.add_argument("--emax", type=float, help="grid end (default E_R + 25*Gamma)")
-    p.add_argument("--steps", type=int, help="grid points (default 201)")
-    _add_common(p, ("csv", "json"), "csv")
-
-    p = sub.add_parser("table", help="derived time-reversal state table")
-    p.add_argument("--arrow", choices=sorted(ARROWS), help="time-arrow convention (default prep)")
-    _add_common(p, ("json", "text"), "json")
-
-    p = sub.add_parser("rep-check", help="symmetry-family relation report")
-    p.add_argument("--row", type=int, choices=(1, 2, 3, 4), help="family row 1..4")
-    p.add_argument("--twice-j", dest="twice_j", type=int, help="twice the spin, 2j >= 0")
-    _add_pole_options(p)
-    _add_common(p, ("json",), "json")
-
-    p = sub.add_parser("cross-id", help="regime identification for branches 5a/5b")
-    p.add_argument("--branch", choices=("5a", "5b"), help="branch to identify")
-    _add_common(p, ("json",), "json")
-
+    add("evolve", "evolution factor over a time grid", _POLE_OPTIONS + _GRID_OPTIONS)
+    add("decay", "survival probability over a time grid", _POLE_OPTIONS + _GRID_OPTIONS)
+    add("lineshape", "Lorentzian lineshape over an energy grid", _POLE_OPTIONS + (
+        ("--emin", "grid start (default E_R - 25*Gamma)", None, float, None),
+        ("--emax", "grid end (default E_R + 25*Gamma)", None, float, None),
+        ("--steps", "grid points", 201, int, None)))
+    add("table", "derived time-reversal state table", (_ARROW_OPTION,), ("json", "text"))
+    add("rep-check", "symmetry-family relation report", (
+        ("--row", "family row 1..4", None, int, ROWS),
+        ("--twice-j", "twice the spin, 2j >= 0", None, int, None)) + _POLE_OPTIONS, ("json",))
+    add("cross-id", "regime identification for branches 5a/5b",
+        (("--branch", "branch to identify", None, None, ("5a", "5b")),), ("json",))
     return parser
 
 
 def _resolve_pole(opts: _Resolver) -> ResonancePole:
-    return ResonancePole(opts.get("er", float, DEFAULT_POLE.energy),
-                         opts.get("gamma", float, DEFAULT_POLE.width))
+    return ResonancePole(opts.get("er"), opts.get("gamma"))
 
 
 def _scenario(opts: _Resolver) -> Scenario:
     pole = _resolve_pole(opts)
-    arrow = ARROWS[opts.get("arrow", str, "prep", choices=set(ARROWS))]
-    kind = KINDS[opts.get("kind", str, "decay", choices=set(KINDS))]
-    regime = opts.get("regime", int, 0, choices={0, 1})
+    arrow, kind, regime = ARROWS[opts.get("arrow")], KINDS[opts.get("kind")], opts.get("regime")
     decaying = kind is Kind.DECAYING
-    t_min = opts.get("tmin", float, 0.0 if decaying else -10.0)
-    t_max = opts.get("tmax", float, 10.0 if decaying else 0.0)
-    steps = opts.get("steps", int, 101)
-    return Scenario(pole, arrow, kind, regime, t_min, t_max, steps)
+    t_min = opts.get("tmin", 0.0 if decaying else -10.0)
+    t_max = opts.get("tmax", 10.0 if decaying else 0.0)
+    return Scenario(pole, arrow, kind, regime, t_min, t_max, opts.get("steps"))
 
 
 def _table_command(build_table):
     """A command that builds a ResultTable and returns the writer that
     streams it as CSV or JSON."""
     def command(opts: _Resolver):
-        fmt = opts.get("format", str, "csv", choices={"csv", "json"})
+        fmt = opts.get("format")
         table = build_table(opts)
         if fmt == "csv":
             return table.write_csv
@@ -168,9 +156,12 @@ def _table_command(build_table):
 
 def _lineshape_table(opts: _Resolver) -> ResultTable:
     pole = _resolve_pole(opts)
-    e_min = require_finite("emin", opts.get("emin", float, pole.energy - 25.0 * pole.width))
-    e_max = require_finite("emax", opts.get("emax", float, pole.energy + 25.0 * pole.width))
-    steps = opts.get("steps", int, 201)
+    e_min, e_max = opts.get("emin"), opts.get("emax")
+    if e_min is None or e_max is None:  # a default bound needs a representable default window
+        e_min, e_max = (d if e is None else e for e, d in zip((e_min, e_max), energy_window(pole)))
+    require_finite("emin", e_min)
+    require_finite("emax", e_max)
+    steps = opts.get("steps")
     check_steps("lineshape grid", steps)
     if not e_max > e_min:
         raise ValueError(f"emax={e_max} must exceed emin={e_min}")
@@ -191,8 +182,7 @@ def _format_table_text(data: dict) -> str:
 
 
 def _cmd_table(opts: _Resolver) -> str:
-    arrow = ARROWS[opts.get("arrow", str, "prep", choices=set(ARROWS))]
-    fmt = opts.get("format", str, "json", choices={"json", "text"})
+    arrow, fmt = ARROWS[opts.get("arrow")], opts.get("format")
     data = derive_table(arrow).to_dict()
     if fmt == "json":
         return json.dumps(data, indent=2) + "\n"
@@ -200,11 +190,10 @@ def _cmd_table(opts: _Resolver) -> str:
 
 
 def _cmd_rep_check(opts: _Resolver) -> str:
-    row = opts.get("row", int, None, choices={1, 2, 3, 4})
-    twice_j = opts.get("twice_j", int, None)
+    row, twice_j = opts.get("row"), opts.get("twice_j")
     if row is None or twice_j is None:
         raise ValueError("rep-check requires --row and --twice-j")
-    opts.get("format", str, "json", choices={"json"})
+    opts.get("format")
     pole = _resolve_pole(opts)
     rep = build_representation(row, twice_j)
     relations = verify_group_relations(rep)
@@ -220,10 +209,10 @@ def _cmd_rep_check(opts: _Resolver) -> str:
 
 
 def _cmd_cross_id(opts: _Resolver) -> str:
-    branch = opts.get("branch", str, None, choices={"5a", "5b"})
+    branch = opts.get("branch")
     if branch is None:
         raise ValueError("cross-id requires --branch 5a or --branch 5b")
-    opts.get("format", str, "json", choices={"json"})
+    opts.get("format")
     return json.dumps(cross_identify(branch).to_dict(), indent=2) + "\n"
 
 
@@ -263,7 +252,7 @@ def main(argv=None) -> int:
         opts = _Resolver(args)
         output = _COMMANDS[args.command](opts)  # a string, or a writer that streams a table
         write = output if callable(output) else lambda fh: fh.write(output)
-        out_path = opts.get("out", str, None)
+        out_path = opts.get("out")
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 write(fh)

@@ -17,16 +17,47 @@ arbitrary unit and times in its inverse.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, replace
 
-import numpy as np
+
+class _Numpy:
+    """numpy, imported on first attribute access: the label algebra (tables,
+    cross-identification, argument checks) never needs it."""
+
+    def __getattr__(self, name: str):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)  # later accesses skip __getattr__
+        return value
+
+
+np = _Numpy()
+
+
+def is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is not a count or an index."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def require_finite(name: str, value):
-    """``value`` if all of it is finite, else a ValueError naming the input."""
-    finite = np.isfinite(value)
+    """``value`` if it is real and all of it is finite, else a ValueError
+    naming the input.  An int or a float is checked without numpy."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an int beyond the float range
+            raise ValueError(f"{name} must be finite, got an integer of "
+                             f"{value.bit_length()} bits") from None
+        raise ValueError(f"{name} must be finite, got {value}")
+    values = np.asarray(value)
+    if values.dtype.kind not in "iuf":  # a bool, complex, string or object
+        raise ValueError(f"{name} must be real, got {value!r}")
+    finite = np.isfinite(values)
     if not finite.all():
-        raise ValueError(f"{name} must be finite, got {np.asarray(value)[~finite][0]}")
+        raise ValueError(f"{name} must be finite, got {values[~finite][0]}")
     return value
 
 
@@ -172,6 +203,17 @@ class ResonancePole:
 DEFAULT_POLE = ResonancePole(1.0, 0.2)
 
 
+def energy_window(pole: ResonancePole) -> tuple[float, float]:
+    """E_R -+ 25*Gamma, the energy grid around a resonance wherever a caller
+    gives none, after a check that its bounds and span are finite."""
+    half = 25.0 * float(pole.width)  # Python floats overflow to inf without numpy's warning
+    e_min, e_max = float(pole.energy) - half, float(pole.energy) + half
+    for bound in (e_min, e_max):
+        require_finite("energy window E_R +- 25*Gamma", bound)
+    require_finite("energy window span", e_max - e_min)
+    return e_min, e_max
+
+
 # Half-plane, role and bra are fixed by (arrow, kind): time reversal flips
 # kind and half-plane together, so the pairing is the same in both regimes.
 _CANONICAL_LABELS = {
@@ -204,7 +246,7 @@ class GamowState:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if self.regime not in (0, 1):
+        if not is_integer(self.regime) or self.regime not in (0, 1):
             raise ValueError(f"regime must be 0 or 1, got {self.regime}")
         if (self.arrow, self.kind) not in _CANONICAL_LABELS:
             raise ValueError(f"no canonical state for arrow={self.arrow!r} and kind={self.kind!r}")

@@ -21,9 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import (Arrow, GamowState, Kind, ResonancePole, TimeDomain, canonical_time_domain,
+from .core import (Arrow, GamowState, Kind, ResonancePole, TimeDomain, canonical_time_domain, np,
                    require_finite)
 
 DEFAULT_DIM_CAP = 64
@@ -72,12 +70,13 @@ class EvolutionBranch:
     def checked_times(self, t):
         """A time as a float, or an array of times as a float array, after
         the one finiteness and half-domain check of the package."""
-        if isinstance(t, (int, float)) and math.isfinite(t):
+        t = require_finite("t", t)
+        if isinstance(t, (int, float)):
             times = outside = float(t)  # a Python float: no array for one time
             if self.domain.contains(times):
                 return times
         else:
-            times = require_finite("t", np.asarray(t, dtype=float))
+            times = np.asarray(t, dtype=float)
             inside = self.domain.contains(times)
             if inside.all():
                 return times
@@ -130,9 +129,8 @@ def branch_by_label(label: str) -> EvolutionBranch:
 
 def _require_finite_phase(pole: ResonancePole, t) -> None:
     """Reject a time t whose phase E_R * t overflows a double."""
-    phase = pole.energy * float(t)  # a Python float overflows to inf without numpy's warning
-    if not math.isfinite(phase):  # cheaper than require_finite on the scalar path of evolve
-        require_finite("E_R * t", phase)
+    # a Python float overflows to inf without numpy's warning
+    require_finite("E_R * t", pole.energy * float(t))
 
 
 def evolve(state: GamowState, t: float) -> complex:

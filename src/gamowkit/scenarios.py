@@ -15,9 +15,8 @@ import io
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import Arrow, GamowState, Kind, ResonancePole, canonical_state, require_finite
+from .core import (Arrow, GamowState, Kind, ResonancePole, canonical_state, is_integer, np,
+                   require_finite)
 from .evolution import _require_finite_phase, branch_for
 
 # Largest accepted grid.  Output is written in blocks, so its text is never
@@ -32,6 +31,8 @@ _BLOCK_ROWS = 4096
 
 def check_steps(grid: str, steps: int) -> None:
     """Reject a grid of fewer than 2 or more than MAX_GRID_STEPS points."""
+    if not is_integer(steps):
+        raise ValueError(f"{grid} needs an integer number of steps, got {steps!r}")
     if steps < 2:
         raise ValueError(f"{grid} needs at least 2 steps, got {steps}")
     if steps > MAX_GRID_STEPS:
@@ -134,6 +135,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         check_steps("a scenario grid", self.steps)
+        self.state()  # rejects an ill-typed arrow, kind or regime now, not at the first sweep
         require_finite("t_min", self.t_min)
         require_finite("t_max", self.t_max)
         if not self.t_max >= self.t_min:

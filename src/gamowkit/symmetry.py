@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .core import DEFAULT_POLE, ResonancePole, require_finite, resonance_s_matrix
+from .core import DEFAULT_POLE, ResonancePole, energy_window, is_integer, np, resonance_s_matrix
 
 ROWS = (1, 2, 3, 4)
 # Relative signs (eps_R, eps_T) / (-1)^(2j) of each family (Wigner, Group
@@ -33,7 +31,7 @@ MAX_TWICE_J = 511
 
 
 def _check_twice_j(twice_j: int) -> int:
-    if isinstance(twice_j, bool) or not isinstance(twice_j, (int, np.integer)) or twice_j < 0:
+    if not is_integer(twice_j) or twice_j < 0:
         raise ValueError(f"twice_j must be a nonnegative integer, got {twice_j!r}")
     if twice_j > MAX_TWICE_J:
         raise ValueError(f"twice_j must be at most {MAX_TWICE_J}, got {twice_j}")
@@ -349,10 +347,7 @@ def check_conjugation_identities(
     """
     if momentum_points % 2 == 0:
         raise ValueError("momentum grid needs an odd point count so p -> -p is exact")
-    half = 25.0 * float(pole.width)  # Python floats overflow to inf without numpy's warning
-    e_min, e_max = float(pole.energy) - half, float(pole.energy) + half
-    require_finite("energy window E_R +- 25*Gamma", (e_min, e_max))
-    require_finite("energy window span", e_max - e_min)
+    e_min, e_max = energy_window(pole)
     entries = []
 
     r = _signed_columns("time_reversal", rep.time_reversal, rep.dim)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     DEFAULT_POLE,
     Arrow,
@@ -26,6 +24,7 @@ from .core import (
     ResonancePole,
     TimeHalf,
     canonical_state,
+    np,
 )
 from .evolution import branch_by_label, branch_for
 from .symmetry import RepresentationTriple, _signed_columns, _square_scalar
@@ -43,7 +42,7 @@ def time_reverse(state: GamowState) -> GamowState:
         state.kind.flipped(),
         1 - state.regime,
         state.pole,
-        amplitude=np.conj(state.amplitude),
+        amplitude=complex(state.amplitude).conjugate(),
     )
 
 

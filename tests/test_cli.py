@@ -168,6 +168,21 @@ class TestLineshapeCommand:
         assert invoke(capsys, "lineshape", "--steps", "1") == (
             2, "", "error: lineshape grid needs at least 2 steps, got 1\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--gamma", "1e307"), "energy window E_R +- 25*Gamma must be finite, got -inf"),
+        # a bound left to its default needs the whole default window
+        (("--gamma", "1e307", "--emin", "0"),
+         "energy window E_R +- 25*Gamma must be finite, got -inf"),
+        (("--gamma", "7e306", "--steps", "3"), "energy window span must be finite, got inf"),
+    ])
+    def test_overflowing_default_window_is_validation_error(self, tmp_path, capsys, argv, message):
+        target = tmp_path / "lineshape.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert invoke(capsys, "lineshape", *argv, "--out", str(target)) == (
+                2, "", f"error: {message}\n")
+        assert not target.exists()
+
     @pytest.mark.parametrize("argv", [
         ("--gamma", "1e308", "--emin", "0", "--emax", "1", "--steps", "3"),
         ("--emin", "0", "--emax", "1e300", "--steps", "3"),
@@ -312,6 +327,27 @@ class TestOutputAndConfig:
         config.write_text(f"steps=plenty\n{key}=11\n")  # the unknown key is reported first
         assert invoke(capsys, "decay", "--config", str(config)) == (
             2, "", f"error: unknown config keys: {key}\n")
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("table", "format = csv", "option 'format' must be one of ['json', 'text'], got 'csv'"),
+        ("rep-check", "row = 5", "option 'row' must be one of [1, 2, 3, 4], got 5"),
+        ("evolve", "regime = 2", "option 'regime' must be one of [0, 1], got 2"),
+        ("cross-id", "branch = 4a", "option 'branch' must be one of ['5a', '5b'], got '4a'"),
+        ("lineshape", "emin = low", "invalid value 'low' for option 'emin'"),
+    ])
+    def test_config_value_checked_like_its_flag(self, tmp_path, capsys, command, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        assert invoke(capsys, command, "--config", str(config)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, steps",
+                             [("decay", 101), ("evolve", 101), ("lineshape", 201)])
+    def test_default_steps_shown_in_help(self, capsys, command, steps):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"grid points (default {steps})" in " ".join(capsys.readouterr().out.split())
+        code, out, _ = invoke(capsys, command)
+        assert code == 0 and len(out.splitlines()) == 1 + steps
 
     def test_config_value_outside_choices(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -72,6 +72,23 @@ class TestResonancePole:
         with pytest.raises(ValueError, match=f"resonance {field} must be finite, got {value}"):
             ResonancePole(**fields)
 
+    @pytest.mark.parametrize("energy, width, message", [
+        ("1", 0.2, "resonance energy must be real, got '1'"),
+        (None, 0.2, "resonance energy must be real, got None"),
+        (1 + 0j, 0.2, r"resonance energy must be real, got \(1\+0j\)"),
+        (1.0, True, "resonance width must be real, got True"),
+        (10**400, 1.0, "resonance energy must be finite, got an integer of 1329 bits"),
+    ])
+    def test_ill_typed_scalar_rejected(self, energy, width, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ResonancePole(energy, width)
+
+    @pytest.mark.parametrize("energy, width",
+                             [(np.float32(1.5), 0.2), (np.int64(2), np.float64(0.3)), (3, 1)])
+    def test_numpy_and_int_scalars_accepted(self, energy, width):
+        pole = ResonancePole(energy, width)
+        assert pole.decaying_pole == complex(float(energy), -0.5 * float(width))
+
     def test_negative_energy_allowed(self):
         pole = ResonancePole(-3.0, 0.5)
         assert pole.decaying_pole.imag < 0 < pole.growing_pole.imag
@@ -111,6 +128,11 @@ class TestCanonicalStates:
     def test_invalid_regime(self, pole):
         with pytest.raises(ValueError, match="regime"):
             canonical_state(PREP, Kind.GROWING, 2, pole)
+
+    @pytest.mark.parametrize("regime", [True, 1.0, "1", None])
+    def test_ill_typed_regime_rejected(self, pole, regime):
+        with pytest.raises(ValueError, match=f"^regime must be 0 or 1, got {regime}$"):
+            canonical_state(PREP, Kind.GROWING, regime, pole)
 
     def test_state_stores_only_its_key(self, pole):
         # Half-plane and role are derived, so a non-canonical pairing cannot be written.

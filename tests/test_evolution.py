@@ -147,6 +147,17 @@ class TestEvolve:
             with pytest.raises(ValueError, match=rf"^E_R \* t must be finite, got {message}$"):
                 evolve(state, 1e10)
 
+    @pytest.mark.parametrize("t, message", [
+        ("1", "t must be real, got '1'"),
+        (True, "t must be real, got True"),
+        (None, "t must be real, got None"),
+        (1j, r"t must be real, got 1j"),
+    ])
+    def test_ill_typed_time_rejected(self, pole, t, message):
+        state = state_for((PREP, Kind.DECAYING, 0), pole)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evolve(state, t)
+
     def test_scalar_time_checked_as_float(self, pole):
         state = state_for((PREP, Kind.DECAYING, 0), pole)
         assert type(branch_for(state).checked_times(2)) is float

@@ -1,0 +1,67 @@
+"""numpy loads on the first numeric call: label algebra, help and rejected
+inputs run without it, in a fresh interpreter each."""
+
+import os
+import subprocess
+import sys
+
+import numpy
+import pytest
+
+import gamowkit
+import gamowkit.core
+
+# Runs gamowkit.cli.main on its arguments with output swallowed, then
+# prints the exit code and whether numpy was imported.
+_CHILD = """
+import contextlib, io, sys
+from gamowkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+def _fresh(*args) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gamowkit.__file__)))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True)
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_numpy():
+    assert _fresh("-c", "import gamowkit, sys; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("argv, code", [
+    *[(("table", "--arrow", arrow, "--format", fmt), 0)
+      for arrow in ("prep", "exc") for fmt in ("json", "text")],
+    (("cross-id", "--branch", "5a"), 0),
+    (("cross-id", "--branch", "5b"), 0),
+    (("--help",), 0),
+    (("decay", "--config", "{config}"), 2),  # an unknown config key
+    (("decay", "--steps", "1"), 2),
+    (("rep-check", "--row", "4", "--twice-j", "512"), 2),
+])
+def test_label_commands_and_rejections_do_not_load_numpy(tmp_path, argv, code):
+    config = tmp_path / "bad.cfg"
+    config.write_text("volume=11\n")
+    argv = [a.format(config=config) for a in argv]
+    assert _fresh("-c", _CHILD, *argv) == f"{code} False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("decay", "--steps", "3"),
+    ("lineshape", "--steps", "3"),
+    ("rep-check", "--row", "1", "--twice-j", "0"),
+])
+def test_numeric_commands_load_numpy(argv):
+    assert _fresh("-c", _CHILD, *argv) == "0 True"
+
+
+def test_lazy_numpy_is_numpy():
+    assert gamowkit.core.np.linspace is numpy.linspace
+    assert gamowkit.core.np.float64 is numpy.float64

@@ -188,6 +188,24 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             Scenario(pole, PREP, Kind.DECAYING, 0, t_min, t_max, 3)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("steps", 2.5, "a scenario grid needs an integer number of steps, got 2.5"),
+        ("steps", "10", "a scenario grid needs an integer number of steps, got '10'"),
+        ("steps", True, "a scenario grid needs an integer number of steps, got True"),
+        ("regime", True, "regime must be 0 or 1, got True"),
+        ("t_min", "0", "t_min must be real, got '0'"),
+        ("t_max", None, "t_max must be real, got None"),
+    ])
+    def test_ill_typed_field_rejected(self, pole, field, value, message):
+        fields = dict(pole=pole, arrow=PREP, kind=Kind.DECAYING, regime=0,
+                      t_min=0.0, t_max=1.0, steps=3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Scenario(**{**fields, field: value})
+
+    def test_numpy_integer_steps_accepted(self, pole):
+        scenario = Scenario(pole, PREP, Kind.DECAYING, 0, 0.0, 1.0, np.int64(3))
+        assert len(run_decay(scenario).rows) == 3
+
     def test_zero_only_edge(self, pole):
         # t = 0 belongs to both halves, so a grid ending at 0 is fine for
         # nonpos states and starting at 0 for nonneg ones
