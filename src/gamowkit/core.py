@@ -312,5 +312,5 @@ def resonance_s_matrix(pole: ResonancePole, energies) -> np.ndarray:
     axis numerator and denominator are complex conjugates, so |S(E)| = 1 and
     conj(S) = 1/S.
     """
-    e = np.asarray(energies, dtype=float)
+    e = require_finite("energies", np.asarray(energies, dtype=float))
     return (e - pole.growing_pole) / (e - pole.decaying_pole)

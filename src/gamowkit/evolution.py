@@ -53,9 +53,11 @@ class EvolutionBranch:
         """The bare evolution factor at a time t (a complex) or at every time
         of an array t (an array), with no domain or phase check."""
         if isinstance(t, (int, float)):
-            try:  # cmath gives the array path's bits, and raises where numpy gives inf or nan
-                return cmath.exp(complex(self.growth_sign * 0.5 * pole.width * t,
-                                         self.phase_sign * pole.energy * t))
+            # cmath gives the array path's bits, and raises where numpy gives inf or nan;
+            # float() parts overflow to inf without the warning numpy scalars print
+            try:
+                return cmath.exp(complex(self.growth_sign * 0.5 * float(pole.width) * t,
+                                         self.phase_sign * float(pole.energy) * t))
             except (OverflowError, ValueError):
                 pass
         t = np.asarray(t, dtype=float)
@@ -127,43 +129,44 @@ def branch_by_label(label: str) -> EvolutionBranch:
         ) from None
 
 
-def _require_finite_phase(pole: ResonancePole, t) -> None:
-    """Reject a time t whose phase E_R * t overflows a double."""
-    # a Python float overflows to inf without numpy's warning
-    require_finite("E_R * t", pole.energy * float(t))
-
-
-def evolve(state: GamowState, t: float) -> complex:
-    """Evolve a state's bracket amplitude by time t along its branch.
+def evolve(state: GamowState, t):
+    """Evolve a state's bracket amplitude along its branch by a time t (a
+    complex) or by every time of an array t (a complex array).
 
     Parameters
     ----------
     state : GamowState
         A canonical state; its branch fixes signs and half-domain.
-    t : float
-        Time inside the branch's half-domain (t = 0 always allowed).
+    t : float or array_like
+        Times inside the branch's half-domain (t = 0 always allowed).
 
     Returns
     -------
-    complex
+    complex or numpy.ndarray
         exp(i*phase_sign*E_R*t) * exp(growth_sign*(Gamma/2)*t) * amplitude.
 
     Raises
     ------
     ValueError
-        If t is NaN or infinite, or the phase E_R * t overflows a double.
+        If a time is NaN or infinite, or the phase E_R * t overflows a
+        double at the largest |t|.
     DomainViolationError
-        If t lies outside the half-domain: the semigroup has no inverse,
-        so evolution never crosses t = 0.
+        If a time lies outside the half-domain (checked first): the
+        semigroup has no inverse, so evolution never crosses t = 0.
     """
     branch = branch_for(state)
     times = branch.checked_times(t)
-    _require_finite_phase(state.pole, times)
-    return branch.factor(state.pole, times) * state.amplitude
+    longest = times if isinstance(times, float) else float(np.max(np.abs(times), initial=0.0))
+    # Python floats overflow to inf without the warning numpy scalars print
+    require_finite("E_R * t", float(state.pole.energy) * longest)
+    factor = branch.factor(state.pole, times)
+    factor *= state.amplitude  # in place for a grid: one grid-sized array fewer at peak RSS
+    return factor
 
 
-def survival_probability(state: GamowState, t: float) -> float:
-    """|evolved amplitude|^2 / |amplitude|^2 for a decaying state.
+def survival_probability(state: GamowState, t):
+    """|evolved amplitude|^2 / |amplitude|^2 for a decaying state at a time
+    t (a float) or at every time of an array t (an array).
 
     Equals exp(-Gamma*t) on the decaying branches.  Domain rules are the
     same as for :func:`evolve`.
@@ -171,10 +174,15 @@ def survival_probability(state: GamowState, t: float) -> float:
     if state.kind is not Kind.DECAYING:
         raise ValueError("survival probability is defined for decaying states only")
     branch = branch_for(state)
-    return math.exp(branch.growth_sign * state.pole.width * float(branch.checked_times(t)))
+    times = branch.checked_times(t)
+    rate = branch.growth_sign * float(state.pole.width)
+    if isinstance(times, float):
+        return math.exp(rate * times)
+    with np.errstate(over="ignore"):  # -inf on the domain, where exp gives exactly 0
+        return np.exp(rate * times)
 
 
-def group_evolve(hamiltonian, t: float, vector, *, max_dim: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def group_evolve(hamiltonian, t: float, vector) -> np.ndarray:
     """Unitary group evolution exp(-i H t) v by spectral decomposition.
 
     Unlike the semigroup branches this is defined for every real t and
@@ -183,7 +191,7 @@ def group_evolve(hamiltonian, t: float, vector, *, max_dim: int = DEFAULT_DIM_CA
     Parameters
     ----------
     hamiltonian : array_like
-        Hermitian matrix of dimension at most ``max_dim``.
+        Hermitian matrix of dimension at most ``DEFAULT_DIM_CAP``.
     t : float
         Any real time.
     vector : array_like
@@ -197,8 +205,8 @@ def group_evolve(hamiltonian, t: float, vector, *, max_dim: int = DEFAULT_DIM_CA
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"hamiltonian must be a square matrix, got shape {h.shape}")
-    if h.shape[0] > max_dim:
-        raise ValueError(f"dimension {h.shape[0]} exceeds the configured cap {max_dim}")
+    if h.shape[0] > DEFAULT_DIM_CAP:
+        raise ValueError(f"dimension {h.shape[0]} exceeds the cap {DEFAULT_DIM_CAP}")
     deviation = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
     if deviation > 1e-10:
         raise NonHermitianError(

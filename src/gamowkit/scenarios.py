@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .core import (Arrow, GamowState, Kind, ResonancePole, canonical_state, is_integer, np,
                    require_finite)
-from .evolution import _require_finite_phase, branch_for
+from .evolution import branch_for, evolve
 
 # Largest accepted grid.  Output is written in blocks, so its text is never
 # held whole; the bound is time: a 1e6-point `decay` spends seconds
@@ -120,9 +120,10 @@ def _text(write) -> str:
 class Scenario:
     """A canonical state swept over a uniform time grid.
 
-    The grid must lie inside the half-domain of the state's branch (t = 0
-    is inside both halves), must have at least two points, and its phase
-    E_R * t must not overflow a double.
+    The grid must have at least two points.  A sweep checks, through
+    :func:`evolve`, that it lies inside the half-domain of the state's
+    branch (t = 0 is inside both halves), then that its phase E_R * t does
+    not overflow a double.
     """
 
     pole: ResonancePole
@@ -142,7 +143,6 @@ class Scenario:
             raise ValueError(f"t_max={self.t_max} must not precede t_min={self.t_min}")
         # Python floats overflow to inf without the warning numpy scalars print
         require_finite("t_max - t_min", float(self.t_max) - float(self.t_min))
-        _require_finite_phase(self.pole, max(abs(self.t_min), abs(self.t_max)))
 
     def state(self) -> GamowState:
         return canonical_state(self.arrow, self.kind, self.regime, self.pole)
@@ -158,15 +158,6 @@ def _table(columns: tuple[str, ...], *arrays: np.ndarray) -> ResultTable:
     return ResultTable(columns, np.column_stack(arrays))
 
 
-def _evolved(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The checked grid and the evolved amplitude on it, as evolve() gives it."""
-    state = scenario.state()
-    times = scenario.checked_times()
-    factor = branch_for(state).factor(state.pole, times)
-    factor *= state.amplitude  # in place, as survival **= 2: a grid-sized array fewer at peak RSS
-    return times, factor
-
-
 def run_decay(scenario: Scenario) -> ResultTable:
     """Survival probability and evolution factor over the scenario grid.
 
@@ -174,7 +165,8 @@ def run_decay(scenario: Scenario) -> ResultTable:
     survival = |factor|^2 (the scenario's state has unit amplitude), which
     equals exp(growth_sign * Gamma * t) on the scenario's branch.
     """
-    times, factor = _evolved(scenario)
+    times = scenario.times()
+    factor = evolve(scenario.state(), times)
     survival = np.hypot(factor.real, factor.imag)
     survival **= 2
     return _table(("t", "survival", "factor_real", "factor_imag"),
@@ -184,13 +176,14 @@ def run_decay(scenario: Scenario) -> ResultTable:
 def evolution_table(scenario: Scenario) -> ResultTable:
     """Evolution factor over the scenario grid, columns (t, factor_real,
     factor_imag)."""
-    times, factor = _evolved(scenario)
+    times = scenario.times()
+    factor = evolve(scenario.state(), times)
     return _table(("t", "factor_real", "factor_imag"), times, factor.real, factor.imag)
 
 
 def lorentzian_density(pole: ResonancePole, energies) -> np.ndarray:
     """Unit-area Lorentzian lineshape attached to a resonance pole."""
-    e = np.asarray(energies, dtype=float)
+    e = require_finite("energies", np.asarray(energies, dtype=float))
     half_width = np.float64(0.5 * pole.width)  # squares to inf where a float raises OverflowError
     with np.errstate(over="ignore"):  # an infinite denominator is a density of 0.0
         return (pole.width / (2.0 * np.pi)) / ((e - pole.energy) ** 2 + half_width**2)
@@ -203,7 +196,7 @@ def lineshape(pole: ResonancePole, energies) -> ResultTable:
     2 / (pi Gamma) at E = E_R, half the peak at E_R +- Gamma/2, and unit
     area over the whole real axis.
     """
-    e = require_finite("energies", np.asarray(energies, dtype=float))
+    e = np.asarray(energies, dtype=float)
     if e.size == 0:
         raise ValueError("lineshape needs a nonempty energy grid")
     return _table(("energy", "density"), e, lorentzian_density(pole, e))

@@ -28,6 +28,10 @@ _FAMILY_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
 # conjugation check bound the size.  The relation checks read each dense
 # operator once and then multiply with O(d) gathers.
 MAX_TWICE_J = 511
+# Point counts of the conjugation check's grids; the momentum count is odd,
+# so the symmetric grid holds p = 0 and p -> -p is an exact index reversal.
+_MOMENTUM_POINTS = 201
+_ENERGY_POINTS = 1000
 
 
 def _check_twice_j(twice_j: int) -> int:
@@ -155,7 +159,7 @@ def build_representation(row: int, twice_j: int) -> RepresentationTriple:
     T = Sigma R with eps_R = s_R (-1)^(2j), eps_T = s_T (-1)^(2j).
     """
     twice_j = _check_twice_j(twice_j)
-    if row not in ROWS:
+    if not is_integer(row) or row not in ROWS:
         raise ValueError(f"row must be one of {ROWS}, got {row!r}")
     s_r, s_t = _FAMILY_SIGNS[row]
     c = time_reversal_matrix(twice_j)
@@ -320,13 +324,8 @@ def _grid_expectation(weights, psi) -> float:
     return float(np.sum(np.asarray(weights) * density) / np.sum(density))
 
 
-def check_conjugation_identities(
-    rep: RepresentationTriple,
-    pole: ResonancePole = DEFAULT_POLE,
-    *,
-    momentum_points: int = 201,
-    energy_points: int = 1000,
-) -> ConjugationReport:
+def check_conjugation_identities(rep: RepresentationTriple,
+                                 pole: ResonancePole = DEFAULT_POLE) -> ConjugationReport:
     """Numerically check the conjugation identities of time reversal.
 
     Three groups of checks, reported with their maximal deviations:
@@ -336,17 +335,15 @@ def check_conjugation_identities(
       (tolerance 1e-12).  R must be a signed permutation, R[i, p_i] = s_i,
       so R^-1 = R^T and R conj(J) R^-1 = s s^T * conj(J)[p][:, p], a gather;
       any other time reversal raises ValueError;
-    * on a symmetric odd momentum grid over [-10, 10], with a unit-width
+    * on a symmetric grid of 201 momenta over [-10, 10], with a unit-width
       Gaussian packet centred at p = 2, R: psi(p) -> conj(psi(-p)) flips
       the expectation of the momentum multiplication operator and leaves
       the kinetic energy p^2/2m (m = 1) invariant (tolerance 1e-10);
     * the rank-one resonance S-matrix of ``pole`` (default E_R = 1.0,
       Gamma = 0.2) satisfies |S| = 1 and conj(S) = S^-1, the reciprocity
-      relation, on E_R +- 25 Gamma (tolerance 1e-12); a window whose
-      bounds or span overflow a double raises ValueError.
+      relation, on 1000 energies over E_R +- 25 Gamma (tolerance 1e-12);
+      a window whose bounds or span overflow a double raises ValueError.
     """
-    if momentum_points % 2 == 0:
-        raise ValueError("momentum grid needs an odd point count so p -> -p is exact")
     e_min, e_max = energy_window(pole)
     entries = []
 
@@ -360,7 +357,7 @@ def check_conjugation_identities(
         dev = max(dev, float(np.max(np.abs(conjugated + j_i))))
     entries.append(IdentityCheck("angular_momentum_flip", dev <= 1e-12, dev, 1e-12))
 
-    p = np.linspace(-10.0, 10.0, momentum_points)
+    p = np.linspace(-10.0, 10.0, _MOMENTUM_POINTS)
     psi = np.exp(-((p - 2.0) ** 2) / 2.0).astype(complex)
     psi_rev = reversed_wavefunction(psi)
     p_before = _grid_expectation(p, psi)
@@ -374,7 +371,7 @@ def check_conjugation_identities(
     dev = abs(k_after - k_before)
     entries.append(IdentityCheck("kinetic_energy_invariance", dev <= 1e-10, dev, 1e-10))
 
-    s = resonance_s_matrix(pole, np.linspace(e_min, e_max, energy_points))
+    s = resonance_s_matrix(pole, np.linspace(e_min, e_max, _ENERGY_POINTS))
     dev = float(np.max(np.abs(np.abs(s) - 1.0)))
     entries.append(IdentityCheck("s_matrix_unitarity", dev <= 1e-12, dev, 1e-12))
     dev = float(np.max(np.abs(np.conj(s) - 1.0 / s)))

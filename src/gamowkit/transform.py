@@ -26,7 +26,7 @@ from .core import (
     canonical_state,
     np,
 )
-from .evolution import branch_by_label, branch_for
+from .evolution import branch_by_label, branch_for, evolve
 from .symmetry import RepresentationTriple, _signed_columns, _square_scalar
 
 
@@ -218,16 +218,16 @@ def factor_consistency_report(pole: ResonancePole = DEFAULT_POLE) -> tuple[Facto
     entries = []
     for arrow, kind, regime in itertools.product(Arrow, Kind, (0, 1)):
         state = canonical_state(arrow, kind, regime, pole)
-        branch, reversed_branch = branch_for(state), branch_for(time_reverse(state))
+        branch, reversed_state = branch_for(state), time_reverse(state)
         sign = 1.0 if branch.domain.half is TimeHalf.NONNEG else -1.0
-        times = branch.checked_times(sign * np.linspace(0.0, 10.0 / pole.width, 50))
-        forward = branch.factor(pole, times)
-        mirrored = reversed_branch.factor(pole, reversed_branch.checked_times(-times))
+        times = sign * np.linspace(0.0, 10.0 / pole.width, 50)
+        forward = evolve(state, times)
+        mirrored = evolve(reversed_state, -times)
         conjugated = np.conj(forward)
         entries.append(FactorConsistencyEntry(
             bracket_before=state.bracket,
             branch_before=branch.label,
-            branch_after=reversed_branch.label,
+            branch_after=branch_for(reversed_state).label,
             reflected_factor_deviation=float(np.max(np.abs(mirrored - forward), initial=0.0)),
             modulus_deviation=float(np.max(np.abs(np.abs(conjugated) - np.abs(mirrored)),
                                            initial=0.0)),

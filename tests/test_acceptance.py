@@ -182,8 +182,7 @@ def test_criterion_7_conjugation_identity_checks():
     for row in (1, 2, 3, 4):
         for twice_j in TESTED_TWICE_J:  # includes spin up to j = 2
             report = check_conjugation_identities(
-                build_representation(row, twice_j), POLE,
-                momentum_points=201, energy_points=1000)
+                build_representation(row, twice_j), POLE)
             entries = {e.name: e for e in report.entries}
             assert entries["angular_momentum_flip"].max_deviation < 1e-12
             assert entries["momentum_expectation_flip"].max_deviation < 1e-10

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,13 @@ class TestSMatrix:
         # (E_R - z*) / (E_R - z) = (-i Gamma/2) / (+i Gamma/2) = -1
         value = resonance_s_matrix(pole, [pole.energy])[0]
         assert value == pytest.approx(-1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_energy_rejected(self, pole, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            with pytest.raises(ValueError, match=f"^energies must be finite, got {value}$"):
+                resonance_s_matrix(pole, [1.0, value])
 
     def test_unimodular_on_real_axis(self, pole):
         energies = np.linspace(-4.0, 6.0, 501)

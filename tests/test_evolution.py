@@ -13,12 +13,14 @@ from gamowkit import (
     Kind,
     NonHermitianError,
     ResonancePole,
+    Scenario,
     TimeHalf,
     branch_by_label,
     branch_for,
     canonical_state,
     evolve,
     group_evolve,
+    run_decay,
     survival_probability,
 )
 
@@ -139,13 +141,55 @@ class TestEvolve:
         assert type(scalar) is complex
         assert (scalar.real.hex(), scalar.imag.hex()) == (array.real.hex(), array.imag.hex())
 
-    @pytest.mark.parametrize("energy, message", [(1e300, "inf"), (-1e300, "-inf")])
+    @pytest.mark.parametrize("energy, message", [
+        (1e300, "inf"),
+        (-1e300, "-inf"),
+        # numpy scalars multiply with numpy's overflow warning
+        pytest.param(np.float64(1e300), "inf", id="float64-1e+300-inf"),
+        pytest.param(np.float64(-1e300), "-inf", id="float64--1e+300--inf"),
+    ])
     def test_overflowing_phase_rejected(self, energy, message):
-        state = state_for((PREP, Kind.DECAYING, 0), ResonancePole(energy, 0.2))
+        pole = ResonancePole(energy, 0.2)
+        state = state_for((PREP, Kind.DECAYING, 0), pole)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning either
-            with pytest.raises(ValueError, match=rf"^E_R \* t must be finite, got {message}$"):
-                evolve(state, 1e10)
+            scenario = Scenario(pole, PREP, Kind.DECAYING, 0, 0.0, 1e10, 5)  # checked by a sweep
+            for call in (lambda: evolve(state, 1e10), lambda: run_decay(scenario)):
+                with pytest.raises(ValueError) as excinfo:
+                    call()
+                assert str(excinfo.value) == f"E_R * t must be finite, got {message}"
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 2.5], (3.0,), np.linspace(0.0, 40.0, 9)])
+    def test_time_grid_equals_scalar_calls(self, pole, times):
+        state = state_for((PREP, Kind.DECAYING, 0), pole, amplitude=0.5 - 2.0j)
+        factors = evolve(state, times)
+        assert factors.dtype == complex and factors.shape == (len(times),)
+        for t, factor in zip(times, factors):
+            scalar = evolve(state, t)
+            assert (factor.real.hex(), factor.imag.hex()) == (scalar.real.hex(), scalar.imag.hex())
+
+    def test_empty_time_grid(self, pole):
+        state = state_for((PREP, Kind.GROWING, 0), pole)
+        assert evolve(state, np.array([])).shape == (0,)
+        assert evolve(state, []).dtype == complex
+
+    def test_time_grid_checked_for_domain_then_phase(self):
+        # a grid both off the half-domain and overflowing the phase reports the domain
+        pole = ResonancePole(1e300, 0.2)
+        with pytest.raises(DomainViolationError, match="^t=-1.0 lies outside"):
+            run_decay(Scenario(pole, PREP, Kind.DECAYING, 0, -1.0, 1e10, 3))
+        with pytest.raises(ValueError, match=r"^E_R \* t must be finite, got inf$"):
+            evolve(state_for((PREP, Kind.DECAYING, 0), pole), [0.0, 1e10])
+
+    @pytest.mark.parametrize("width", [1e300, np.float64(1e300)], ids=["float", "float64"])
+    def test_overflowing_modulus_underflows_silently(self, width):
+        state = state_for((PREP, Kind.DECAYING, 0), ResonancePole(1.0, width))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # Gamma * t overflows: no numpy RuntimeWarning
+            assert evolve(state, 1e10) == 0j
+            assert evolve(state, [0.0, 1e10]).tolist() == [1.0, 0j]
+            assert survival_probability(state, 1e10) == 0.0
+            assert survival_probability(state, [0.0, 1e10]).tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("t, message", [
         ("1", "t must be real, got '1'"),
@@ -206,6 +250,16 @@ class TestSurvivalProbability:
         with pytest.raises(ValueError, match="decaying"):
             survival_probability(state, -1.0)
 
+    @pytest.mark.parametrize("times", [[0.0, 0.5, 2.0, 7.5], np.linspace(0.0, 200.0, 401), []])
+    def test_time_grid_matches_scalar_calls(self, pole, times):
+        state = state_for((PREP, Kind.DECAYING, 0), pole)
+        survival = survival_probability(state, times)
+        assert isinstance(survival, np.ndarray) and survival.shape == (len(times),)
+        for t, value in zip(times, survival):
+            scalar = survival_probability(state, t)
+            assert scalar == math.exp(-pole.width * t)  # one time: math.exp, bit for bit
+            assert abs(value - scalar) <= math.ulp(scalar)
+
     def test_matches_evolve_modulus(self, pole):
         state = state_for((EXC, Kind.DECAYING, 1), pole)
         for t in (0.5, 2.0, 7.5):
@@ -265,9 +319,9 @@ class TestGroupEvolve:
             group_evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, np.array([1.0, 0.0]))
 
     def test_dimension_cap(self):
-        h = np.zeros((9, 9))
-        with pytest.raises(ValueError, match="cap"):
-            group_evolve(h, 1.0, np.zeros(9), max_dim=8)
+        group_evolve(np.zeros((64, 64)), 1.0, np.zeros(64))
+        with pytest.raises(ValueError, match="^dimension 65 exceeds the cap 64$"):
+            group_evolve(np.zeros((65, 65)), 1.0, np.zeros(65))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="square"):

@@ -130,7 +130,10 @@ class TestRunDecay:
         scenario = _in_domain(ResonancePole(energy, width), key, min(bounds), max(bounds), steps)
         state = scenario.state()
         branch = BRANCHES[key]
-        for t, real, imag in evolution_table(scenario).rows:
+        rows = evolution_table(scenario).rows
+        # the same grid passed to evolve directly
+        grid = evolve(state, [t for t, _, _ in rows])
+        for (t, real, imag), from_grid in zip(rows, grid, strict=True):
             factor = evolve(state, t)
             # reference: the closed form evaluated with cmath
             reference = cmath.exp(complex(branch.growth_sign * 0.5 * width * t,
@@ -138,6 +141,7 @@ class TestRunDecay:
             bits = (real.hex(), imag.hex())
             assert bits == (factor.real.hex(), factor.imag.hex())
             assert bits == (reference.real.hex(), reference.imag.hex())
+            assert bits == (from_grid.real.hex(), from_grid.imag.hex())
         # A scalar time takes the Python-float path of evolve; its bits are
         # those of the array path, signed zeros included (an amplitude with
         # a -0.0 part keeps the sign of the factor's zero part).
@@ -246,6 +250,11 @@ class TestLineshape:
     def test_empty_grid_rejected(self, pole):
         with pytest.raises(ValueError, match="nonempty"):
             lineshape(pole, [])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_density_rejects_nonfinite_energy(self, pole, value):
+        with pytest.raises(ValueError, match=f"^energies must be finite, got {value}$"):
+            lorentzian_density(pole, [0.5, value])
 
 
 class TestResultTableRoundTrip:
