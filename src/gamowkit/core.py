@@ -250,6 +250,9 @@ class GamowState:
             raise ValueError(f"regime must be 0 or 1, got {self.regime}")
         if (self.arrow, self.kind) not in _CANONICAL_LABELS:
             raise ValueError(f"no canonical state for arrow={self.arrow!r} and kind={self.kind!r}")
+        amplitude = self.amplitude  # math, not numpy: the label commands never load it
+        if not (math.isfinite(amplitude.real) and math.isfinite(amplitude.imag)):
+            raise ValueError(f"amplitude must be finite, got {amplitude}")
 
     @property
     def half_plane(self) -> HalfPlane:

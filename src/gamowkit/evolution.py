@@ -199,20 +199,27 @@ def group_evolve(hamiltonian, t: float, vector) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If t is not a finite real number, or an entry of H or v is not a
+        finite real or complex number.
     NonHermitianError
         If max |H - H^dagger| exceeds 1e-10.
     """
-    h = np.asarray(hamiltonian, dtype=complex)
+    t = require_finite("t", t)
+    h, v = np.asarray(hamiltonian), np.asarray(vector)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"hamiltonian must be a square matrix, got shape {h.shape}")
     if h.shape[0] > DEFAULT_DIM_CAP:
         raise ValueError(f"dimension {h.shape[0]} exceeds the cap {DEFAULT_DIM_CAP}")
+    for name, value in (("hamiltonian", h), ("vector", v)):
+        require_finite(name, value.real)
+        require_finite(name, value.imag)
+    h, v = h.astype(complex), v.astype(complex)
     deviation = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
     if deviation > 1e-10:
         raise NonHermitianError(
             f"hamiltonian is not Hermitian: max |H - H^dagger| = {deviation:.3e}"
         )
-    v = np.asarray(vector, dtype=complex)
     if v.shape != (h.shape[0],):
         raise ValueError(f"vector shape {v.shape} does not match dimension {h.shape[0]}")
     eigvals, eigvecs = np.linalg.eigh(h)

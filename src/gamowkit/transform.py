@@ -50,8 +50,9 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
     """Apply time reversal twice, returning (restored state, scalar sign).
 
     The descriptor labels always return to themselves; the scalar is
-    computed by squaring the family's time-reversal matrix as a signed
-    permutation and therefore equals that family's eps_R.  Requires a
+    computed by squaring the family's time reversal as a signed permutation,
+    an O(d) gather of its signed columns, and therefore equals that family's
+    eps_R.  Requires a
     doubled family: the single-sheet family 1 has nowhere to put the r = 1
     content the first application produces.  A time reversal that is not a
     signed permutation, or whose square is no multiple of I, raises

@@ -236,6 +236,14 @@ class TestRepCheckCommand:
         assert "time_reversal_squared" in relation_names
         assert report["conjugation_identities"]["all_passed"] is True
 
+    def test_spin_cap_at_its_values(self, capsys):
+        assert MAX_TWICE_J == 65535
+        code, out, err = invoke(capsys, "rep-check", "--row", "4", "--twice-j", "65535")
+        assert code == 0 and not err
+        assert json.loads(out)["all_passed"] is True
+        code, out, err = invoke(capsys, "rep-check", "--row", "4", "--twice-j", "65536")
+        assert (code, out, err) == (2, "", "error: twice_j must be at most 65535, got 65536\n")
+
     def test_requires_row_and_spin(self, capsys):
         code, _, err = invoke(capsys, "rep-check", "--row", "2")
         assert code == 2 and "twice-j" in err

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -157,6 +158,20 @@ class TestCanonicalStates:
         state = canonical_state(EXC, Kind.DECAYING, 1, pole, amplitude=2.0 - 1.0j)
         assert state.amplitude == 2.0 - 1.0j
         assert state.with_amplitude(3.0).amplitude == 3.0 + 0.0j
+
+    @pytest.mark.parametrize("amplitude", [
+        complex("nan"), complex(1.0, float("inf")), complex(float("-inf"), 0.0), float("nan"),
+        np.complex128(complex(0.0, float("nan"))),
+    ])
+    def test_nonfinite_amplitude_rejected(self, pole, amplitude):
+        message = rf"^amplitude must be finite, got {re.escape(str(complex(amplitude)))}$"
+        with pytest.raises(ValueError, match=message):
+            canonical_state(EXC, Kind.DECAYING, 1, pole, amplitude=amplitude)
+        state = canonical_state(EXC, Kind.DECAYING, 1, pole)
+        with pytest.raises(ValueError, match=message):
+            state.with_amplitude(amplitude)
+        with pytest.raises(ValueError, match=message):
+            GamowState(pole, Kind.DECAYING, 1, EXC, complex(amplitude))
 
     def test_complex_energy(self, pole):
         assert canonical_state(PREP, Kind.DECAYING, 0, pole).complex_energy == 1.0 - 0.1j

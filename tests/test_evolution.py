@@ -323,6 +323,30 @@ class TestGroupEvolve:
         with pytest.raises(ValueError, match="^dimension 65 exceeds the cap 64$"):
             group_evolve(np.zeros((65, 65)), 1.0, np.zeros(65))
 
+    @pytest.mark.parametrize("h, t, v, message", [
+        (np.eye(2), math.nan, [1.0, 0.0], "t must be finite, got nan"),
+        (np.eye(2), math.inf, [1.0, 0.0], "t must be finite, got inf"),
+        (np.eye(2), -math.inf, [1.0, 0.0], "t must be finite, got -inf"),
+        (np.eye(2), "a", [1.0, 0.0], "t must be real, got 'a'"),
+        (np.eye(2), 1.0j, [1.0, 0.0], "t must be real, got 1j"),
+        ([[math.nan, 0.0], [0.0, 1.0]], 1.0, [1.0, 0.0], "hamiltonian must be finite, got nan"),
+        ([[1.0, complex(0.0, math.inf)], [complex(0.0, -math.inf), 1.0]], 1.0, [1.0, 0.0],
+         "hamiltonian must be finite, got inf"),
+        ([["a", "b"], ["c", "d"]], 1.0, [1.0, 0.0],
+         "hamiltonian must be real, got array([['a', 'b'],\n       ['c', 'd']], dtype='<U1')"),
+        (np.eye(2), 1.0, [math.nan, 0.0], "vector must be finite, got nan"),
+        (np.eye(2), 1.0, [1.0, complex(0.0, -math.inf)], "vector must be finite, got -inf"),
+    ])
+    def test_nonfinite_input_rejected_before_eigh(self, monkeypatch, h, t, v, message):
+        def eigh(_):
+            raise AssertionError("eigh reached")
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            with pytest.raises(ValueError) as excinfo:
+                group_evolve(h, t, v)
+        assert str(excinfo.value) == message
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="square"):
             group_evolve(np.zeros((2, 3)), 1.0, np.zeros(2))

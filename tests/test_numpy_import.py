@@ -44,7 +44,7 @@ def test_import_does_not_load_numpy():
     (("--help",), 0),
     (("decay", "--config", "{config}"), 2),  # an unknown config key
     (("decay", "--steps", "1"), 2),
-    (("rep-check", "--row", "4", "--twice-j", "512"), 2),
+    (("rep-check", "--row", "4", "--twice-j", "65536"), 2),
 ])
 def test_label_commands_and_rejections_do_not_load_numpy(tmp_path, argv, code):
     config = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from gamowkit import (
     time_reverse_twice,
     verify_group_relations,
 )
-from gamowkit.symmetry import MAX_TWICE_J
+from gamowkit.symmetry import MAX_DENSE_TWICE_J, MAX_TWICE_J
 
 # numpy < 2.0 names the trapezoidal rule trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -378,7 +379,7 @@ class TestConjugationIdentities:
         assert resonance_s_matrix(pole, [1.0])[0] == pytest.approx(-1.0, abs=1e-15)
 
     @pytest.mark.parametrize("row", ROWS)
-    @pytest.mark.parametrize("twice_j", [0, 63, 255, MAX_TWICE_J])
+    @pytest.mark.parametrize("twice_j", [0, 63, 255, MAX_DENSE_TWICE_J, MAX_TWICE_J])
     def test_exact_up_to_the_cap(self, row, twice_j):
         rep = build_representation(row, twice_j)
         assert verify_group_relations(rep).all_passed
@@ -386,6 +387,60 @@ class TestConjugationIdentities:
         assert report.all_passed, report.to_dict()
         flip = next(e for e in report.entries if e.name == "angular_momentum_flip")
         assert flip.max_deviation == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), row=st.sampled_from(ROWS), keep_family_r=st.booleans())
+    def test_banded_flip_matches_dense_gather(self, data, row, keep_family_r):
+        twice_j = data.draw(st.integers(0, 11 if row == 1 else 5))  # dimension 1 to 12
+        rep = build_representation(row, twice_j)
+        if not keep_family_r:
+            perm = data.draw(st.permutations(range(rep.dim)))
+            signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=rep.dim, max_size=rep.dim))
+            matrix = np.zeros((rep.dim, rep.dim), dtype=np.int64)
+            matrix[np.arange(rep.dim), perm] = signs
+            rep = dataclasses.replace(rep, time_reversal=AntilinearOperator(
+                matrix, data.draw(st.booleans(), label="conjugates")))
+        flip = check_conjugation_identities(rep).entries[0]
+        assert flip.name == "angular_momentum_flip"
+        assert flip.max_deviation == dense_flip_deviation(rep)  # bit for bit
+
+    @pytest.mark.parametrize("row, twice_j", [(1, 0), (1, 1), (1, 2), (1, 3), (4, 0), (4, 1)])
+    def test_banded_flip_matches_dense_gather_for_every_small_r(self, row, twice_j):
+        # most signed permutations give the same deviation for a wrong sign
+        # or a wrong direction of the permutation; a few in dimension 3 and 4 do not
+        rep = build_representation(row, twice_j)
+        for perm in itertools.permutations(range(rep.dim)):
+            for signs in itertools.product((-1, 1), repeat=rep.dim):
+                matrix = np.zeros((rep.dim, rep.dim), dtype=np.int64)
+                matrix[np.arange(rep.dim), perm] = signs
+                for conjugates in (False, True):
+                    replaced = dataclasses.replace(
+                        rep, time_reversal=AntilinearOperator(matrix, conjugates))
+                    flip = check_conjugation_identities(replaced).entries[0]
+                    assert flip.max_deviation == dense_flip_deviation(replaced)
+
+    @pytest.mark.parametrize("build", [
+        time_reversal_matrix,
+        spin_matrices,
+        lambda twice_j: build_representation(1, twice_j).parity.matrix,
+        lambda twice_j: build_representation(4, twice_j).time_reversal.matrix,
+    ], ids=["time_reversal_matrix", "spin_matrices", "row_1_parity", "row_4_time_reversal"])
+    def test_dense_matrices_capped(self, build):
+        assert MAX_DENSE_TWICE_J == 511
+        build(511)
+        with pytest.raises(ValueError,
+                           match=r"^twice_j must be at most 511 for a dense matrix, got 512$"):
+            build(512)
+
+    def test_family_operators_hold_signed_columns(self):
+        rep = build_representation(4, MAX_TWICE_J)
+        assert repr(rep.time_reversal).startswith("AntilinearOperator(columns=array([")
+        small = build_representation(4, 1).time_reversal
+        assert small.matrix is small.matrix  # built once, on the first read
+        assert not small.matrix.flags.writeable  # the checks read the columns, not this copy
+        assert repr(small) == "AntilinearOperator(columns=array([ 4, -3, -2,  1]), conjugates=True)"
+        dense = dataclasses.replace(small, matrix=small.matrix)
+        assert repr(dense) == f"AntilinearOperator(matrix={small.matrix!r}, conjugates=True)"
 
     @pytest.mark.parametrize("r_mat", [
         [[0, 1], [0, 0]],        # a zero row
@@ -418,6 +473,20 @@ class TestConjugationIdentities:
             with pytest.raises(ValueError) as excinfo:
                 check_conjugation_identities(build_representation(1, 0), ResonancePole(1.0, width))
         assert str(excinfo.value) == message
+
+
+def dense_flip_deviation(rep):
+    """The angular_momentum_flip deviation, computed with dense spin matrices
+    and an np.ix_ gather: (R conj(J) R^-1)[a, b] = s_a s_b conj(J)[p_a, p_b]."""
+    r = rep.time_reversal.matrix
+    rows, perm = np.nonzero(r)
+    sign_outer = np.outer(r[rows, perm], r[rows, perm])
+    sheets = np.eye(2 if rep.doubled else 1)
+    dev = 0.0
+    for j_i in (np.kron(sheets, m) for m in spin_matrices(rep.twice_j)):
+        mapped = np.conj(j_i) if rep.time_reversal.conjugates else j_i
+        dev = max(dev, float(np.max(np.abs(sign_outer * mapped[np.ix_(perm, perm)] + j_i))))
+    return dev
 
 
 OPERATORS = ("parity", "time_reversal", "total_inversion")
@@ -489,3 +558,12 @@ class TestSignedPermutationRelations:
                                     ResonancePole(1.0, 0.2))
             with pytest.raises(ValueError, match=message):
                 time_reverse_twice(state, rep)
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_family_operator_of_another_dimension_rejected(self, name):
+        # read as signed columns, never as a dense matrix (above the dense cap here)
+        rep = build_representation(4, 1000)
+        other = getattr(build_representation(1, 1000), name)
+        rep = dataclasses.replace(rep, **{name: other})
+        with pytest.raises(ValueError, match=f"^{name} must be a 2002x2002 signed permutation matrix$"):
+            verify_group_relations(rep)
