@@ -25,7 +25,7 @@ from .core import DEFAULT_POLE, Arrow, Kind, ResonancePole, energy_window, np, r
 from .scenarios import ResultTable, Scenario, check_steps, evolution_table, lineshape, run_decay
 from .symmetry import (ROWS, build_representation, check_conjugation_identities,
                        verify_group_relations)
-from .transform import cross_identify, derive_table
+from .transform import CROSS_IDENTIFIED, cross_identify, derive_table
 
 ARROWS = {"prep": Arrow.PREPARATION_REGISTRATION, "exc": Arrow.EXCITATION_DEEXCITATION}
 KINDS = {"grow": Kind.GROWING, "decay": Kind.DECAYING}
@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--row", "family row 1..4", None, int, ROWS),
         ("--twice-j", "twice the spin, 2j >= 0", None, int, None)) + _POLE_OPTIONS, ("json",))
     add("cross-id", "regime identification for branches 5a/5b",
-        (("--branch", "branch to identify", None, None, ("5a", "5b")),), ("json",))
+        (("--branch", "branch to identify", None, None, tuple(CROSS_IDENTIFIED)),), ("json",))
     return parser
 
 

@@ -174,7 +174,7 @@ class ResonancePole:
         Resonance energy E_R.  Any finite real value is accepted; positivity
         is a physical typicality, not a structural requirement.
     width : float
-        Resonance width Gamma, the inverse lifetime.  Must be finite and > 0.
+        Resonance width Gamma, the inverse lifetime.  Must be finite, with Gamma/2 > 0.
     """
 
     energy: float
@@ -184,6 +184,8 @@ class ResonancePole:
         require_finite("resonance energy", self.energy)
         if not require_finite("resonance width", self.width) > 0.0:
             raise ValueError(f"resonance width must be positive, got {self.width}")
+        if not 0.5 * self.width > 0.0:  # else both poles would sit on the real axis
+            raise ValueError(f"resonance width {self.width} is too small: Gamma/2 rounds to 0")
 
     @property
     def decaying_pole(self) -> complex:
@@ -250,9 +252,12 @@ class GamowState:
             raise ValueError(f"regime must be 0 or 1, got {self.regime}")
         if (self.arrow, self.kind) not in _CANONICAL_LABELS:
             raise ValueError(f"no canonical state for arrow={self.arrow!r} and kind={self.kind!r}")
-        amplitude = self.amplitude  # math, not numpy: the label commands never load it
+        if not isinstance(self.amplitude, numbers.Complex) or isinstance(self.amplitude, bool):
+            raise ValueError(f"amplitude must be a complex number, got {self.amplitude!r}")
+        amplitude = complex(self.amplitude)  # math, not numpy: the label commands never load it
         if not (math.isfinite(amplitude.real) and math.isfinite(amplitude.imag)):
             raise ValueError(f"amplitude must be finite, got {amplitude}")
+        object.__setattr__(self, "amplitude", amplitude)
 
     @property
     def half_plane(self) -> HalfPlane:
@@ -279,7 +284,7 @@ class GamowState:
         return f"<{bra},r={self.regime}|{ket},r={self.regime}>"
 
     def with_amplitude(self, amplitude: complex) -> "GamowState":
-        return replace(self, amplitude=complex(amplitude))
+        return replace(self, amplitude=amplitude)
 
 
 def canonical_state(arrow: Arrow, kind: Kind, regime: int, pole: ResonancePole,
@@ -305,7 +310,7 @@ def canonical_state(arrow: Arrow, kind: Kind, regime: int, pole: ResonancePole,
         The unique state with the canonical half-plane, role, and
         time-domain assignment for those labels.
     """
-    return GamowState(pole, kind, regime, arrow, complex(amplitude))
+    return GamowState(pole, kind, regime, arrow, amplitude)
 
 
 def resonance_s_matrix(pole: ResonancePole, energies) -> np.ndarray:
@@ -315,5 +320,5 @@ def resonance_s_matrix(pole: ResonancePole, energies) -> np.ndarray:
     axis numerator and denominator are complex conjugates, so |S(E)| = 1 and
     conj(S) = 1/S.
     """
-    e = require_finite("energies", np.asarray(energies, dtype=float))
+    e = np.asarray(require_finite("energies", energies), dtype=float)
     return (e - pole.growing_pole) / (e - pole.decaying_pole)

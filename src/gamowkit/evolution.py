@@ -39,9 +39,8 @@ class NonHermitianError(ValueError):
 class EvolutionBranch:
     """One of the eight semigroup formulas.
 
-    ``label`` names the branch ("4a", "4b", "5a", "5b", "10", "11", "12",
-    "13"); ``phase_sign`` multiplies i*E_R*t in the exponent and
-    ``growth_sign`` multiplies (Gamma/2)*t.
+    ``label`` is the paper's equation number; ``phase_sign`` multiplies
+    i*E_R*t in the exponent and ``growth_sign`` multiplies (Gamma/2)*t.
     """
 
     label: str
@@ -88,27 +87,30 @@ class EvolutionBranch:
             f"branch {self.label}; semigroup evolution has no inverse across t=0")
 
 
+def _with_partners(regime_0: dict) -> dict[tuple[Arrow, Kind, int], EvolutionBranch]:
+    branches = {}
+    for arrow, formulas in regime_0.items():
+        partners = {}
+        for label, phase_sign, kind, partner in formulas:
+            growth_sign, domain = (+1 if kind is Kind.GROWING else -1), canonical_time_domain(kind, 0)
+            branches[(arrow, kind, 0)] = EvolutionBranch(label, phase_sign, growth_sign, domain)
+            partners[(arrow, kind.flipped(), 1)] = EvolutionBranch(
+                partner, -phase_sign, -growth_sign, domain.reflected())
+        branches.update(partners)  # an arrow's r = 1 rows follow its r = 0 rows
+    return branches
+
+
 _PREP = Arrow.PREPARATION_REGISTRATION
 _EXC = Arrow.EXCITATION_DEEXCITATION
 
-# The label and phase sign of each of the eight formulas, keyed by the state
-# labels; the phase sign depends on the arrow convention because of the
-# picture split between the two conventions.  Growing states always carry
-# growth_sign +1, decaying states -1, on their kind's half-domain.
-BRANCHES: dict[tuple[Arrow, Kind, int], EvolutionBranch] = {
-    (arrow, kind, regime): EvolutionBranch(label, phase_sign, +1 if kind is Kind.GROWING else -1,
-                                           canonical_time_domain(kind, regime))
-    for label, phase_sign, arrow, kind, regime in (
-        ("4a", -1, _PREP, Kind.GROWING, 0),
-        ("4b", -1, _PREP, Kind.DECAYING, 0),
-        ("10", +1, _PREP, Kind.DECAYING, 1),
-        ("11", +1, _PREP, Kind.GROWING, 1),
-        ("12", +1, _EXC, Kind.GROWING, 0),
-        ("5b", -1, _EXC, Kind.DECAYING, 0),
-        ("13", -1, _EXC, Kind.DECAYING, 1),
-        ("5a", +1, _EXC, Kind.GROWING, 1),
-    )
-}
+# Each arrow's two r = 0 formulas: (the paper's equation number, phase sign, kind,
+# the r = 1 partner's number).  The phase sign depends on the arrow through the
+# picture split between the conventions.  Time reversal, evolve(R s, -t) =
+# evolve(s, t), gives each partner both signs flipped on the reflected half-domain.
+BRANCHES = _with_partners({
+    _PREP: (("4a", -1, Kind.GROWING, "10"), ("4b", -1, Kind.DECAYING, "11")),
+    _EXC: (("12", +1, Kind.GROWING, "13"), ("5b", -1, Kind.DECAYING, "5a")),
+})
 
 BRANCH_LABELS = tuple(sorted(b.label for b in BRANCHES.values()))
 
@@ -200,8 +202,8 @@ def group_evolve(hamiltonian, t: float, vector) -> np.ndarray:
     Raises
     ------
     ValueError
-        If t is not a finite real number, or an entry of H or v is not a
-        finite real or complex number.
+        If t is not a finite real number, an entry of H or v is not a
+        finite number, or a phase eigenvalue * t overflows a double.
     NonHermitianError
         If max |H - H^dagger| exceeds 1e-10.
     """
@@ -223,4 +225,7 @@ def group_evolve(hamiltonian, t: float, vector) -> np.ndarray:
     if v.shape != (h.shape[0],):
         raise ValueError(f"vector shape {v.shape} does not match dimension {h.shape[0]}")
     eigvals, eigvecs = np.linalg.eigh(h)
+    # Python floats overflow to inf without the warning numpy scalars print
+    phase = float(np.max(np.abs(eigvals), initial=0.0)) * float(np.max(np.abs(t)))
+    require_finite("eigenvalue * t", phase)
     return eigvecs @ (np.exp(-1j * eigvals * t) * (eigvecs.conj().T @ v))

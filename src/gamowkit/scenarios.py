@@ -62,7 +62,8 @@ class ResultTable:
     def __eq__(self, other):
         if not isinstance(other, ResultTable):
             return NotImplemented
-        return self.columns == other.columns and bool(np.array_equal(self._values, other._values))
+        return self.columns == other.columns and bool(
+            np.array_equal(self._values, other._values, equal_nan=True))
 
     def __repr__(self) -> str:
         return f"ResultTable(columns={self.columns!r}, rows={self.rows!r})"
@@ -183,7 +184,7 @@ def evolution_table(scenario: Scenario) -> ResultTable:
 
 def lorentzian_density(pole: ResonancePole, energies) -> np.ndarray:
     """Unit-area Lorentzian lineshape attached to a resonance pole."""
-    e = require_finite("energies", np.asarray(energies, dtype=float))
+    e = np.asarray(require_finite("energies", energies), dtype=float)
     half_width = np.float64(0.5 * pole.width)  # squares to inf where a float raises OverflowError
     with np.errstate(over="ignore"):  # an infinite denominator is a density of 0.0
         return (pole.width / (2.0 * np.pi)) / ((e - pole.energy) ** 2 + half_width**2)
@@ -196,7 +197,7 @@ def lineshape(pole: ResonancePole, energies) -> ResultTable:
     2 / (pi Gamma) at E = E_R, half the peak at E_R +- Gamma/2, and unit
     area over the whole real axis.
     """
-    e = np.asarray(energies, dtype=float)
+    e = np.asarray(require_finite("energies", energies), dtype=float)
     if e.size == 0:
         raise ValueError("lineshape needs a nonempty energy grid")
     return _table(("energy", "density"), e, lorentzian_density(pole, e))

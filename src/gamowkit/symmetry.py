@@ -159,17 +159,6 @@ class AntilinearOperator:
         right = np.conj(other.matrix) if self.conjugates else other.matrix
         return AntilinearOperator(self.matrix @ right, self.conjugates ^ other.conjugates)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def is_unitary(self) -> bool:
-        m = np.asarray(self.matrix, dtype=complex)
-        return bool(np.max(np.abs(m @ m.conj().T - np.eye(self.dim))) <= 1e-12)
-
-    def is_antiunitary(self) -> bool:
-        return self.conjugates and self.is_unitary()
-
 
 @dataclass(frozen=True, eq=False)
 class RepresentationTriple:

@@ -26,7 +26,7 @@ from .core import (
     canonical_state,
     np,
 )
-from .evolution import branch_by_label, branch_for, evolve
+from .evolution import BRANCHES, branch_for, evolve
 from .symmetry import RepresentationTriple, _signed_columns, _square_scalar
 
 
@@ -42,7 +42,7 @@ def time_reverse(state: GamowState) -> GamowState:
         state.kind.flipped(),
         1 - state.regime,
         state.pole,
-        amplitude=complex(state.amplitude).conjugate(),
+        amplitude=state.amplitude.conjugate(),
     )
 
 
@@ -160,33 +160,30 @@ class CrossIdentification:
         }
 
 
-_CROSS_NOTES = {
-    "5a": "identified with the time-reversed regime once laboratory "
-          "preparations are read as a special case of excitations",
-    "5b": "identified with the laboratory regime; its factor carries the "
-          "same sign pattern as branch 4b",
+# Each identified branch's factor match and note.  Recorded, not derived: 5a's sign
+# pattern (+1, +1, t<=0, -inf<-0) equals 11's as 5b's equals 4b's, yet 5a names none.
+CROSS_IDENTIFIED = {
+    "5a": dict(matches_factor_of=None, note="identified with the time-reversed regime once "
+               "laboratory preparations are read as a special case of excitations"),
+    "5b": dict(matches_factor_of="4b", note="identified with the laboratory regime; its "
+               "factor carries the same sign pattern as branch 4b"),
 }
 
 
 def cross_identify(label: str) -> CrossIdentification:
     """Map branch 5a or 5b onto a regime of the laboratory tables.
 
-    This is a recorded identification, not a computation: 5a is assigned
-    r = 1 and 5b is assigned r = 0, and for 5b the report notes that its
-    factor shares the sign pattern of branch 4b.
+    The regime is the branch's r in ``BRANCHES`` and the sign pattern is the
+    branch's own; the matching laboratory factor (4b for 5b, none for 5a)
+    and the note are the recorded identification in ``CROSS_IDENTIFIED``.
     """
-    if label not in ("5a", "5b"):
-        raise ValueError(f"cross-identification is defined for branches 5a and 5b, got {label!r}")
-    branch = branch_by_label(label)
-    return CrossIdentification(
-        branch=label,
-        regime=1 if label == "5a" else 0,
-        matches_factor_of="4b" if label == "5b" else None,
-        phase_sign=branch.phase_sign,
-        growth_sign=branch.growth_sign,
-        domain=branch.domain.half.value,
-        note=_CROSS_NOTES[label],
-    )
+    if label not in CROSS_IDENTIFIED:
+        raise ValueError(f"cross-identification is defined for branches "
+                         f"{' and '.join(CROSS_IDENTIFIED)}, got {label!r}")
+    (_, _, regime), branch = next(item for item in BRANCHES.items() if item[1].label == label)
+    return CrossIdentification(branch=label, regime=regime, phase_sign=branch.phase_sign,
+                               growth_sign=branch.growth_sign, domain=branch.domain.half.value,
+                               **CROSS_IDENTIFIED[label])
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,16 @@ class TestRepCheckCommand:
             assert invoke(capsys, "rep-check", "--row", "1", "--twice-j", "0",
                           "--gamma", gamma) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("rep-check", "--row", "1", "--twice-j", "0", "--gamma", "5e-324"),
+        ("lineshape", "--gamma", "5e-324", "--emin", "0", "--emax", "2", "--steps", "3"),
+    ])
+    def test_width_whose_half_rounds_to_zero_is_validation_error(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning, and no NaN in the output
+            assert invoke(capsys, *argv) == (
+                2, "", "error: resonance width 5e-324 is too small: Gamma/2 rounds to 0\n")
+
 
 class TestCrossIdCommand:
     def test_branch_5a(self, capsys):
@@ -275,6 +285,11 @@ class TestCrossIdCommand:
         code, out, _ = invoke(capsys, "cross-id", "--branch", "5b")
         data = json.loads(out)
         assert code == 0 and data["matches_factor_of"] == "4b"
+
+    def test_branch_choices_are_the_identified_branches(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["cross-id", "--help"])
+        assert "--branch {5a,5b}" in capsys.readouterr().out
 
     def test_unknown_branch_rejected_by_parser(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -16,6 +16,7 @@ from gamowkit import (
     TimeDomain,
     TimeHalf,
     canonical_state,
+    lineshape,
     resonance_s_matrix,
 )
 
@@ -66,6 +67,13 @@ class TestResonancePole:
     def test_nonpositive_width_rejected(self, width):
         with pytest.raises(ValueError, match="width"):
             ResonancePole(1.0, width)
+
+    def test_width_whose_half_rounds_to_zero_rejected(self):
+        # both poles would sit on the real axis
+        with pytest.raises(ValueError, match=r"^resonance width 5e-324 is too small: "
+                                             r"Gamma/2 rounds to 0$"):
+            ResonancePole(1.0, 5e-324)
+        assert ResonancePole(1.0, 1e-323).decaying_pole == complex(1.0, -5e-324)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["energy", "width"])
@@ -176,6 +184,21 @@ class TestCanonicalStates:
     def test_complex_energy(self, pole):
         assert canonical_state(PREP, Kind.DECAYING, 0, pole).complex_energy == 1.0 - 0.1j
         assert canonical_state(PREP, Kind.GROWING, 0, pole).complex_energy == 1.0 + 0.1j
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda pole: lineshape(pole, ["a"]), "energies must be real, got ['a']"),
+    (lambda pole: resonance_s_matrix(pole, [1j]), "energies must be real, got [1j]"),
+    (lambda pole: canonical_state(PREP, Kind.GROWING, 0, pole, amplitude="x"),
+     "amplitude must be a complex number, got 'x'"),
+    (lambda pole: canonical_state(PREP, Kind.GROWING, 0, pole, amplitude=True),
+     "amplitude must be a complex number, got True"),
+], ids=["lineshape-str", "s-matrix-complex", "amplitude-str", "amplitude-bool"])
+def test_ill_typed_energies_and_amplitudes_name_themselves(pole, call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning either
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(pole)
 
 
 class TestArrowConvention:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamowkit import (
+    BRANCHES,
     Arrow,
     DomainViolationError,
     Kind,
@@ -68,6 +69,10 @@ class TestBranchTable:
         for key in ALL_KEYS:
             state = state_for(key, pole)
             assert branch_for(state).domain == state.time_domain
+
+    def test_iteration_order(self):
+        # each arrow's two r = 0 rows, then their time-reversed partners
+        assert list(BRANCHES) == list(BRANCH_FIXTURE)
 
     def test_labels_unique(self, pole):
         labels = {branch_for(state_for(key, pole)).label for key in ALL_KEYS}
@@ -313,6 +318,14 @@ class TestGroupEvolve:
             state = state_for(key, pole)
             sign = 1.0 if branch_for(state).domain.half is TimeHalf.NONNEG else -1.0
             assert abs(abs(evolve(state, sign * 2.0)) - 1.0) > 0.1
+
+    @pytest.mark.parametrize("h, t", [(np.diag([10.0, 1.0]), 1e308),
+                                      (np.diag([1.0, -10.0]), -1e308)])
+    def test_overflowing_phase_rejected(self, h, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(ValueError, match=r"^eigenvalue \* t must be finite, got inf$"):
+                group_evolve(h, t, [1.0, 0.0])
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitianError):

@@ -213,9 +213,12 @@ class TestAntilinearOperator:
     def test_antiunitarity_of_time_reversal(self, row, twice_j):
         rep = build_representation(row, twice_j)
         r_op = AntilinearOperator(rep.time_reversal.matrix.astype(complex), True)
-        assert r_op.is_antiunitary()
-        rng = np.random.default_rng(row * 10 + twice_j)
         dim = rep.dim
+        # antiunitary: it conjugates, and its real matrix is orthogonal, R R^T = I
+        assert rep.time_reversal.conjugates
+        np.testing.assert_array_equal(rep.time_reversal.matrix @ rep.time_reversal.matrix.T,
+                                      np.eye(dim, dtype=np.int64))
+        rng = np.random.default_rng(row * 10 + twice_j)
         for _ in range(10):
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             w = rng.normal(size=dim) + 1j * rng.normal(size=dim)

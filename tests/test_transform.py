@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamowkit import (
     AntilinearOperator,
@@ -12,6 +14,7 @@ from gamowkit import (
     Orientation,
     ResonancePole,
     TimeHalf,
+    branch_by_label,
     branch_for,
     build_representation,
     canonical_state,
@@ -159,10 +162,17 @@ class TestCrossIdentify:
             "phase_sign": -1, "growth_sign": -1, "domain": "t>=0"}
 
     def test_5b_pattern_equals_4b_pattern(self):
-        from gamowkit import branch_by_label
         b5b, b4b = branch_by_label("5b"), branch_by_label("4b")
         assert (b5b.phase_sign, b5b.growth_sign, b5b.domain.half) == \
                (b4b.phase_sign, b4b.growth_sign, b4b.domain.half)
+
+    def test_5a_pattern_equals_11_pattern(self):
+        # The same match that gives 5b ~ 4b gives 5a ~ 11, yet the identification
+        # records no factor match for 5a; both facts are pinned here.
+        b5a, b11 = branch_by_label("5a"), branch_by_label("11")
+        assert (b5a.phase_sign, b5a.growth_sign, b5a.domain) == \
+               (b11.phase_sign, b11.growth_sign, b11.domain)
+        assert cross_identify("5a").matches_factor_of is None
 
     @pytest.mark.parametrize("label", ["4a", "4b", "10", "11", "12", "13", "zz"])
     def test_other_branches_rejected(self, label):
@@ -175,6 +185,27 @@ class TestFactorConsistency:
         # evolve(R s, -t) reproduces evolve(s, t) for every branch pair
         for entry in factor_consistency_report(pole):
             assert entry.reflected_factor_deviation < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(energy=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6), t=st.floats(0.0, 1e6))
+    def test_reflection_law_exact(self, energy, width, t):
+        # evolve(R s, -t) == evolve(s, t), the law BRANCHES builds each r = 1 branch from,
+        # at one time (the scalar path) and on a grid (the array path).  The bare factors
+        # agree bit for bit; evolve's zeros may differ in sign, as R conjugates the unit
+        # amplitude to 1-0j.
+        def bits(z):
+            return np.atleast_1d(np.asarray(z, dtype=complex)).view(np.int64)
+
+        pole = ResonancePole(energy, width)
+        for key in ALL_LABELS:
+            state = canonical_state(*key, pole)
+            reversed_state = time_reverse(state)
+            sign = 1.0 if branch_for(state).domain.half is TimeHalf.NONNEG else -1.0
+            for times in (sign * t, sign * np.array([0.0, 0.5 * t, t])):
+                assert np.array_equal(evolve(reversed_state, -times), evolve(state, times))
+                np.testing.assert_array_equal(
+                    bits(branch_for(reversed_state).factor(pole, -times)),
+                    bits(branch_for(state).factor(pole, times)))
 
     def test_modulus_conjugation_consistent(self, pole):
         for entry in factor_consistency_report(pole):
