@@ -22,7 +22,9 @@ import json
 import sys
 
 from .core import DEFAULT_POLE, Arrow, Kind, ResonancePole, energy_window, np, require_finite
-from .scenarios import ResultTable, Scenario, check_steps, evolution_table, lineshape, run_decay
+from .scenarios import (DECAY_COLUMNS, EVOLUTION_COLUMNS, LINESHAPE_COLUMNS, Scenario, check_steps,
+                        check_width, decay_rows, evolution_rows, lineshape_rows, row_blocks,
+                        write_csv, write_json)
 from .symmetry import (ROWS, build_representation, check_conjugation_identities,
                        verify_group_relations)
 from .transform import CROSS_IDENTIFIED, cross_identify, derive_table
@@ -129,32 +131,34 @@ def _resolve_pole(opts: _Resolver) -> ResonancePole:
     return ResonancePole(opts.get("er"), opts.get("gamma"))
 
 
-def _scenario(opts: _Resolver) -> Scenario:
+def _time_grid(opts: _Resolver):
     pole = _resolve_pole(opts)
     arrow, kind, regime = ARROWS[opts.get("arrow")], KINDS[opts.get("kind")], opts.get("regime")
     decaying = kind is Kind.DECAYING
     t_min = opts.get("tmin", 0.0 if decaying else -10.0)
     t_max = opts.get("tmax", 10.0 if decaying else 0.0)
-    return Scenario(pole, arrow, kind, regime, t_min, t_max, opts.get("steps"))
+    scenario = Scenario(pole, arrow, kind, regime, t_min, t_max, opts.get("steps"))
+    return scenario.state(), scenario.checked_times()
 
 
-def _table_command(build_table):
-    """A command that builds a ResultTable and returns the writer that
-    streams it as CSV or JSON."""
+def _table_command(columns, rows, grid):
+    """A command whose ``grid(opts)`` checks every input and gives the state or pole and the
+    grid of ``rows``; it returns the writer that computes and streams them a block at a time."""
     def command(opts: _Resolver):
         fmt = opts.get("format")
-        table = build_table(opts)
+        source, points = grid(opts)
+        blocks = (rows(source, part) for part in row_blocks(points))
         if fmt == "csv":
-            return table.write_csv
+            return lambda fh: write_csv(fh, columns, blocks)
 
-        def write_json(fh) -> None:
-            table.write_json(fh)
+        def write(fh) -> None:
+            write_json(fh, columns, blocks)
             fh.write("\n")
-        return write_json
+        return write
     return command
 
 
-def _lineshape_table(opts: _Resolver) -> ResultTable:
+def _energy_grid(opts: _Resolver):
     pole = _resolve_pole(opts)
     e_min, e_max = opts.get("emin"), opts.get("emax")
     if e_min is None or e_max is None:  # a default bound needs a representable default window
@@ -166,7 +170,8 @@ def _lineshape_table(opts: _Resolver) -> ResultTable:
     if not e_max > e_min:
         raise ValueError(f"emax={e_max} must exceed emin={e_min}")
     require_finite("emax - emin", e_max - e_min)
-    return lineshape(pole, np.linspace(e_min, e_max, steps))
+    check_width(pole)
+    return pole, np.linspace(e_min, e_max, steps)
 
 
 def _format_table_text(data: dict) -> str:
@@ -217,9 +222,9 @@ def _cmd_cross_id(opts: _Resolver) -> str:
 
 
 _COMMANDS = {
-    "evolve": _table_command(lambda opts: evolution_table(_scenario(opts))),
-    "decay": _table_command(lambda opts: run_decay(_scenario(opts))),
-    "lineshape": _table_command(_lineshape_table),
+    "evolve": _table_command(EVOLUTION_COLUMNS, evolution_rows, _time_grid),
+    "decay": _table_command(DECAY_COLUMNS, decay_rows, _time_grid),
+    "lineshape": _table_command(LINESHAPE_COLUMNS, lineshape_rows, _energy_grid),
     "table": _cmd_table,
     "rep-check": _cmd_rep_check,
     "cross-id": _cmd_cross_id,

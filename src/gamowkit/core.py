@@ -254,7 +254,11 @@ class GamowState:
             raise ValueError(f"no canonical state for arrow={self.arrow!r} and kind={self.kind!r}")
         if not isinstance(self.amplitude, numbers.Complex) or isinstance(self.amplitude, bool):
             raise ValueError(f"amplitude must be a complex number, got {self.amplitude!r}")
-        amplitude = complex(self.amplitude)  # math, not numpy: the label commands never load it
+        try:
+            amplitude = complex(self.amplitude)  # math, not numpy: the label commands never load it
+        except OverflowError:  # an int or a fraction beyond the float range
+            raise ValueError(f"amplitude must be finite, got {type(self.amplitude).__name__} "
+                             f"beyond the double range") from None
         if not (math.isfinite(amplitude.real) and math.isfinite(amplitude.imag)):
             raise ValueError(f"amplitude must be finite, got {amplitude}")
         object.__setattr__(self, "amplitude", amplitude)

@@ -86,6 +86,17 @@ class EvolutionBranch:
             f"t={outside} lies outside the {self.domain.half.value} half-domain of "
             f"branch {self.label}; semigroup evolution has no inverse across t=0")
 
+    def evolvable_times(self, pole: ResonancePole, t):
+        """t after :meth:`checked_times`, then the check that the phase
+        E_R * t fits a double at the largest |t|: every check of :func:`evolve`."""
+        times = self.checked_times(t)
+        # min and max, not abs: no second grid-sized array
+        longest = times if isinstance(times, float) else max(-times.min(initial=0.0),
+                                                             times.max(initial=0.0))
+        # Python floats overflow to inf without the warning numpy scalars print
+        require_finite("E_R * t", float(pole.energy) * float(longest))
+        return times
+
 
 def _with_partners(regime_0: dict) -> dict[tuple[Arrow, Kind, int], EvolutionBranch]:
     branches = {}
@@ -157,11 +168,7 @@ def evolve(state: GamowState, t):
         semigroup has no inverse, so evolution never crosses t = 0.
     """
     branch = branch_for(state)
-    times = branch.checked_times(t)
-    longest = times if isinstance(times, float) else float(np.max(np.abs(times), initial=0.0))
-    # Python floats overflow to inf without the warning numpy scalars print
-    require_finite("E_R * t", float(state.pole.energy) * longest)
-    factor = branch.factor(state.pole, times)
+    factor = branch.factor(state.pole, branch.evolvable_times(state.pole, t))
     factor *= state.amplitude  # in place for a grid: one grid-sized array fewer at peak RSS
     return factor
 

@@ -4,8 +4,9 @@ A :class:`Scenario` pins a resonance, a canonical state, and a uniform time
 grid; :func:`run_decay` and :func:`evolution_table` sweep the grid through
 the semigroup evolution.  Results come back as :class:`ResultTable` values,
 one float64 array each, that stream to CSV (shortest round-trip float
-formatting) and JSON a block of rows at a time, so writing a grid holds no
-more text than one block, and parse back without loss.
+formatting) and JSON and parse back without loss.  Each table has one row
+function, ``rows(state_or_pole, grid)``, which builds it whole here and which
+the CLI applies to one block of the grid at a time.
 """
 
 from __future__ import annotations
@@ -13,20 +14,22 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 
 from .core import (Arrow, GamowState, Kind, ResonancePole, canonical_state, is_integer, np,
                    require_finite)
 from .evolution import branch_for, evolve
 
-# Largest accepted grid.  Output is written in blocks, so its text is never
-# held whole; the bound is time: a 1e6-point `decay` spends seconds
+# Largest accepted grid.  A streamed grid holds 8 bytes per point and one
+# block of rows, so the bound is time: a 1e6-point `decay` spends seconds
 # formatting text.
 MAX_GRID_STEPS = 1_000_000
 
-# Rows formatted per write.  Far below the 50001-point grids of a typical
-# run, so a grid's text is never held whole.
-_BLOCK_ROWS = 4096
+# Rows computed, formatted and written at a time: about 0.15 MiB of arrays and
+# text.  Of 512 to 4096 rows, 512 gave 50001-point runs the lowest peak RSS
+# at no measurable cost in time.
+_BLOCK_ROWS = 512
 
 
 def check_steps(grid: str, steps: int) -> None:
@@ -68,22 +71,11 @@ class ResultTable:
     def __repr__(self) -> str:
         return f"ResultTable(columns={self.columns!r}, rows={self.rows!r})"
 
-    def _blocks(self):
-        for start in range(0, len(self._values), _BLOCK_ROWS):
-            yield self._values[start:start + _BLOCK_ROWS].tolist()
-
     def write_csv(self, fh) -> None:
-        csv.writer(fh, lineterminator="\n").writerow(self.columns)  # names may need quoting
-        for block in self._blocks():
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
+        write_csv(fh, self.columns, row_blocks(self._values))
 
     def write_json(self, fh) -> None:
-        fh.write(json.dumps({"columns": list(self.columns), "rows": []})[:-2])
-        separator = ""
-        for block in self._blocks():
-            fh.write(separator + json.dumps(block)[1:-1])
-            separator = ", "
-        fh.write("]}")
+        write_json(fh, self.columns, row_blocks(self._values))
 
     def to_csv(self) -> str:
         return _text(self.write_csv)
@@ -117,6 +109,30 @@ def _text(write) -> str:
     return buffer.getvalue()
 
 
+def row_blocks(values):
+    """``values`` in order, as slices of at most _BLOCK_ROWS rows."""
+    for start in range(0, len(values), _BLOCK_ROWS):
+        yield values[start:start + _BLOCK_ROWS]
+
+
+def write_csv(fh, columns, blocks) -> None:
+    """``columns``, then the rows of each float array of ``blocks``, a block per write."""
+    csv.writer(fh, lineterminator="\n").writerow(columns)  # names may need quoting
+    line = "%r," * (len(columns) - 1) + "%r\n"
+    for block in blocks:
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+def write_json(fh, columns, blocks) -> None:
+    """``{"columns": [...], "rows": [...]}`` with each array of ``blocks``, a block per write."""
+    fh.write(json.dumps({"columns": list(columns), "rows": []})[:-2])
+    separator = ""
+    for block in blocks:
+        fh.write(separator + json.dumps(block.tolist())[1:-1])
+        separator = ", "
+    fh.write("]}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A canonical state swept over a uniform time grid.
@@ -124,7 +140,7 @@ class Scenario:
     The grid must have at least two points.  A sweep checks, through
     :func:`evolve`, that it lies inside the half-domain of the state's
     branch (t = 0 is inside both halves), then that its phase E_R * t does
-    not overflow a double.
+    not overflow a double; :meth:`checked_times` makes those checks alone.
     """
 
     pole: ResonancePole
@@ -152,11 +168,26 @@ class Scenario:
         return np.linspace(self.t_min, self.t_max, self.steps)
 
     def checked_times(self) -> np.ndarray:
-        return branch_for(self.state()).checked_times(self.times())
+        return branch_for(self.state()).evolvable_times(self.pole, self.times())
 
 
-def _table(columns: tuple[str, ...], *arrays: np.ndarray) -> ResultTable:
-    return ResultTable(columns, np.column_stack(arrays))
+DECAY_COLUMNS = ("t", "survival", "factor_real", "factor_imag")
+EVOLUTION_COLUMNS = ("t", "factor_real", "factor_imag")
+LINESHAPE_COLUMNS = ("energy", "density")
+
+
+def decay_rows(state: GamowState, times) -> np.ndarray:
+    """Rows of DECAY_COLUMNS at ``times``, as :func:`evolve` checks them."""
+    factor = evolve(state, times)
+    survival = np.hypot(factor.real, factor.imag)
+    survival **= 2
+    return np.column_stack((times, survival, factor.real, factor.imag))
+
+
+def evolution_rows(state: GamowState, times) -> np.ndarray:
+    """Rows of EVOLUTION_COLUMNS at ``times``, as :func:`evolve` checks them."""
+    factor = evolve(state, times)
+    return np.column_stack((times, factor.real, factor.imag))
 
 
 def run_decay(scenario: Scenario) -> ResultTable:
@@ -166,28 +197,36 @@ def run_decay(scenario: Scenario) -> ResultTable:
     survival = |factor|^2 (the scenario's state has unit amplitude), which
     equals exp(growth_sign * Gamma * t) on the scenario's branch.
     """
-    times = scenario.times()
-    factor = evolve(scenario.state(), times)
-    survival = np.hypot(factor.real, factor.imag)
-    survival **= 2
-    return _table(("t", "survival", "factor_real", "factor_imag"),
-                  times, survival, factor.real, factor.imag)
+    return ResultTable(DECAY_COLUMNS, decay_rows(scenario.state(), scenario.times()))
 
 
 def evolution_table(scenario: Scenario) -> ResultTable:
     """Evolution factor over the scenario grid, columns (t, factor_real,
     factor_imag)."""
-    times = scenario.times()
-    factor = evolve(scenario.state(), times)
-    return _table(("t", "factor_real", "factor_imag"), times, factor.real, factor.imag)
+    return ResultTable(EVOLUTION_COLUMNS, evolution_rows(scenario.state(), scenario.times()))
+
+
+def check_width(pole: ResonancePole) -> None:
+    """Reject a width whose (Gamma/2)^2 is below the smallest normal double:
+    a subnormal square has lost digits, and 0 divides by zero at E_R."""
+    half_width = 0.5 * float(pole.width)  # a float product underflows or overflows silently
+    if half_width * half_width < sys.float_info.min:
+        raise ValueError(f"resonance width {pole.width} is too small for a lineshape: "
+                         f"(Gamma/2)^2 is below the smallest normal double")
 
 
 def lorentzian_density(pole: ResonancePole, energies) -> np.ndarray:
     """Unit-area Lorentzian lineshape attached to a resonance pole."""
     e = np.asarray(require_finite("energies", energies), dtype=float)
+    check_width(pole)
     half_width = np.float64(0.5 * pole.width)  # squares to inf where a float raises OverflowError
     with np.errstate(over="ignore"):  # an infinite denominator is a density of 0.0
         return (pole.width / (2.0 * np.pi)) / ((e - pole.energy) ** 2 + half_width**2)
+
+
+def lineshape_rows(pole: ResonancePole, energies) -> np.ndarray:
+    """Rows of LINESHAPE_COLUMNS at ``energies``."""
+    return np.column_stack((energies, lorentzian_density(pole, energies)))
 
 
 def lineshape(pole: ResonancePole, energies) -> ResultTable:
@@ -200,4 +239,4 @@ def lineshape(pole: ResonancePole, energies) -> ResultTable:
     e = np.asarray(require_finite("energies", energies), dtype=float)
     if e.size == 0:
         raise ValueError("lineshape needs a nonempty energy grid")
-    return _table(("energy", "density"), e, lorentzian_density(pole, e))
+    return ResultTable(LINESHAPE_COLUMNS, lineshape_rows(pole, e))

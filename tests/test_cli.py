@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 import gamowkit
-from gamowkit import Arrow, Kind, ResonancePole, ResultTable, Scenario, derive_table, run_decay
+from gamowkit import (Arrow, Kind, ResonancePole, ResultTable, Scenario, derive_table,
+                      evolution_table, lineshape, run_decay)
 from gamowkit.cli import main
 from gamowkit.scenarios import _BLOCK_ROWS, MAX_GRID_STEPS
 from gamowkit.symmetry import MAX_TWICE_J
@@ -181,6 +184,17 @@ class TestLineshapeCommand:
             warnings.simplefilter("error")  # no numpy overflow warning either
             assert invoke(capsys, "lineshape", *argv, "--out", str(target)) == (
                 2, "", f"error: {message}\n")
+        assert not target.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_width_too_small_for_a_lineshape_is_validation_error(self, tmp_path, capsys, to_file):
+        target = tmp_path / "lineshape.csv"
+        argv = ("lineshape", "--gamma", "1e-200", "--emin", "0", "--emax", "2", "--steps", "3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero warning, and no inf in the output
+            assert invoke(capsys, *argv, *(("--out", str(target)) if to_file else ())) == (
+                2, "", "error: resonance width 1e-200 is too small for a lineshape: "
+                       "(Gamma/2)^2 is below the smallest normal double\n")
         assert not target.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -412,16 +426,22 @@ class TestStreamedOutput:
         assert not target.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_stdout_and_out_file_agree(self, tmp_path, capsys, fmt):
+    @pytest.mark.parametrize("command", ["decay", "evolve", "lineshape"])
+    def test_stdout_and_out_file_agree(self, tmp_path, capsys, command, fmt):
         steps = 3 * _BLOCK_ROWS + 7
-        argv = ("decay", "--steps", str(steps), "--format", fmt)
+        argv = (command, "--steps", str(steps), "--format", fmt)
         code, out, err = invoke(capsys, *argv)
         assert code == 0 and not err
-        target = tmp_path / f"decay.{fmt}"
+        target = tmp_path / f"{command}.{fmt}"
         assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
         assert target.read_bytes() == out.encode()
-        table = run_decay(Scenario(ResonancePole(1.0, 0.2), Arrow.PREPARATION_REGISTRATION,
-                                   Kind.DECAYING, 0, 0.0, 10.0, steps))
+        pole = ResonancePole(1.0, 0.2)
+        if command == "lineshape":
+            table = lineshape(pole, np.linspace(-4.0, 6.0, steps))
+        else:
+            build = run_decay if command == "decay" else evolution_table
+            table = build(Scenario(pole, Arrow.PREPARATION_REGISTRATION, Kind.DECAYING, 0, 0.0,
+                                   10.0, steps))
         assert out == (table.to_csv() if fmt == "csv" else table.to_json() + "\n")
 
 
@@ -454,6 +474,20 @@ def test_grid_output_memory_does_not_grow_with_steps(fmt):
     large = _peak_rss_kib("decay", "--steps", "200001", "--format", fmt)
     # the grid's arrays take about 12 MiB at 200001 points; whole-text output took over 70
     assert (large - small) / 1024 < 32
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_grid_holds_one_block_beyond_its_times(tmp_path, fmt):
+    target = str(tmp_path / "decay.out")
+    assert main(["decay", "--steps", "2", "--format", fmt, "--out", target]) == 0  # one-time setup
+    tracemalloc.start()
+    try:
+        assert main(["decay", "--steps", "200001", "--format", fmt, "--out", target]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the time grid takes 8 bytes per point; whole-grid arrays of the table took about 65
+    assert peak / 200001 < 24
 
 
 class TestExitCodes:

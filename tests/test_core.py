@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -193,7 +194,12 @@ class TestCanonicalStates:
      "amplitude must be a complex number, got 'x'"),
     (lambda pole: canonical_state(PREP, Kind.GROWING, 0, pole, amplitude=True),
      "amplitude must be a complex number, got True"),
-], ids=["lineshape-str", "s-matrix-complex", "amplitude-str", "amplitude-bool"])
+    (lambda pole: canonical_state(PREP, Kind.GROWING, 0, pole, amplitude=10**400),
+     "amplitude must be finite, got int beyond the double range"),
+    (lambda pole: canonical_state(PREP, Kind.GROWING, 0, pole).with_amplitude(
+        Fraction(10**400, 3)), "amplitude must be finite, got Fraction beyond the double range"),
+], ids=["lineshape-str", "s-matrix-complex", "amplitude-str", "amplitude-bool", "amplitude-huge-int",
+        "amplitude-huge-fraction"])
 def test_ill_typed_energies_and_amplitudes_name_themselves(pole, call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning either

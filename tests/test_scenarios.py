@@ -251,6 +251,22 @@ class TestLineshape:
         with pytest.raises(ValueError, match="nonempty"):
             lineshape(pole, [])
 
+    @pytest.mark.parametrize("width", [1e-200, 1e-160, 2.9e-154])
+    def test_width_whose_square_is_subnormal_rejected(self, width):
+        # (Gamma/2)^2 underflows: to 0 at 1e-200 (a divide-by-zero warning and inf),
+        # to a subnormal that has lost digits at 1e-160 (a peak wrong in its 5th digit)
+        narrow = ResonancePole(1.0, width)
+        message = (f"^resonance width {width} is too small for a lineshape: "
+                   r"\(Gamma/2\)\^2 is below the smallest normal double$")
+        for call in (lorentzian_density, lineshape):
+            with pytest.raises(ValueError, match=message):
+                call(narrow, [1.0])
+
+    def test_narrowest_accepted_width_has_its_peak(self):
+        narrow = ResonancePole(1.0, 3e-154)
+        assert lorentzian_density(narrow, [1.0])[0] == pytest.approx(2.0 / (math.pi * 3e-154),
+                                                                     rel=1e-15)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_density_rejects_nonfinite_energy(self, pole, value):
         with pytest.raises(ValueError, match=f"^energies must be finite, got {value}$"):
