@@ -161,13 +161,19 @@ def _table_command(columns, rows, grid):
 def _energy_grid(opts: _Resolver):
     pole = _resolve_pole(opts)
     e_min, e_max = opts.get("emin"), opts.get("emax")
+    window = None
     if e_min is None or e_max is None:  # a default bound needs a representable default window
-        e_min, e_max = (d if e is None else e for e, d in zip((e_min, e_max), energy_window(pole)))
+        window = energy_window(pole)
+        e_min, e_max = (d if e is None else e for e, d in zip((e_min, e_max), window))
     require_finite("emin", e_min)
     require_finite("emax", e_max)
     steps = opts.get("steps")
     check_steps("lineshape grid", steps)
     if not e_max > e_min:
+        if window is not None and window[0] == window[1]:
+            raise ValueError(f"--gamma {pole.width} is too narrow for the default window "
+                             f"E_R +- 25*Gamma around --er {pole.energy}: it rounds to the "
+                             f"single energy {window[0]}; give --emin and --emax")
         raise ValueError(f"emax={e_max} must exceed emin={e_min}")
     require_finite("emax - emin", e_max - e_min)
     check_width(pole)

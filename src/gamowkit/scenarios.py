@@ -86,7 +86,9 @@ class ResultTable:
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
         reader = csv.reader(io.StringIO(text))
-        columns = next(reader)
+        columns = next(reader, None)
+        if columns is None:
+            raise ValueError("CSV table has no header line")
 
         def values():
             for row in reader:
@@ -100,6 +102,11 @@ class ResultTable:
     @classmethod
     def from_json(cls, text: str) -> "ResultTable":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"JSON table must be an object, got {type(data).__name__}")
+        missing = [key for key in ("columns", "rows") if key not in data]
+        if missing:
+            raise ValueError(f"JSON table has no {' or '.join(map(repr, missing))}")
         return cls(data["columns"], data["rows"])
 
 

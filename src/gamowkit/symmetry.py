@@ -9,16 +9,17 @@ first family acts on the bare (2j+1)-dimensional spin space; the other
 three double it, with a two-valued index r = 0, 1 labelling the sheets.
 
 Every Sigma, R and T is a signed permutation, one +-1 in each row and each
-column (Wigner's co-representations), and each spin matrix is banded.  The
-checks hold each family operator as its rows' signed columns and each J_i
-as its bands, so every product is an O(d) gather and no d x d matrix is
-formed.  2j goes up to ``MAX_TWICE_J`` = 65535; the dense matrices a caller
-may ask for stop at ``MAX_DENSE_TWICE_J`` = 511.
+column (Wigner's co-representations), held by :class:`AntilinearOperator`
+as its rows' signed columns.  The checks hold each spin matrix J_i as its
+bands, so every product is an O(d) gather and no d x d matrix is formed.
+2j goes up to ``MAX_TWICE_J`` = 65535; dense matrices stop at 2j =
+``MAX_DENSE_TWICE_J`` = 511, and an operator's at ``MAX_DENSE_DIM`` = 1024.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import functools
+from dataclasses import asdict, dataclass
 
 from .core import DEFAULT_POLE, ResonancePole, energy_window, is_integer, np, resonance_s_matrix
 
@@ -29,9 +30,10 @@ _FAMILY_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
 # Largest accepted 2j.  The checks' arrays grow as O(d): row 4 at 2j = 65535
 # (d = 131072) runs in well under a second and about 100 MiB.
 MAX_TWICE_J = 65535
-# Largest 2j of a d x d matrix: time_reversal_matrix, spin_matrices and a
-# family operator's matrix, built only when read (16 MiB of complex at d = 1024).
+# Largest 2j of time_reversal_matrix and spin_matrices, and largest dimension of an
+# operator's matrix: a doubled family's at 2j = 511, 8 MiB of int64.
 MAX_DENSE_TWICE_J = 511
+MAX_DENSE_DIM = 2 * (MAX_DENSE_TWICE_J + 1)
 # Point counts of the conjugation check's grids; the momentum count is odd,
 # so the symmetric grid holds p = 0 and p -> -p is an exact index reversal.
 _MOMENTUM_POINTS = 201
@@ -48,18 +50,10 @@ def _check_twice_j(twice_j: int, cap: int = MAX_TWICE_J) -> int:
 
 
 def _reversal_columns(twice_j: int, diagonal: bool = False) -> np.ndarray:
-    """The signed columns (see :func:`_signed_columns`) of C: (-1)^(j+mu) at
-    column -mu of row mu, or at column mu when ``diagonal``."""
+    """The signed columns (see :class:`AntilinearOperator`) of C: (-1)^(j+mu)
+    at column -mu of row mu, or at column mu when ``diagonal``."""
     k = np.arange(twice_j + 1, dtype=np.int64)  # (j + mu) is the ascending index
     return (-1) ** k * ((k + 1) if diagonal else (twice_j + 1 - k))
-
-
-def _dense(columns: np.ndarray) -> np.ndarray:
-    """The d x d int64 matrix with the signed columns ``columns``."""
-    d = len(columns)
-    matrix = np.zeros((d, d), dtype=np.int64)
-    matrix[np.arange(d), np.abs(columns) - 1] = np.sign(columns)
-    return matrix
 
 
 def time_reversal_matrix(twice_j: int, diagonal: bool = False) -> np.ndarray:
@@ -77,7 +71,8 @@ def time_reversal_matrix(twice_j: int, diagonal: bool = False) -> np.ndarray:
     Returns an integer matrix of shape (2j+1, 2j+1), for 2j up to
     ``MAX_DENSE_TWICE_J``.
     """
-    return _dense(_reversal_columns(_check_twice_j(twice_j, MAX_DENSE_TWICE_J), diagonal))
+    columns = _reversal_columns(_check_twice_j(twice_j, MAX_DENSE_TWICE_J), diagonal)
+    return AntilinearOperator(columns, True).matrix.copy()
 
 
 def _ladder(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,54 +105,62 @@ def spin_matrices(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class AntilinearOperator:
-    """A matrix together with an optional complex conjugation.
+    """A signed permutation, with or without a complex conjugation.
 
-    ``apply(v)`` is ``matrix @ conj(v)`` when ``conjugates`` is set and
-    ``matrix @ v`` otherwise.  Composition tracks the conjugation through
-    the left factor: (A o B).matrix = A.matrix @ conj(B.matrix) if A
-    conjugates, and the conjugation flags combine by XOR.
-
-    The Sigma, R and T of :func:`build_representation` hold their signed
-    columns instead, and build a read-only ``matrix`` when it is first read,
-    for 2j up to ``MAX_DENSE_TWICE_J``.  ``dataclasses.replace(op, matrix=m)``
-    gives a plain operator holding ``m``.
+    Row i holds its one nonzero s_i = +-1 in column p_i: ``columns[i] =
+    s_i (p_i + 1)``, and anything but a signed permutation of 1..d raises
+    ValueError.  ``apply(v)`` is s_i (conj v)[p_i] and, the signs being real,
+    ``compose`` gives A B's columns sign(a) * b[|a| - 1] and the XOR of the
+    flags; both are O(d) gathers.  ``matrix`` is built on its first read, up
+    to dimension ``MAX_DENSE_DIM``, and :meth:`from_matrix` reads one back.
     """
 
-    matrix: np.ndarray
+    columns: np.ndarray
     conjugates: bool
-    # A family operator's (signed columns, twice_j); None when it holds a matrix.
-    _family: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        columns = np.array(self.columns)  # a copy no caller can write to
+        if columns.ndim != 1 or columns.dtype.kind != "i":
+            raise ValueError(f"columns must be a 1-D signed integer array, "
+                             f"got {columns.ndim}-D {columns.dtype}")
+        d = len(columns)  # a 0 or a |column| beyond d leaves one of 1..d without a count of 1
+        if (np.bincount(np.abs(columns), minlength=d + 1)[1:] != 1).any():
+            raise ValueError(f"columns must hold each of +-1, ..., +-{d} once: a signed permutation")
+        object.__setattr__(self, "columns", columns.astype(np.int64, copy=False))
+        self.columns.flags.writeable = False
 
     @classmethod
-    def _from_columns(cls, columns: np.ndarray, conjugates: bool, twice_j: int):
-        columns.flags.writeable = False
-        op = object.__new__(cls)  # no matrix until one is read
-        object.__setattr__(op, "conjugates", conjugates)
-        object.__setattr__(op, "_family", (columns, twice_j))
-        return op
+    def from_matrix(cls, matrix, conjugates: bool) -> "AntilinearOperator":
+        """The operator of a square signed-permutation matrix, M[i, p_i] = s_i."""
+        m = np.asarray(matrix)
+        if m.ndim == 2 and m.shape[0] == m.shape[1]:
+            rows, cols = np.nonzero(m)
+            signs = m[rows, cols]
+            if np.array_equal(rows, np.arange(len(m))) and np.isin(signs, (-1, 1)).all():
+                return cls(signs.real.astype(np.int64) * (cols + 1), conjugates)
+        raise ValueError(f"matrix of shape {m.shape} is not a square signed permutation matrix")
 
-    def __getattr__(self, name: str):
-        """A family operator's matrix, built on its first read."""
-        if name != "matrix" or self._family is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        columns, twice_j = self._family
-        _check_twice_j(twice_j, MAX_DENSE_TWICE_J)
-        matrix = _dense(columns)
-        matrix.flags.writeable = False  # the checks read the columns, never this copy
-        object.__setattr__(self, "matrix", matrix)
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        d = len(self.columns)
+        if d > MAX_DENSE_DIM:
+            raise ValueError(f"an operator's matrix has dimension at most {MAX_DENSE_DIM}, got {d}")
+        matrix = np.zeros((d, d), dtype=np.int64)
+        matrix[np.arange(d), np.abs(self.columns) - 1] = np.sign(self.columns)
+        matrix.flags.writeable = False
         return matrix
-
-    def __repr__(self) -> str:  # a family operator's repr builds no matrix
-        held = f"matrix={self.matrix!r}" if self._family is None else f"columns={self._family[0]!r}"
-        return f"AntilinearOperator({held}, conjugates={self.conjugates!r})"
 
     def apply(self, vector) -> np.ndarray:
         v = np.asarray(vector)
-        return self.matrix @ (np.conj(v) if self.conjugates else v)
+        if v.shape != self.columns.shape:
+            raise ValueError(f"a vector of shape {v.shape} does not fit dimension {len(self.columns)}")
+        return np.sign(self.columns) * (np.conj(v) if self.conjugates else v)[np.abs(self.columns) - 1]
 
     def compose(self, other: "AntilinearOperator") -> "AntilinearOperator":
-        right = np.conj(other.matrix) if self.conjugates else other.matrix
-        return AntilinearOperator(self.matrix @ right, self.conjugates ^ other.conjugates)
+        a, b = self.columns, other.columns
+        if len(a) != len(b):
+            raise ValueError(f"cannot compose dimensions {len(a)} and {len(b)}")
+        return AntilinearOperator(np.sign(a) * b[np.abs(a) - 1], self.conjugates ^ other.conjugates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,46 +216,27 @@ def build_representation(row: int, twice_j: int) -> RepresentationTriple:
         r_cols, t_cols = (np.concatenate([upper, s * c]) for s in (s_r, s_t))
     base_sign = (-1) ** twice_j
     return RepresentationTriple(
-        row=row, twice_j=twice_j,
-        parity=AntilinearOperator._from_columns(sigma, False, twice_j),
-        time_reversal=AntilinearOperator._from_columns(r_cols, True, twice_j),
-        total_inversion=AntilinearOperator._from_columns(t_cols, True, twice_j),
+        row=int(row), twice_j=twice_j,
+        parity=AntilinearOperator(sigma, False),
+        time_reversal=AntilinearOperator(r_cols, True),
+        total_inversion=AntilinearOperator(t_cols, True),
         reversal_sign=s_r * base_sign, inversion_sign=s_t * base_sign,
     )
 
 
-def _signed_columns(name: str, op: AntilinearOperator, dim: int) -> np.ndarray:
-    """Each row's signed, 1-based column a[i] = s_i (p_i + 1) of an operator
-    whose matrix is a dim x dim signed permutation, A[i, p_i] = s_i.
-
-    A product is then a gather, (A B)'s columns are sign(a) * b[|a| - 1],
-    conjugation leaves the real signs alone, and s I is a == s (1, ..., dim).
-    A family operator's own columns are returned unread; any other matrix
-    raises ValueError naming the operator.
-    """
-    if op._family is not None:
-        if len(op._family[0]) == dim:
-            return op._family[0]
-    elif op.matrix.shape == (dim, dim):
-        m = op.matrix
-        rows, cols = np.nonzero(m)
-        signs = m[rows, cols]
-        if (np.array_equal(rows, np.arange(dim)) and np.isin(signs, (-1, 1)).all()
-                and (np.bincount(cols, minlength=dim) == 1).all()):
-            return signs.real.astype(np.int64) * (cols + 1)
-    raise ValueError(f"{name} must be a {dim}x{dim} signed permutation matrix")
+def _operator(rep: RepresentationTriple, name: str) -> AntilinearOperator:
+    """``rep``'s operator ``name``, after a check that it acts on rep.dim dimensions."""
+    op = getattr(rep, name)
+    if len(op.columns) != rep.dim:
+        raise ValueError(f"{name} must be a {rep.dim}x{rep.dim} signed permutation matrix")
+    return op
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The signed columns of A B, from those of A and of B."""
-    return np.sign(a) * b[np.abs(a) - 1]
-
-
-def _square_scalar(a: np.ndarray) -> int | None:
+def _square_scalar(op: AntilinearOperator) -> int | None:
     """The s with A^2 = s I, or None if the square is no multiple of I."""
-    square = _product(a, a)
+    square = op.compose(op).columns
     s = int(np.sign(square[0]))
-    return s if np.array_equal(square, s * np.arange(1, len(a) + 1)) else None
+    return s if np.array_equal(square, s * np.arange(1, len(square) + 1)) else None
 
 
 @dataclass(frozen=True)
@@ -292,15 +276,14 @@ def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
     Verifies Sigma^2 = I, R^2 = eps_R I, T^2 = eps_T I and T = Sigma R, and
     records the sign s in Sigma R = s R Sigma (the relative order of parity
     and time reversal is physically immaterial, so the sign is reported
-    rather than asserted).  Each operator is read once as a signed
-    permutation, and every product is an exact O(d) integer gather.
+    rather than asserted).  Every product is an exact O(d) integer gather,
+    :meth:`AntilinearOperator.compose`.
 
-    Raises ValueError, naming the operator, if Sigma, R or T is not a d x d
-    signed permutation matrix.  A relation that fails between signed
+    Raises ValueError, naming the operator, if Sigma, R or T does not act on
+    the family's d dimensions.  A relation that fails between signed
     permutations becomes a report entry, not an exception.
     """
-    sigma, r, t = (_signed_columns(name, getattr(rep, name), rep.dim)
-                   for name in ("parity", "time_reversal", "total_inversion"))
+    sigma, r, t = (_operator(rep, name) for name in ("parity", "time_reversal", "total_inversion"))
     checks = []
     for name, a, sign in (("parity_squared", sigma, 1),
                           ("time_reversal_squared", r, rep.reversal_sign),
@@ -308,17 +291,16 @@ def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
         s = _square_scalar(a)
         checks.append(RelationCheck(name, s == sign, f"{sign:+d} * I", f"{s} * I"))
 
-    sigma_r = _product(sigma, r)
-    conjugates = rep.parity.conjugates ^ rep.time_reversal.conjugates
-    same = np.array_equal(sigma_r, t) and conjugates == rep.total_inversion.conjugates
+    sigma_r = sigma.compose(r)
+    same = np.array_equal(sigma_r.columns, t.columns) and sigma_r.conjugates == t.conjugates
     checks.append(RelationCheck(
         "total_inversion_is_parity_then_reversal", same,
         "T == Sigma o R", "equal" if same else "different"))
 
-    r_sigma = _product(r, sigma)
-    if np.array_equal(sigma_r, r_sigma):
+    r_sigma = r.compose(sigma)
+    if np.array_equal(sigma_r.columns, r_sigma.columns):
         comm_sign = 1
-    elif np.array_equal(sigma_r, -r_sigma):
+    elif np.array_equal(sigma_r.columns, -r_sigma.columns):
         comm_sign = -1
     else:
         comm_sign = None
@@ -369,13 +351,13 @@ def _grid_expectation(weights, psi) -> float:
     return float(np.sum(np.asarray(weights) * density) / np.sum(density))
 
 
-def _angular_momentum_flip(r: np.ndarray, conjugates: bool, twice_j: int, sheets: int) -> float:
+def _angular_momentum_flip(r: AntilinearOperator, twice_j: int, sheets: int) -> float:
     """max |R J_i R^-1 + J_i| over i = x, y, z: each nonzero J_i[x, y] = v
     moves to (a, b) = (p^-1 x, p^-1 y) as s_a s_b conj(v) and meets at most
     one entry of J_i there, so each sum is the dense one's, bit for bit."""
     m, ladder = _ladder(_check_twice_j(twice_j))
     d, k, half = twice_j + 1, np.arange(twice_j), 0.5 * ladder
-    perm, sign = np.abs(r) - 1, np.sign(r)
+    perm, sign = np.abs(r.columns) - 1, np.sign(r.columns)
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(len(perm))
     dim, dev = sheets * d, 0.0
@@ -387,7 +369,7 @@ def _angular_momentum_flip(r: np.ndarray, conjugates: bool, twice_j: int, sheets
         rows, cols = (np.concatenate([x + sheet * d for sheet in range(sheets)]) for x in (rows, cols))
         vals = np.tile(vals, sheets)
         a, b = inverse[rows], inverse[cols]
-        mapped = sign[a] * sign[b] * (np.conj(vals) if conjugates else vals)
+        mapped = sign[a] * sign[b] * (np.conj(vals) if r.conjugates else vals)
         keys = np.concatenate([a * dim + b, rows * dim + cols])
         order = np.argsort(keys, kind="stable")  # R J R^-1's term first, as in the dense sum
         keys, terms = keys[order], np.concatenate([mapped, vals])[order]
@@ -408,8 +390,8 @@ def check_conjugation_identities(rep: RepresentationTriple,
       so R^-1 = R^T and (R conj(J) R^-1)[a, b] = s_a s_b conj(J)[p_a, p_b].
       J_z is diagonal and J_x, J_y have one band on each side of it, so each
       of their O(d) nonzeros is moved to its new place and added to J_i's
-      entry there, with no d x d matrix; any other time reversal raises
-      ValueError;
+      entry there, with no d x d matrix; a time reversal of another
+      dimension raises ValueError;
     * on a symmetric grid of 201 momenta over [-10, 10], with a unit-width
       Gaussian packet centred at p = 2, R: psi(p) -> conj(psi(-p)) flips
       the expectation of the momentum multiplication operator and leaves
@@ -420,9 +402,7 @@ def check_conjugation_identities(rep: RepresentationTriple,
       a window whose bounds or span overflow a double raises ValueError.
     """
     e_min, e_max = energy_window(pole)
-    r = _signed_columns("time_reversal", rep.time_reversal, rep.dim)
-    dev = _angular_momentum_flip(r, rep.time_reversal.conjugates, rep.twice_j,
-                                 2 if rep.doubled else 1)
+    dev = _angular_momentum_flip(_operator(rep, "time_reversal"), rep.twice_j, 2 if rep.doubled else 1)
     entries = [IdentityCheck("angular_momentum_flip", dev <= 1e-12, dev, 1e-12)]
 
     p = np.linspace(-10.0, 10.0, _MOMENTUM_POINTS)

@@ -27,7 +27,7 @@ from .core import (
     np,
 )
 from .evolution import BRANCHES, branch_for, evolve
-from .symmetry import RepresentationTriple, _signed_columns, _square_scalar
+from .symmetry import RepresentationTriple, _operator, _square_scalar
 
 
 def time_reverse(state: GamowState) -> GamowState:
@@ -50,12 +50,11 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
     """Apply time reversal twice, returning (restored state, scalar sign).
 
     The descriptor labels always return to themselves; the scalar is
-    computed by squaring the family's time reversal as a signed permutation,
-    an O(d) gather of its signed columns, and therefore equals that family's
-    eps_R.  Requires a
-    doubled family: the single-sheet family 1 has nowhere to put the r = 1
-    content the first application produces.  A time reversal that is not a
-    signed permutation, or whose square is no multiple of I, raises
+    computed by composing the family's time reversal with itself, an O(d)
+    gather of its signed columns, and therefore equals that family's eps_R.
+    Requires a doubled family: the single-sheet family 1 has nowhere to put
+    the r = 1 content the first application produces.  A time reversal of
+    another dimension, or whose square is no multiple of I, raises
     ValueError.
     """
     if not rep.doubled:
@@ -64,7 +63,7 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
             "is not representable; use one of families 2-4"
         )
     restored = time_reverse(time_reverse(state))
-    sign = _square_scalar(_signed_columns("time_reversal", rep.time_reversal, rep.dim))
+    sign = _square_scalar(_operator(rep, "time_reversal"))
     if sign is None:
         raise ValueError("time reversal squared is not a scalar multiple of the identity")
     return restored, sign

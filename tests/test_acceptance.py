@@ -88,14 +88,14 @@ def test_criterion_2_conjugation_matrix_consistency():
 
     # The diagonal placement squares to +I for spin 1/2, contradicting the
     # required reversal sign -1; the anti-diagonal default reproduces it.
-    r_diag = AntilinearOperator(time_reversal_matrix(1, diagonal=True), True)
+    r_diag = AntilinearOperator.from_matrix(time_reversal_matrix(1, diagonal=True), True)
     diag_square = r_diag.compose(r_diag)
     np.testing.assert_array_equal(diag_square.matrix, np.eye(2, dtype=np.int64))
     required_sign, _ = _expected_signs(1, 1)
     assert required_sign == -1
     assert not np.array_equal(diag_square.matrix,
                               required_sign * np.eye(2, dtype=np.int64))
-    r_anti = AntilinearOperator(time_reversal_matrix(1), True)
+    r_anti = AntilinearOperator.from_matrix(time_reversal_matrix(1), True)
     np.testing.assert_array_equal(r_anti.compose(r_anti).matrix,
                                   required_sign * np.eye(2, dtype=np.int64))
     elapsed = time.perf_counter() - start

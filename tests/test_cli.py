@@ -197,6 +197,26 @@ class TestLineshapeCommand:
                        "(Gamma/2)^2 is below the smallest normal double\n")
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv, window", [
+        (("--gamma", "1e-20"), "--gamma 1e-20 is too narrow for the default window E_R +- 25*Gamma "
+                               "around --er 1.0: it rounds to the single energy 1.0"),
+        (("--gamma", "1e-200", "--emin", "2"), "--gamma 1e-200 is too narrow for the default "
+         "window E_R +- 25*Gamma around --er 1.0: it rounds to the single energy 1.0"),
+        (("--er", "1e20"), "--gamma 0.2 is too narrow for the default window E_R +- 25*Gamma "
+                           "around --er 1e+20: it rounds to the single energy 1e+20"),
+    ], ids=["gamma-1e-20", "gamma-1e-200-emin-2", "er-1e20"])
+    def test_empty_default_window_names_the_width(self, tmp_path, capsys, argv, window):
+        target = tmp_path / "lineshape.csv"
+        assert invoke(capsys, "lineshape", *argv, "--out", str(target)) == (
+            2, "", f"error: {window}; give --emin and --emax\n")
+        assert not target.exists()
+
+    def test_narrow_width_with_both_bounds_given_or_one_inside_the_window(self, capsys):
+        code, out, _ = invoke(capsys, "lineshape", "--gamma", "1e-20", "--emin", "0", "--steps", "3")
+        assert code == 0 and len(ResultTable.from_csv(out).rows) == 3
+        assert invoke(capsys, "lineshape", "--gamma", "1e-20", "--emin", "1", "--emax", "1") == (
+            2, "", "error: emax=1.0 must exceed emin=1.0\n")
+
     @pytest.mark.parametrize("argv", [
         ("--gamma", "1e308", "--emin", "0", "--emax", "1", "--steps", "3"),
         ("--emin", "0", "--emax", "1e300", "--steps", "3"),

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -316,6 +317,18 @@ class TestResultTableRoundTrip:
         table = ResultTable(("x", "y"), [(1e-300, -1e300), (5e-324, 0.1 + 0.2)])
         assert ResultTable.from_csv(table.to_csv()) == table
         assert ResultTable.from_json(table.to_json()) == table
+
+    @pytest.mark.parametrize("parse, text, message", [
+        ("from_csv", "", "CSV table has no header line"),
+        ("from_json", '{"columns": ["a"]}', "JSON table has no 'rows'"),
+        ("from_json", '{"rows": []}', "JSON table has no 'columns'"),
+        ("from_json", "{}", "JSON table has no 'columns' or 'rows'"),
+        ("from_json", "[1]", "JSON table must be an object, got list"),
+        ("from_json", "null", "JSON table must be an object, got NoneType"),
+    ])
+    def test_malformed_text_names_what_is_missing(self, parse, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(ResultTable, parse)(text)
 
 
 # Every float that formats unusually: signed zero, the smallest subnormal,

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from gamowkit import (
     time_reverse_twice,
     verify_group_relations,
 )
-from gamowkit.symmetry import MAX_DENSE_TWICE_J, MAX_TWICE_J
+from gamowkit.symmetry import MAX_DENSE_DIM, MAX_DENSE_TWICE_J, MAX_TWICE_J
 
 # numpy < 2.0 names the trapezoidal rule trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -72,13 +73,13 @@ class TestTimeReversalMatrix:
         # 1/2, contradicting the required eps_R = -1; the anti-diagonal
         # variant reproduces the sign.  This documents why the
         # anti-diagonal placement is the default.
-        r_diag = AntilinearOperator(time_reversal_matrix(1, diagonal=True), True)
+        r_diag = AntilinearOperator.from_matrix(time_reversal_matrix(1, diagonal=True), True)
         squared = r_diag.compose(r_diag)
         np.testing.assert_array_equal(squared.matrix, np.eye(2, dtype=np.int64))
         eps_r, _ = expected_signs(1, 1)
         assert eps_r == -1  # +I != eps_R * I: the diagonal variant fails
 
-        r_anti = AntilinearOperator(time_reversal_matrix(1), True)
+        r_anti = AntilinearOperator.from_matrix(time_reversal_matrix(1), True)
         np.testing.assert_array_equal(
             r_anti.compose(r_anti).matrix, -np.eye(2, dtype=np.int64))
 
@@ -123,101 +124,171 @@ class TestSpinMatrices:
         np.testing.assert_allclose(total, j * (j + 1) * np.eye(twice_j + 1), atol=1e-12)
 
 
+# 2x2 matrices that are no signed permutation, which from_matrix rejects.
+MALFORMED = [
+    [[0, 1], [0, 0]],        # a zero row
+    [[1, 1], [-1, 0]],       # two nonzeros in a row
+    [[0, 1], [0, -1]],       # one nonzero per row, repeated column
+    [[0, 2], [-1, 0]],       # an entry beyond +/-1
+    [[0, 1j], [-1j, 0]],     # a phase, not a sign
+]
+
+
+def signed_permutations(dim):
+    """Signed columns s_i (p_i + 1) of a random dim x dim signed permutation."""
+    return st.tuples(st.permutations(range(1, dim + 1)),
+                     st.lists(st.sampled_from([-1, 1]), min_size=dim, max_size=dim)).map(
+        lambda drawn: np.array(drawn[0]) * np.array(drawn[1]))
+
+
+def operators(dim, conjugates=st.booleans()):
+    return st.builds(AntilinearOperator, signed_permutations(dim), conjugates)
+
+
+def complex_vectors(dim):
+    parts = hnp.arrays(np.float64, (2, dim), elements=st.floats(-10, 10))
+    return parts.map(lambda xy: xy[0] + 1j * xy[1])
+
+
+def signed_permutation_matrix(perm, signs):
+    matrix = np.zeros((len(perm), len(perm)), dtype=np.int64)
+    matrix[np.arange(len(perm)), perm] = signs
+    return matrix
+
+
 class TestAntilinearOperator:
     def test_apply_conjugates(self):
-        op = AntilinearOperator(np.eye(2), True)
+        op = AntilinearOperator.from_matrix(np.eye(2), True)
         np.testing.assert_array_equal(op.apply([1.0 + 2.0j, -1.0j]), [1.0 - 2.0j, 1.0j])
 
     def test_apply_linear(self):
-        op = AntilinearOperator(2.0 * np.eye(2), False)
-        np.testing.assert_array_equal(op.apply([1.0j, 1.0]), [2.0j, 2.0])
+        op = AntilinearOperator.from_matrix([[0, -1], [1, 0]], False)
+        np.testing.assert_array_equal(op.apply([1.0j, 1.0]), [-1.0, 1.0j])
+
+    def test_apply_rejects_vector_of_another_dimension(self):
+        with pytest.raises(ValueError, match=r"^a vector of shape \(3,\) does not fit dimension 2$"):
+            AntilinearOperator.from_matrix(np.eye(2), True).apply(np.ones(3))
 
     def test_conjugation_flags_xor(self):
-        anti = AntilinearOperator(np.eye(2), True)
-        unit = AntilinearOperator(np.eye(2), False)
+        anti = AntilinearOperator.from_matrix(np.eye(2), True)
+        unit = AntilinearOperator.from_matrix(np.eye(2), False)
         assert not anti.compose(anti).conjugates
         assert anti.compose(unit).conjugates
         assert unit.compose(anti).conjugates
         assert not unit.compose(unit).conjugates
 
-    def test_compose_matches_sequential_application(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            dim = rng.integers(1, 7)
-            ops = [AntilinearOperator(
-                rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
-                bool(rng.integers(0, 2))) for _ in range(2)]
-            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            a, b = ops
-            np.testing.assert_allclose(
-                a.compose(b).apply(v), a.apply(b.apply(v)), atol=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 7))
+    def test_compose_matches_sequential_application(self, data, dim):
+        a, b = data.draw(operators(dim)), data.draw(operators(dim))
+        v = data.draw(complex_vectors(dim))
+        np.testing.assert_array_equal(a.compose(b).apply(v), a.apply(b.apply(v)))  # gathers: exact
+        # and the gather is the dense product with the conjugated vector
+        np.testing.assert_array_equal(a.apply(v), a.matrix @ (np.conj(v) if a.conjugates else v))
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10_000), dim=st.integers(1, 6))
-    def test_composition_associative(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        a, b, c = (AntilinearOperator(
-            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
-            bool(rng.integers(0, 2))) for _ in range(3))
+    @given(data=st.data(), dim=st.integers(1, 6))
+    def test_composition_associative(self, data, dim):
+        a, b, c = (data.draw(operators(dim)) for _ in range(3))
         left = a.compose(b).compose(c)
         right = a.compose(b.compose(c))
-        assert left.conjugates == right.conjugates
-        np.testing.assert_allclose(left.matrix, right.matrix, atol=1e-12)
+        assert left.conjugates == right.conjugates == a.conjugates ^ b.conjugates ^ c.conjugates
+        np.testing.assert_array_equal(left.columns, right.columns)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(),
-           kind=st.sampled_from(["signed_permutation", "one_per_row", "zero_row", "two_in_a_row",
-                                 "zero_row_and_two_in_another"]),
-           left_dtype=st.sampled_from([np.int8, np.int32, np.int64]),
+    @given(data=st.data(), k=st.integers(1, 6),
+           left_dtype=st.sampled_from([np.int8, np.int32, np.int64, np.float64, np.complex128]),
            right_dtype=st.sampled_from([np.int8, np.int32, np.int64]),
-           m=st.integers(1, 6), k=st.integers(2, 6), n=st.integers(1, 6),
            left_conj=st.booleans(), right_conj=st.booleans())
-    def test_integer_compose_equals_matmul(self, data, kind, left_dtype, right_dtype,
-                                           m, k, n, left_conj, right_conj):
-        if kind == "zero_row_and_two_in_another":  # as many nonzeros as rows
-            m = max(m, 2)
-        if kind == "signed_permutation":
-            m = k
-            cols = data.draw(st.permutations(range(k)))
-            values = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m))
-        else:  # repeated columns allowed, values beyond +/-1 (int8 products wrap)
-            cols = data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
-            values = data.draw(st.lists(st.integers(-100, 100).filter(bool),
-                                        min_size=m, max_size=m))
-        left = np.zeros((m, k), dtype=left_dtype)
-        left[np.arange(m), cols] = values
-        row = data.draw(st.integers(0, m - 1))
-        if kind in ("zero_row", "zero_row_and_two_in_another"):
-            left[row] = 0
-        if kind in ("two_in_a_row", "zero_row_and_two_in_another"):
-            other = row if kind == "two_in_a_row" else (row + 1) % m
-            left[other, (cols[other] + 1) % k] = 7
-        right = data.draw(hnp.arrays(right_dtype, (k, n), elements=st.integers(-100, 100)))
-        a = AntilinearOperator(left, left_conj)
-        b = AntilinearOperator(right, right_conj)
+    def test_integer_compose_equals_matmul(self, data, k, left_dtype, right_dtype,
+                                           left_conj, right_conj):
+        left, right = (signed_permutation_matrix(np.abs(c) - 1, np.sign(c))
+                       for c in (data.draw(signed_permutations(k)) for _ in range(2)))
+        a = AntilinearOperator.from_matrix(left.astype(left_dtype), left_conj)
+        b = AntilinearOperator.from_matrix(right.astype(right_dtype), right_conj)
+        np.testing.assert_array_equal(a.matrix, left)
         expected = left @ (np.conj(right) if left_conj else right)
         product = a.compose(b)
-        assert product.matrix.dtype == expected.dtype
-        assert product.matrix.shape == expected.shape
+        assert product.matrix.dtype == np.int64
         np.testing.assert_array_equal(product.matrix, expected)
         assert product.conjugates == (left_conj ^ right_conj)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           kind=st.sampled_from(["one_per_row", "zero_row", "two_in_a_row",
+                                 "zero_row_and_two_in_another"]),
+           dtype=st.sampled_from([np.int8, np.int32, np.int64]),
+           m=st.integers(1, 6), k=st.integers(2, 6))
+    def test_from_matrix_accepts_only_signed_permutations(self, data, kind, dtype, m, k):
+        if kind == "zero_row_and_two_in_another":  # as many nonzeros as rows
+            m = max(m, 2)
+        # repeated columns allowed, values beyond +/-1
+        cols = data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+        values = data.draw(st.lists(st.integers(-100, 100).filter(bool), min_size=m, max_size=m))
+        matrix = np.zeros((m, k), dtype=dtype)
+        matrix[np.arange(m), cols] = values
+        row = data.draw(st.integers(0, m - 1))
+        if kind in ("zero_row", "zero_row_and_two_in_another"):
+            matrix[row] = 0
+        if kind in ("two_in_a_row", "zero_row_and_two_in_another"):
+            other = row if kind == "two_in_a_row" else (row + 1) % m
+            matrix[other, (cols[other] + 1) % k] = 7
+        wide = np.abs(matrix.astype(np.int64))
+        if m == k and (wide.sum(axis=0) == 1).all() and (wide.sum(axis=1) == 1).all():
+            op = AntilinearOperator.from_matrix(matrix, True)  # one_per_row may draw one
+            np.testing.assert_array_equal(op.matrix, matrix)
+        else:
+            with pytest.raises(ValueError, match="signed permutation"):
+                AntilinearOperator.from_matrix(matrix, True)
+
     def test_integer_compose_shape_mismatch_raises(self):
-        a = AntilinearOperator(np.eye(2, dtype=np.int64), False)
-        b = AntilinearOperator(np.ones((3, 3), dtype=np.int64), False)
-        with pytest.raises(ValueError):
+        a = AntilinearOperator.from_matrix(np.eye(2, dtype=np.int64), False)
+        b = AntilinearOperator.from_matrix(np.eye(3, dtype=np.int64), False)
+        with pytest.raises(ValueError, match=r"^cannot compose dimensions 2 and 3$"):
             a.compose(b)
+        with pytest.raises(ValueError, match=r"^cannot compose dimensions 3 and 2$"):
+            b.compose(a)
+
+    @pytest.mark.parametrize("columns, message", [
+        ([[1, 2], [2, 1]], "1-D signed integer array, got 2-D int64"),
+        ([1.0, 2.0], "1-D signed integer array, got 1-D float64"),
+        (np.array([1, 2], dtype=np.uint8), "1-D signed integer array, got 1-D uint8"),
+        ([True, True], "1-D signed integer array, got 1-D bool"),
+        ([1, 0], "+-1, ..., +-2 once"),      # a 0
+        ([2, -2], "+-1, ..., +-2 once"),     # a repeated column
+        ([1, 3], "+-1, ..., +-2 once"),      # a column beyond d
+        ([-1, -1, 2], "+-1, ..., +-3 once"),
+    ])
+    def test_columns_must_be_a_signed_permutation(self, columns, message):
+        with pytest.raises(ValueError) as excinfo:
+            AntilinearOperator(columns, False)
+        assert message in str(excinfo.value)
+
+    def test_compose_goes_through_the_constructor(self):
+        op = AntilinearOperator([-2, 1], True)
+        square = op.compose(op)
+        np.testing.assert_array_equal(square.columns, [-1, -2])
+        assert not square.columns.flags.writeable and not square.conjugates
+
+    def test_columns_are_a_read_only_copy(self):
+        columns = np.array([2, -1])
+        op = AntilinearOperator(columns, False)
+        columns[0] = 1  # the caller's array stays the caller's
+        np.testing.assert_array_equal(op.columns, [2, -1])
+        with pytest.raises(ValueError):
+            op.columns[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.matrix = np.eye(2)
 
     @pytest.mark.parametrize("row", ROWS)
     @pytest.mark.parametrize("twice_j", TESTED_TWICE_J)
     def test_antiunitarity_of_time_reversal(self, row, twice_j):
         rep = build_representation(row, twice_j)
-        r_op = AntilinearOperator(rep.time_reversal.matrix.astype(complex), True)
+        r_op = rep.time_reversal
         dim = rep.dim
         # antiunitary: it conjugates, and its real matrix is orthogonal, R R^T = I
-        assert rep.time_reversal.conjugates
-        np.testing.assert_array_equal(rep.time_reversal.matrix @ rep.time_reversal.matrix.T,
-                                      np.eye(dim, dtype=np.int64))
+        assert r_op.conjugates
+        np.testing.assert_array_equal(r_op.matrix @ r_op.matrix.T, np.eye(dim, dtype=np.int64))
         rng = np.random.default_rng(row * 10 + twice_j)
         for _ in range(10):
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -225,6 +296,15 @@ class TestAntilinearOperator:
             before = np.vdot(v, w)
             after = np.vdot(r_op.apply(v), r_op.apply(w))
             assert abs(after - np.conj(before)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 8))
+    def test_antiunitarity_over_random_signed_permutations(self, data, dim):
+        r_op = data.draw(operators(dim, st.just(True)))
+        v, w = data.draw(complex_vectors(dim)), data.draw(complex_vectors(dim))
+        after = np.vdot(r_op.apply(v), r_op.apply(w))
+        scale = 1.0 + np.linalg.norm(v) * np.linalg.norm(w)  # the sum runs in another order
+        assert abs(after - np.conj(np.vdot(v, w))) <= 1e-12 * scale
 
 
 class TestBuildRepresentation:
@@ -265,6 +345,14 @@ class TestBuildRepresentation:
             assert (np.abs(m).sum(axis=0) == 1).all() and (np.abs(m).sum(axis=1) == 1).all()
         assert verify_group_relations(rep).all_passed
         assert (rep.reversal_sign, rep.inversion_sign) == expected_signs(row, twice_j)
+
+    @pytest.mark.parametrize("row", [np.int64(4), np.int8(2)])
+    def test_numpy_integer_row_stored_as_int(self, row):
+        rep = build_representation(row, np.int64(3))
+        assert type(rep.row) is int and type(rep.twice_j) is int
+        data = json.loads(json.dumps(verify_group_relations(rep).to_dict()))
+        assert data["row"] == row and data["all_passed"]
+        assert json.dumps(check_conjugation_identities(rep).to_dict())
 
     @pytest.mark.parametrize("row", [0, 5, -1, True, 1.0])
     def test_invalid_row(self, row):
@@ -399,10 +487,8 @@ class TestConjugationIdentities:
         if not keep_family_r:
             perm = data.draw(st.permutations(range(rep.dim)))
             signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=rep.dim, max_size=rep.dim))
-            matrix = np.zeros((rep.dim, rep.dim), dtype=np.int64)
-            matrix[np.arange(rep.dim), perm] = signs
-            rep = dataclasses.replace(rep, time_reversal=AntilinearOperator(
-                matrix, data.draw(st.booleans(), label="conjugates")))
+            rep = dataclasses.replace(rep, time_reversal=AntilinearOperator.from_matrix(
+                signed_permutation_matrix(perm, signs), data.draw(st.booleans(), label="conjugates")))
         flip = check_conjugation_identities(rep).entries[0]
         assert flip.name == "angular_momentum_flip"
         assert flip.max_deviation == dense_flip_deviation(rep)  # bit for bit
@@ -414,54 +500,56 @@ class TestConjugationIdentities:
         rep = build_representation(row, twice_j)
         for perm in itertools.permutations(range(rep.dim)):
             for signs in itertools.product((-1, 1), repeat=rep.dim):
-                matrix = np.zeros((rep.dim, rep.dim), dtype=np.int64)
-                matrix[np.arange(rep.dim), perm] = signs
+                matrix = signed_permutation_matrix(perm, signs)
                 for conjugates in (False, True):
                     replaced = dataclasses.replace(
-                        rep, time_reversal=AntilinearOperator(matrix, conjugates))
+                        rep, time_reversal=AntilinearOperator.from_matrix(matrix, conjugates))
                     flip = check_conjugation_identities(replaced).entries[0]
                     assert flip.max_deviation == dense_flip_deviation(replaced)
 
-    @pytest.mark.parametrize("build", [
-        time_reversal_matrix,
-        spin_matrices,
-        lambda twice_j: build_representation(1, twice_j).parity.matrix,
-        lambda twice_j: build_representation(4, twice_j).time_reversal.matrix,
+    @pytest.mark.parametrize("build, cap, message", [
+        (time_reversal_matrix, 511, "twice_j must be at most 511 for a dense matrix, got 512"),
+        (spin_matrices, 511, "twice_j must be at most 511 for a dense matrix, got 512"),
+        (lambda twice_j: build_representation(1, twice_j).parity.matrix, 1023,
+         "an operator's matrix has dimension at most 1024, got 1025"),
+        (lambda twice_j: build_representation(4, twice_j).time_reversal.matrix, 511,
+         "an operator's matrix has dimension at most 1024, got 1026"),
     ], ids=["time_reversal_matrix", "spin_matrices", "row_1_parity", "row_4_time_reversal"])
-    def test_dense_matrices_capped(self, build):
-        assert MAX_DENSE_TWICE_J == 511
-        build(511)
-        with pytest.raises(ValueError,
-                           match=r"^twice_j must be at most 511 for a dense matrix, got 512$"):
-            build(512)
+    def test_dense_matrices_capped(self, build, cap, message):
+        assert (MAX_DENSE_TWICE_J, MAX_DENSE_DIM) == (511, 1024)
+        build(cap)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(cap + 1)
 
     def test_family_operators_hold_signed_columns(self):
         rep = build_representation(4, MAX_TWICE_J)
         assert repr(rep.time_reversal).startswith("AntilinearOperator(columns=array([")
+        assert "matrix" not in vars(rep.time_reversal)  # no dense matrix until one is read
         small = build_representation(4, 1).time_reversal
         assert small.matrix is small.matrix  # built once, on the first read
-        assert not small.matrix.flags.writeable  # the checks read the columns, not this copy
+        assert not small.matrix.flags.writeable  # it must stay the matrix of the columns
         assert repr(small) == "AntilinearOperator(columns=array([ 4, -3, -2,  1]), conjugates=True)"
-        dense = dataclasses.replace(small, matrix=small.matrix)
-        assert repr(dense) == f"AntilinearOperator(matrix={small.matrix!r}, conjugates=True)"
+        assert repr(AntilinearOperator.from_matrix(small.matrix, True)) == repr(small)
 
-    @pytest.mark.parametrize("r_mat", [
-        [[0, 1], [0, 0]],        # a zero row
-        [[1, 1], [-1, 0]],       # two nonzeros in a row
-        [[0, 1], [0, -1]],       # one nonzero per row, repeated column
-        [[0, 2], [-1, 0]],       # an entry beyond +/-1
-        [[0, 1j], [-1j, 0]],     # a phase, not a sign
-        [[0, 1, 0], [-1, 0, 0], [0, 0, 1]],  # wrong dimension
-    ])
+    def test_time_reversal_returns_a_matrix_of_its_own(self):
+        c = time_reversal_matrix(1)
+        c[0, 1] = 5
+        np.testing.assert_array_equal(time_reversal_matrix(1), [[0, 1], [-1, 0]])
+
+    @pytest.mark.parametrize("r_mat", MALFORMED)
     def test_time_reversal_must_be_signed_permutation(self, r_mat):
-        rep = dataclasses.replace(build_representation(1, 1),
-                                  time_reversal=AntilinearOperator(np.array(r_mat), True))
-        with pytest.raises(ValueError, match="time_reversal must be a 2x2 signed permutation"):
+        with pytest.raises(ValueError, match="signed permutation"):
+            AntilinearOperator.from_matrix(np.array(r_mat), True)
+
+    def test_time_reversal_of_another_dimension_rejected(self):
+        r_op = AntilinearOperator.from_matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], True)
+        rep = dataclasses.replace(build_representation(1, 1), time_reversal=r_op)
+        with pytest.raises(ValueError, match="^time_reversal must be a 2x2 signed permutation matrix$"):
             check_conjugation_identities(rep)
 
     def test_wrong_signed_permutation_reported_not_raised(self):
-        rep = dataclasses.replace(build_representation(1, 1),
-                                  time_reversal=AntilinearOperator(np.eye(2, dtype=np.int64), True))
+        r_op = AntilinearOperator.from_matrix(np.eye(2, dtype=np.int64), True)
+        rep = dataclasses.replace(build_representation(1, 1), time_reversal=r_op)
         flip = check_conjugation_identities(rep).entries[0]
         assert flip.name == "angular_momentum_flip"
         assert not flip.passed and flip.max_deviation == 1.0
@@ -494,15 +582,11 @@ def dense_flip_deviation(rep):
 
 OPERATORS = ("parity", "time_reversal", "total_inversion")
 
-# The six matrices of test_time_reversal_must_be_signed_permutation.
-MALFORMED = [
-    [[0, 1], [0, 0]],
-    [[1, 1], [-1, 0]],
-    [[0, 1], [0, -1]],
-    [[0, 2], [-1, 0]],
-    [[0, 1j], [-1j, 0]],
-    [[0, 1, 0], [-1, 0, 0], [0, 0, 1]],
-]
+
+
+def dense_product(a, b):
+    """A o B as (A conj(B) if A conjugates else A B, XOR of the flags), from dense matrices."""
+    return a.matrix @ (np.conj(b.matrix) if a.conjugates else b.matrix), a.conjugates ^ b.conjugates
 
 
 def dense_relation_report(rep):
@@ -512,17 +596,17 @@ def dense_relation_report(rep):
     for name, op, sign in (("parity_squared", rep.parity, 1),
                            ("time_reversal_squared", rep.time_reversal, rep.reversal_sign),
                            ("total_inversion_squared", rep.total_inversion, rep.inversion_sign)):
-        square = op.compose(op)
-        s = next((s for s in (1, -1) if np.array_equal(square.matrix, s * eye)), None)
-        checks.append({"name": name, "passed": s == sign and not square.conjugates,
+        square, conjugates = dense_product(op, op)
+        s = next((s for s in (1, -1) if np.array_equal(square, s * eye)), None)
+        checks.append({"name": name, "passed": s == sign and not conjugates,
                        "expected": f"{sign:+d} * I", "observed": f"{s} * I"})
-    sigma_r = rep.parity.compose(rep.time_reversal)
-    same = (np.array_equal(sigma_r.matrix, rep.total_inversion.matrix)
-            and sigma_r.conjugates == rep.total_inversion.conjugates)
+    sigma_r, conjugates = dense_product(rep.parity, rep.time_reversal)
+    same = (np.array_equal(sigma_r, rep.total_inversion.matrix)
+            and conjugates == rep.total_inversion.conjugates)
     checks.append({"name": "total_inversion_is_parity_then_reversal", "passed": same,
                    "expected": "T == Sigma o R", "observed": "equal" if same else "different"})
-    r_sigma = rep.time_reversal.compose(rep.parity)
-    comm = next((c for c in (1, -1) if np.array_equal(sigma_r.matrix, c * r_sigma.matrix)), None)
+    r_sigma, _ = dense_product(rep.time_reversal, rep.parity)
+    comm = next((c for c in (1, -1) if np.array_equal(sigma_r, c * r_sigma)), None)
     checks.append({"name": "parity_reversal_commute_up_to_sign", "passed": comm is not None,
                    "expected": "Sigma o R == +/- R o Sigma", "observed": f"sign {comm}"})
     return {"row": rep.row, "twice_j": rep.twice_j, "checks": checks,
@@ -541,17 +625,15 @@ class TestSignedPermutationRelations:
                 perm = data.draw(st.permutations(range(rep.dim)))
                 signs = data.draw(st.lists(st.sampled_from([-1, 1]),
                                            min_size=rep.dim, max_size=rep.dim))
-                matrix = np.zeros((rep.dim, rep.dim), dtype=np.int64)
-                matrix[np.arange(rep.dim), perm] = signs
-                replaced[name] = AntilinearOperator(matrix, data.draw(st.booleans()))
+                replaced[name] = AntilinearOperator.from_matrix(
+                    signed_permutation_matrix(perm, signs), data.draw(st.booleans()))
         rep = dataclasses.replace(rep, **replaced)
         assert verify_group_relations(rep).to_dict() == dense_relation_report(rep)
 
     @pytest.mark.parametrize("name", OPERATORS)
-    @pytest.mark.parametrize("matrix", MALFORMED)
-    def test_malformed_operator_rejected(self, name, matrix):
+    def test_operator_of_another_dimension_rejected(self, name):
         rep = build_representation(4, 0)
-        operator = dataclasses.replace(getattr(rep, name), matrix=np.array(matrix))
+        operator = AntilinearOperator.from_matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], True)
         rep = dataclasses.replace(rep, **{name: operator})
         message = f"^{name} must be a 2x2 signed permutation matrix$"
         with pytest.raises(ValueError, match=message):

@@ -117,7 +117,7 @@ class TestTimeReverseTwice:
         # its square is another 3-cycle, no multiple of I
         cycle = np.eye(4, dtype=np.int64)[[1, 2, 0, 3]]
         rep = dataclasses.replace(build_representation(2, 1),
-                                  time_reversal=AntilinearOperator(cycle, True))
+                                  time_reversal=AntilinearOperator.from_matrix(cycle, True))
         state = canonical_state(PREP, Kind.GROWING, 0, pole)
         with pytest.raises(ValueError, match="not a scalar multiple of the identity"):
             time_reverse_twice(state, rep)
