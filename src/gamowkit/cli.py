@@ -12,18 +12,23 @@ cross-id   regime identification for branches 5a/5b (JSON)
 Exit codes: 0 on success, 2 on validation errors (bad flags, bad or non-finite
 values, grids outside the half-domain), 1 on internal errors.  An optional
 ``--config FILE`` supplies flat key=value defaults; explicit flags win.
+
+The grid commands check their whole grid, then compute, format and write it
+one block of Python floats at a time; only ``rep-check`` loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import json
 import sys
 
-from .core import DEFAULT_POLE, Arrow, Kind, ResonancePole, energy_window, np, require_finite
+from .core import DEFAULT_POLE, Arrow, Kind, ResonancePole, energy_window, require_finite
+from .evolution import branch_for
 from .scenarios import (DECAY_COLUMNS, EVOLUTION_COLUMNS, LINESHAPE_COLUMNS, Scenario, check_steps,
-                        check_width, decay_rows, evolution_rows, lineshape_rows, row_blocks,
+                        decay_row, evolution_row, lineshape_row, linspace_blocks, lorentzian,
                         write_csv, write_json)
 from .symmetry import (ROWS, build_representation, check_conjugation_identities,
                        verify_group_relations)
@@ -137,17 +142,23 @@ def _time_grid(opts: _Resolver):
     decaying = kind is Kind.DECAYING
     t_min = opts.get("tmin", 0.0 if decaying else -10.0)
     t_max = opts.get("tmax", 10.0 if decaying else 0.0)
-    scenario = Scenario(pole, arrow, kind, regime, t_min, t_max, opts.get("steps"))
-    return scenario.state(), scenario.checked_times()
+    steps = opts.get("steps")
+    state = Scenario(pole, arrow, kind, regime, t_min, t_max, steps).state()
+    branch, points = branch_for(state), functools.partial(linspace_blocks, t_min, t_max, steps)
+    for block in points():  # the half-domain over the whole grid first, as for an array
+        branch.checked_times(block)
+    for block in points():
+        branch.evolvable_times(pole, block)
+    return points, lambda t: branch.factor(pole, t) * state.amplitude
 
 
-def _table_command(columns, rows, grid):
-    """A command whose ``grid(opts)`` checks every input and gives the state or pole and the
-    grid of ``rows``; it returns the writer that computes and streams them a block at a time."""
+def _table_command(columns, row, grid):
+    """A command whose ``grid(opts)`` checks every input and gives the grid's blocks and the
+    value at a point; it returns the writer that computes ``row``s a block at a time."""
     def command(opts: _Resolver):
         fmt = opts.get("format")
-        source, points = grid(opts)
-        blocks = (rows(source, part) for part in row_blocks(points))
+        points, value = grid(opts)
+        blocks = (list(map(row, block, map(value, block))) for block in points())
         if fmt == "csv":
             return lambda fh: write_csv(fh, columns, blocks)
 
@@ -176,8 +187,7 @@ def _energy_grid(opts: _Resolver):
                              f"single energy {window[0]}; give --emin and --emax")
         raise ValueError(f"emax={e_max} must exceed emin={e_min}")
     require_finite("emax - emin", e_max - e_min)
-    check_width(pole)
-    return pole, np.linspace(e_min, e_max, steps)
+    return functools.partial(linspace_blocks, e_min, e_max, steps), lorentzian(pole)
 
 
 def _format_table_text(data: dict) -> str:
@@ -228,9 +238,9 @@ def _cmd_cross_id(opts: _Resolver) -> str:
 
 
 _COMMANDS = {
-    "evolve": _table_command(EVOLUTION_COLUMNS, evolution_rows, _time_grid),
-    "decay": _table_command(DECAY_COLUMNS, decay_rows, _time_grid),
-    "lineshape": _table_command(LINESHAPE_COLUMNS, lineshape_rows, _energy_grid),
+    "evolve": _table_command(EVOLUTION_COLUMNS, evolution_row, _time_grid),
+    "decay": _table_command(DECAY_COLUMNS, decay_row, _time_grid),
+    "lineshape": _table_command(LINESHAPE_COLUMNS, lineshape_row, _energy_grid),
     "table": _cmd_table,
     "rep-check": _cmd_rep_check,
     "cross-id": _cmd_cross_id,

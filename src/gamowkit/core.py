@@ -17,6 +17,7 @@ arbitrary unit and times in its inverse.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -41,9 +42,15 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_float_block(value) -> bool:
+    """A nonempty list of Python floats: a block of grid points, which the
+    grid commands check and evaluate without numpy."""
+    return type(value) is list and set(map(type, value)) == {float}
+
+
 def require_finite(name: str, value):
     """``value`` if it is real and all of it is finite, else a ValueError
-    naming the input.  An int or a float is checked without numpy."""
+    naming the input.  An int, a float or a float block is checked without numpy."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             if math.isfinite(value):
@@ -52,6 +59,10 @@ def require_finite(name: str, value):
             raise ValueError(f"{name} must be finite, got an integer of "
                              f"{value.bit_length()} bits") from None
         raise ValueError(f"{name} must be finite, got {value}")
+    if is_float_block(value):
+        for bad in itertools.filterfalse(math.isfinite, value):
+            raise ValueError(f"{name} must be finite, got {bad}")
+        return value
     values = np.asarray(value)
     if values.dtype.kind not in "iuf":  # a bool, complex, string or object
         raise ValueError(f"{name} must be real, got {value!r}")

@@ -18,11 +18,12 @@ for all real times.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (Arrow, GamowState, Kind, ResonancePole, TimeDomain, canonical_time_domain, np,
-                   require_finite)
+from .core import (Arrow, GamowState, Kind, ResonancePole, TimeDomain, canonical_time_domain,
+                   is_float_block, np, require_finite)
 
 DEFAULT_DIM_CAP = 64
 
@@ -69,13 +70,19 @@ class EvolutionBranch:
         return exponent if exponent.ndim else complex(exponent)
 
     def checked_times(self, t):
-        """A time as a float, or an array of times as a float array, after
-        the one finiteness and half-domain check of the package."""
+        """A time as a float, a block of times (a list of floats) as that list,
+        or an array of times as a float array, after the one finiteness and
+        half-domain check of the package.  Only the array loads numpy."""
         t = require_finite("t", t)
         if isinstance(t, (int, float)):
             times = outside = float(t)  # a Python float: no array for one time
             if self.domain.contains(times):
                 return times
+        elif is_float_block(t):
+            times = t  # a half-line holds every point between its extremes
+            if self.domain.contains(min(times)) and self.domain.contains(max(times)):
+                return times
+            outside = next(itertools.filterfalse(self.domain.contains, times))
         else:
             times = np.asarray(t, dtype=float)
             inside = self.domain.contains(times)
@@ -90,9 +97,12 @@ class EvolutionBranch:
         """t after :meth:`checked_times`, then the check that the phase
         E_R * t fits a double at the largest |t|: every check of :func:`evolve`."""
         times = self.checked_times(t)
-        # min and max, not abs: no second grid-sized array
-        longest = times if isinstance(times, float) else max(-times.min(initial=0.0),
-                                                             times.max(initial=0.0))
+        if isinstance(times, float):
+            longest = times
+        elif isinstance(times, list):
+            longest = max(-min(times), max(times))
+        else:  # min and max, not abs: no second grid-sized array
+            longest = max(-times.min(initial=0.0), times.max(initial=0.0))
         # Python floats overflow to inf without the warning numpy scalars print
         require_finite("E_R * t", float(pole.energy) * float(longest))
         return times
@@ -188,7 +198,7 @@ def survival_probability(state: GamowState, t):
     if isinstance(times, float):
         return math.exp(rate * times)
     with np.errstate(over="ignore"):  # -inf on the domain, where exp gives exactly 0
-        return np.exp(rate * times)
+        return np.exp(rate * np.asarray(times))
 
 
 def group_evolve(hamiltonian, t: float, vector) -> np.ndarray:

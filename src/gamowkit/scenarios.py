@@ -5,15 +5,18 @@ grid; :func:`run_decay` and :func:`evolution_table` sweep the grid through
 the semigroup evolution.  Results come back as :class:`ResultTable` values,
 one float64 array each, that stream to CSV (shortest round-trip float
 formatting) and JSON and parse back without loss.  Each table has one row
-function, ``rows(state_or_pole, grid)``, which builds it whole here and which
-the CLI applies to one block of the grid at a time.
+formula, ``row(point, value)``, which builds its columns here from arrays.
+The CLI applies the same formula to Python floats: it takes the grid from
+:func:`linspace_blocks` one block at a time, so it never loads numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -21,12 +24,11 @@ from .core import (Arrow, GamowState, Kind, ResonancePole, canonical_state, is_i
                    require_finite)
 from .evolution import branch_for, evolve
 
-# Largest accepted grid.  A streamed grid holds 8 bytes per point and one
-# block of rows, so the bound is time: a 1e6-point `decay` spends seconds
-# formatting text.
+# Largest accepted grid.  A streamed grid holds one block of rows, so the
+# bound is time: a 1e6-point `decay` spends seconds formatting text.
 MAX_GRID_STEPS = 1_000_000
 
-# Rows computed, formatted and written at a time: about 0.15 MiB of arrays and
+# Rows computed, formatted and written at a time: about 0.15 MiB of floats and
 # text.  Of 512 to 4096 rows, 512 gave 50001-point runs the lowest peak RSS
 # at no measurable cost in time.
 _BLOCK_ROWS = 512
@@ -107,7 +109,12 @@ class ResultTable:
         missing = [key for key in ("columns", "rows") if key not in data]
         if missing:
             raise ValueError(f"JSON table has no {' or '.join(map(repr, missing))}")
-        return cls(data["columns"], data["rows"])
+        columns, rows = data["columns"], data["rows"]
+        if type(columns) is not list or not all(isinstance(c, str) for c in columns):
+            raise ValueError("JSON table columns must be a list of names")
+        if type(rows) is not list or not all(type(r) is list for r in rows):
+            raise ValueError("JSON table rows must be a list of lists")
+        return cls(columns, rows)
 
 
 def _text(write) -> str:
@@ -117,25 +124,40 @@ def _text(write) -> str:
 
 
 def row_blocks(values):
-    """``values`` in order, as slices of at most _BLOCK_ROWS rows."""
+    """The rows of a float array in order, as lists of at most _BLOCK_ROWS rows of floats."""
     for start in range(0, len(values), _BLOCK_ROWS):
-        yield values[start:start + _BLOCK_ROWS]
+        yield values[start:start + _BLOCK_ROWS].tolist()
+
+
+def linspace_blocks(start, stop, steps: int):
+    """``np.linspace(start, stop, steps)`` bit for bit, as lists of at most _BLOCK_ROWS
+    Python floats, by numpy's own arithmetic: point i is i * step + start, or
+    (i / div) * delta + start where the step rounds to 0, and the last is stop."""
+    start, stop, div = float(start), float(stop), steps - 1
+    delta = stop - start
+    step = delta / div
+    for first in range(0, steps, _BLOCK_ROWS):
+        points = range(first, min(first + _BLOCK_ROWS, steps))
+        block = [i * step + start if step else i / div * delta + start for i in points]
+        if points[-1] == div:
+            block[-1] = stop
+        yield block
 
 
 def write_csv(fh, columns, blocks) -> None:
-    """``columns``, then the rows of each float array of ``blocks``, a block per write."""
+    """``columns``, then the rows of each list of ``blocks``, a block per write."""
     csv.writer(fh, lineterminator="\n").writerow(columns)  # names may need quoting
     line = "%r," * (len(columns) - 1) + "%r\n"
     for block in blocks:
-        fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 def write_json(fh, columns, blocks) -> None:
-    """``{"columns": [...], "rows": [...]}`` with each array of ``blocks``, a block per write."""
+    """``{"columns": [...], "rows": [...]}`` with each list of ``blocks``, a block per write."""
     fh.write(json.dumps({"columns": list(columns), "rows": []})[:-2])
     separator = ""
     for block in blocks:
-        fh.write(separator + json.dumps(block.tolist())[1:-1])
+        fh.write(separator + json.dumps(block)[1:-1])
         separator = ", "
     fh.write("]}")
 
@@ -183,18 +205,21 @@ EVOLUTION_COLUMNS = ("t", "factor_real", "factor_imag")
 LINESHAPE_COLUMNS = ("energy", "density")
 
 
-def decay_rows(state: GamowState, times) -> np.ndarray:
-    """Rows of DECAY_COLUMNS at ``times``, as :func:`evolve` checks them."""
-    factor = evolve(state, times)
-    survival = np.hypot(factor.real, factor.imag)
-    survival **= 2
-    return np.column_stack((times, survival, factor.real, factor.imag))
+# Each table's row formula: its row at a point and the value there, as floats, or its
+# columns at an array of points and their values, as arrays, with the same bits.
+def decay_row(t, factor) -> tuple:
+    # |factor| by the C library's hypot on both: numpy's complex abs rounds otherwise on some CPUs
+    survival = abs(factor) if isinstance(factor, complex) else np.hypot(factor.real, factor.imag)
+    survival *= survival  # the bits of numpy's array ** 2
+    return t, survival, factor.real, factor.imag
 
 
-def evolution_rows(state: GamowState, times) -> np.ndarray:
-    """Rows of EVOLUTION_COLUMNS at ``times``, as :func:`evolve` checks them."""
-    factor = evolve(state, times)
-    return np.column_stack((times, factor.real, factor.imag))
+def evolution_row(t, factor) -> tuple:
+    return t, factor.real, factor.imag
+
+
+def lineshape_row(energy, density) -> tuple:
+    return energy, density
 
 
 def run_decay(scenario: Scenario) -> ResultTable:
@@ -204,36 +229,49 @@ def run_decay(scenario: Scenario) -> ResultTable:
     survival = |factor|^2 (the scenario's state has unit amplitude), which
     equals exp(growth_sign * Gamma * t) on the scenario's branch.
     """
-    return ResultTable(DECAY_COLUMNS, decay_rows(scenario.state(), scenario.times()))
+    times = scenario.times()
+    return ResultTable(DECAY_COLUMNS,
+                       np.column_stack(decay_row(times, evolve(scenario.state(), times))))
 
 
 def evolution_table(scenario: Scenario) -> ResultTable:
     """Evolution factor over the scenario grid, columns (t, factor_real,
     factor_imag)."""
-    return ResultTable(EVOLUTION_COLUMNS, evolution_rows(scenario.state(), scenario.times()))
+    times = scenario.times()
+    return ResultTable(EVOLUTION_COLUMNS,
+                       np.column_stack(evolution_row(times, evolve(scenario.state(), times))))
 
 
-def check_width(pole: ResonancePole) -> None:
-    """Reject a width whose (Gamma/2)^2 is below the smallest normal double:
-    a subnormal square has lost digits, and 0 divides by zero at E_R."""
-    half_width = 0.5 * float(pole.width)  # a float product underflows or overflows silently
+def lorentzian(pole: ResonancePole):
+    """The pole's unit-area Lorentzian, unchecked, at an energy (a float, without
+    numpy) or at every energy of a float array, once the width passes its check."""
+    # Python floats overflow and underflow without the warning numpy scalars print
+    energy, half_width = float(pole.energy), 0.5 * float(pole.width)
+    # A subnormal (Gamma/2)^2 has lost digits, and 0 divides by zero at E_R.
     if half_width * half_width < sys.float_info.min:
         raise ValueError(f"resonance width {pole.width} is too small for a lineshape: "
                          f"(Gamma/2)^2 is below the smallest normal double")
+    try:
+        squared = half_width**2  # C pow(), as numpy's float64 ** 2; hw * hw rounds otherwise
+    except OverflowError:  # numpy's inf: an infinite denominator is a density of 0.0
+        squared = math.inf
+    scale = float(pole.width) / (2.0 * math.pi)
+
+    def density(e):
+        offset = e - energy
+        return scale / (offset * offset + squared)  # offset * offset: the bits of ** 2
+    return density
 
 
-def lorentzian_density(pole: ResonancePole, energies) -> np.ndarray:
-    """Unit-area Lorentzian lineshape attached to a resonance pole."""
-    e = np.asarray(require_finite("energies", energies), dtype=float)
-    check_width(pole)
-    half_width = np.float64(0.5 * pole.width)  # squares to inf where a float raises OverflowError
+def lorentzian_density(pole: ResonancePole, energies):
+    """Unit-area Lorentzian lineshape attached to a resonance pole, at an
+    energy (a float) or at every energy of an array (an array)."""
+    e = require_finite("energies", energies)
+    density = lorentzian(pole)
+    if isinstance(e, (int, float)):
+        return density(float(e))
     with np.errstate(over="ignore"):  # an infinite denominator is a density of 0.0
-        return (pole.width / (2.0 * np.pi)) / ((e - pole.energy) ** 2 + half_width**2)
-
-
-def lineshape_rows(pole: ResonancePole, energies) -> np.ndarray:
-    """Rows of LINESHAPE_COLUMNS at ``energies``."""
-    return np.column_stack((energies, lorentzian_density(pole, energies)))
+        return density(np.asarray(e, dtype=float))
 
 
 def lineshape(pole: ResonancePole, energies) -> ResultTable:
@@ -246,4 +284,5 @@ def lineshape(pole: ResonancePole, energies) -> ResultTable:
     e = np.asarray(require_finite("energies", energies), dtype=float)
     if e.size == 0:
         raise ValueError("lineshape needs a nonempty energy grid")
-    return ResultTable(LINESHAPE_COLUMNS, lineshape_rows(pole, e))
+    return ResultTable(LINESHAPE_COLUMNS,
+                       np.column_stack(lineshape_row(e, lorentzian_density(pole, e))))

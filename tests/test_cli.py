@@ -8,11 +8,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gamowkit
 from gamowkit import (Arrow, Kind, ResonancePole, ResultTable, Scenario, derive_table,
                       evolution_table, lineshape, run_decay)
-from gamowkit.cli import main
+from gamowkit.cli import ARROWS, KINDS, main
+from gamowkit.core import TimeHalf, canonical_time_domain
 from gamowkit.scenarios import _BLOCK_ROWS, MAX_GRID_STEPS
 from gamowkit.symmetry import MAX_TWICE_J
 
@@ -445,24 +448,78 @@ class TestStreamedOutput:
         assert code == 2 and err.startswith("error: ") and not out
         assert not target.exists()
 
+    # The CLI computes its grid from Python floats, the library from numpy arrays: the
+    # bytes must agree on every branch, at block boundaries, on one-point spans and on
+    # subnormal ones.
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(energy=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3),
+           arrow=st.sampled_from(sorted(ARROWS)), kind=st.sampled_from(sorted(KINDS)),
+           regime=st.sampled_from([0, 1]),
+           steps=st.one_of(st.sampled_from([2, 3, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                            2 * _BLOCK_ROWS, 3 * _BLOCK_ROWS + 7]),
+                           st.integers(2, 3 * _BLOCK_ROWS + 7)),
+           bounds=st.lists(st.one_of(st.floats(0.0, 1e3), st.floats(0.0, 1e-300),
+                                     st.integers(0, 40).map(lambda k: k * 5e-324)),
+                           min_size=1, max_size=2).map(sorted))
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", ["decay", "evolve", "lineshape"])
-    def test_stdout_and_out_file_agree(self, tmp_path, capsys, command, fmt):
-        steps = 3 * _BLOCK_ROWS + 7
-        argv = (command, "--steps", str(steps), "--format", fmt)
+    def test_stdout_and_out_file_agree(self, tmp_path, capsys, command, fmt, energy, width,
+                                       arrow, kind, regime, steps, bounds):
+        pole = ResonancePole(energy, width)
+        low, high = bounds[0], bounds[-1]  # one bound drawn: a one-point span
+        if command == "lineshape":
+            high = max(high, math.nextafter(low, math.inf))  # an energy grid spans two values
+            grid = ("--emin", repr(low), "--emax", repr(high))
+            table = lineshape(pole, np.linspace(low, high, steps))
+        else:
+            if canonical_time_domain(KINDS[kind], regime).half is TimeHalf.NONPOS:
+                low, high = -high, -low
+            scenario = Scenario(pole, ARROWS[arrow], KINDS[kind], regime, low, high, steps)
+            grid = ("--arrow", arrow, "--kind", kind, "--regime", str(regime),
+                    f"--tmin={low!r}", f"--tmax={high!r}")
+            table = (run_decay if command == "decay" else evolution_table)(scenario)
+        argv = (command, "--er", repr(energy), "--gamma", repr(width), *grid,
+                "--steps", str(steps), "--format", fmt)
         code, out, err = invoke(capsys, *argv)
         assert code == 0 and not err
+        assert out == (table.to_csv() if fmt == "csv" else table.to_json() + "\n")
         target = tmp_path / f"{command}.{fmt}"
         assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
         assert target.read_bytes() == out.encode()
-        pole = ResonancePole(1.0, 0.2)
-        if command == "lineshape":
-            table = lineshape(pole, np.linspace(-4.0, 6.0, steps))
-        else:
-            build = run_decay if command == "decay" else evolution_table
-            table = build(Scenario(pole, Arrow.PREPARATION_REGISTRATION, Kind.DECAYING, 0, 0.0,
-                                   10.0, steps))
-        assert out == (table.to_csv() if fmt == "csv" else table.to_json() + "\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        # (Gamma/2)^2 by pow(), as numpy's scalar ** 2; (Gamma/2) * (Gamma/2) gives ...953
+        (("lineshape", "--er", "1.0", "--gamma", "2.759", "--emin", "0", "--emax", "2",
+          "--steps", "3"), "1.0,0.23074294032895304"),
+        (("lineshape", "--gamma", "1e200", "--steps", "3"), "0.0,0.0"),  # (Gamma/2)^2 = inf
+        (("decay", "--gamma", "1e300", "--tmax", "1e10", "--steps", "3"),
+         "5000000000.0,0.0,0.0,-0.0"),  # Gamma * t overflows: exp(-inf + i E_R t)
+    ])
+    def test_edge_grids_keep_their_bits(self, capsys, argv, line):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0 and not err and line in out.splitlines()
+
+    @pytest.mark.parametrize("argv, message", [
+        # the first point outside in grid order, not the grid's largest
+        (("decay", "--kind", "grow", "--tmin=-1", "--tmax", "2", "--steps", "4"),
+         "t=1.0 lies outside the t<=0 half-domain of branch 4a"),
+        (("evolve", "--kind", "grow", "--tmin=-3", "--tmax", "0.5", "--steps", "1100"),
+         "t=0.0031847133757962887 lies outside the t<=0 half-domain of branch 4a"),
+        # the half-domain over the whole grid before the phase, whose E_R * t overflows at -1e10
+        (("evolve", "--er", "1e300", "--kind", "grow", "--tmin=-1e10", "--tmax", "1",
+          "--steps", "1100"), "t=1.0 lies outside the t<=0 half-domain of branch 4a"),
+        (("decay", "--tmin=-1", "--tmax", "1", "--steps", "3"),
+         "t=-1.0 lies outside the t>=0 half-domain of branch 4b"),
+        (("evolve", "--arrow", "exc", "--kind", "decay", "--regime", "1", "--tmin=-1e-320",
+          "--tmax", "5", "--steps", "1100"), "t=-1e-320 lies outside the t>=0 half-domain of "
+         "branch 13"),
+    ])
+    def test_crossing_grid_names_its_first_point_outside(self, tmp_path, capsys, argv, message):
+        target = tmp_path / "grid.csv"
+        assert invoke(capsys, *argv, "--out", str(target)) == (
+            2, "", f"error: {message}; semigroup evolution has no inverse across t=0\n")
+        assert not target.exists()
 
 
 # Runs `gamowkit` in a fresh interpreter and reports the process's own peak

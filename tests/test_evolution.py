@@ -207,6 +207,22 @@ class TestEvolve:
         with pytest.raises(ValueError, match=f"^{message}$"):
             evolve(state, t)
 
+    def test_float_block_checked_as_a_list(self, pole):
+        branch = branch_for(state_for((PREP, Kind.GROWING, 0), pole))
+        block = [-1.0, -3.0, -0.0, 0.0]
+        assert branch.checked_times(block) is block
+        assert branch.evolvable_times(pole, block) is block
+        # both ends inside, an inner point outside: the first point outside is named
+        for times in ([-1.0, 0.5, -3.0, 2.0, -1.0], np.array([-1.0, 0.5, -3.0, 2.0, -1.0])):
+            with pytest.raises(DomainViolationError, match="^t=0.5 lies outside the t<=0 "):
+                branch.checked_times(times)
+        with pytest.raises(ValueError, match="^t must be finite, got nan$"):
+            branch.checked_times([-1.0, math.nan, math.inf])
+        overflowing = ResonancePole(1e300, 0.2)
+        for times in ([-1e10, 0.0], [0.0, -1e10], np.array([0.0, -1e10])):
+            with pytest.raises(ValueError, match=r"^E_R \* t must be finite, got inf$"):
+                branch.evolvable_times(overflowing, times)
+
     def test_scalar_time_checked_as_float(self, pole):
         state = state_for((PREP, Kind.DECAYING, 0), pole)
         assert type(branch_for(state).checked_times(2)) is float

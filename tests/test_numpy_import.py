@@ -1,5 +1,5 @@
-"""numpy loads on the first numeric call: label algebra, help and rejected
-inputs run without it, in a fresh interpreter each."""
+"""numpy loads on the first numeric library call: label algebra, the grid
+commands, help and rejected inputs run without it, in a fresh interpreter each."""
 
 import os
 import subprocess
@@ -44,6 +44,10 @@ def test_import_does_not_load_numpy():
     (("--help",), 0),
     (("decay", "--config", "{config}"), 2),  # an unknown config key
     (("decay", "--steps", "1"), 2),
+    (("decay", "--tmin", "-1", "--tmax", "1", "--steps", "3"), 2),  # crosses t = 0
+    (("decay", "--kind", "grow", "--tmin", "-1", "--tmax", "2", "--steps", "4"), 2),
+    (("evolve", "--er", "1e300", "--tmax", "1e10", "--steps", "3"), 2),  # E_R * t overflows
+    (("lineshape", "--gamma", "1e-300"), 2),
     (("rep-check", "--row", "4", "--twice-j", "65536"), 2),
 ])
 def test_label_commands_and_rejections_do_not_load_numpy(tmp_path, argv, code):
@@ -53,9 +57,19 @@ def test_label_commands_and_rejections_do_not_load_numpy(tmp_path, argv, code):
     assert _fresh("-c", _CHILD, *argv) == f"{code} False"
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", [
-    ("decay", "--steps", "3"),
-    ("lineshape", "--steps", "3"),
+    ("decay", "--steps", "1100"),  # three blocks
+    ("evolve", "--kind", "grow", "--arrow", "exc", "--regime", "1", "--steps", "1100"),
+    ("lineshape", "--steps", "1100"),
+], ids=["decay", "evolve", "lineshape"])
+def test_grid_commands_do_not_load_numpy(tmp_path, argv, fmt, to_file):
+    out = ("--out", str(tmp_path / "grid.out")) if to_file else ()
+    assert _fresh("-c", _CHILD, *argv, "--format", fmt, *out) == "0 False"
+
+
+@pytest.mark.parametrize("argv", [
     ("rep-check", "--row", "1", "--twice-j", "0"),
 ])
 def test_numeric_commands_load_numpy(argv):

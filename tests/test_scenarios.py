@@ -27,7 +27,7 @@ from gamowkit import (
     lorentzian_density,
     run_decay,
 )
-from gamowkit.scenarios import _BLOCK_ROWS
+from gamowkit.scenarios import _BLOCK_ROWS, decay_row, linspace_blocks
 
 # numpy < 2.0 names the trapezoidal rule trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -268,10 +268,61 @@ class TestLineshape:
         assert lorentzian_density(narrow, [1.0])[0] == pytest.approx(2.0 / (math.pi * 3e-154),
                                                                      rel=1e-15)
 
+    @pytest.mark.parametrize("width", [0.2, 2.759, 1e200, 3e-154])
+    def test_density_at_a_float_is_the_array_value(self, width):
+        pole = ResonancePole(1.0, width)
+        energies = [-1e300, -3.0, 0.0, 1.0, 1.5, 1e200, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # (E - E_R)^2 and (Gamma/2)^2 overflow silently
+            grid = lorentzian_density(pole, np.array(energies))
+            scalars = [lorentzian_density(pole, e) for e in energies]
+            assert lorentzian_density(pole, np.float64(1e300)) == grid[-1]
+        assert all(type(value) is float for value in scalars)
+        assert [v.hex() for v in scalars] == [v.hex() for v in grid.tolist()]
+        assert lorentzian_density(pole, energies).tolist() == grid.tolist()  # a float block
+
+    def test_peak_squares_the_half_width_as_numpy_does(self):
+        # Python's hw ** 2 and numpy's float64 ** 2 are pow(); hw * hw rounds otherwise here
+        pole = ResonancePole(1.0, 2.759)
+        assert lorentzian_density(pole, 1.0) == 0.23074294032895304
+        assert lorentzian_density(pole, [1.0]).tolist() == [0.23074294032895304]
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_density_rejects_nonfinite_energy(self, pole, value):
         with pytest.raises(ValueError, match=f"^energies must be finite, got {value}$"):
             lorentzian_density(pole, [0.5, value])
+
+
+class TestFloatGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(start=st.one_of(st.floats(-1e308, 1e308), st.floats(-1e-300, 1e-300)),
+           span=st.one_of(st.floats(0.0, 1e308), st.integers(0, 40).map(lambda k: k * 5e-324)),
+           steps=st.one_of(st.integers(2, 3 * _BLOCK_ROWS + 3),
+                           st.sampled_from([_BLOCK_ROWS, _BLOCK_ROWS + 1, 50001])))
+    @example(start=0.0, span=1e-320, steps=7)
+    @example(start=-1e308, span=1e308, steps=1_000_000)
+    @example(start=0.0, span=1e308, steps=3)
+    @example(start=2.0, span=0.0, steps=5)
+    @example(start=-0.0, span=0.0, steps=2)
+    def test_blocks_are_numpy_linspace(self, start, span, steps):
+        stop = start + span
+        if not math.isfinite(stop) or not math.isfinite(stop - start):
+            return
+        blocks = list(linspace_blocks(start, stop, steps))
+        assert [len(b) for b in blocks[:-1]] == [_BLOCK_ROWS] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= _BLOCK_ROWS
+        points = list(itertools.chain.from_iterable(blocks))
+        assert all(type(t) is float for t in points)
+        assert np.array(points).tobytes() == np.linspace(start, stop, steps).tobytes()
+
+    @pytest.mark.parametrize("key", BRANCH_KEYS, ids=lambda key: BRANCHES[key].label)
+    def test_decay_row_of_a_float_is_the_array_row(self, pole, key):
+        scenario = _in_domain(pole, key, 0.0, 60.0, 97)
+        times = scenario.times()
+        factors = evolve(scenario.state(), times)
+        rows = [decay_row(t, f) for t, f in zip(times.tolist(), factors.tolist())]
+        assert np.array(rows).tobytes() == np.column_stack(decay_row(times, factors)).tobytes()
+        assert np.array(rows).tobytes() == run_decay(scenario)._values.tobytes()
 
 
 class TestResultTableRoundTrip:
@@ -325,6 +376,11 @@ class TestResultTableRoundTrip:
         ("from_json", "{}", "JSON table has no 'columns' or 'rows'"),
         ("from_json", "[1]", "JSON table must be an object, got list"),
         ("from_json", "null", "JSON table must be an object, got NoneType"),
+        ("from_json", '{"columns": 5, "rows": []}', "JSON table columns must be a list of names"),
+        *[("from_json", text, "JSON table columns must be a list of names")
+          for text in ('{"columns": "ab", "rows": [[1, 2]]}', '{"columns": [1], "rows": [[1]]}')],
+        *[("from_json", text, "JSON table rows must be a list of lists")
+          for text in ('{"columns": ["a"], "rows": 5}', '{"columns": ["a"], "rows": [1, 2]}')],
     ])
     def test_malformed_text_names_what_is_missing(self, parse, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
