@@ -243,8 +243,8 @@ def evolution_table(scenario: Scenario) -> ResultTable:
 
 
 def lorentzian(pole: ResonancePole):
-    """The pole's unit-area Lorentzian, unchecked, at an energy (a float, without
-    numpy) or at every energy of a float array, once the width passes its check."""
+    """After the width check, the pole's unit-area Lorentzian as an unchecked
+    function of an energy (a float, without numpy) or of a float array."""
     # Python floats overflow and underflow without the warning numpy scalars print
     energy, half_width = float(pole.energy), 0.5 * float(pole.width)
     # A subnormal (Gamma/2)^2 has lost digits, and 0 divides by zero at E_R.

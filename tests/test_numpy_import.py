@@ -47,7 +47,7 @@ def test_import_does_not_load_numpy():
     (("decay", "--tmin", "-1", "--tmax", "1", "--steps", "3"), 2),  # crosses t = 0
     (("decay", "--kind", "grow", "--tmin", "-1", "--tmax", "2", "--steps", "4"), 2),
     (("evolve", "--er", "1e300", "--tmax", "1e10", "--steps", "3"), 2),  # E_R * t overflows
-    (("lineshape", "--gamma", "1e-300"), 2),
+    (("lineshape", "--gamma", "1e-160", "--emin", "0", "--emax", "2"), 2),  # (Gamma/2)^2 < min
     (("rep-check", "--row", "4", "--twice-j", "65536"), 2),
 ])
 def test_label_commands_and_rejections_do_not_load_numpy(tmp_path, argv, code):
