@@ -52,7 +52,6 @@ from .symmetry import (
     build_representation,
     check_conjugation_identities,
     reversed_wavefunction,
-    spin_matrices,
     time_reversal_matrix,
     verify_group_relations,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "build_representation",
     "check_conjugation_identities",
     "reversed_wavefunction",
-    "spin_matrices",
     "time_reversal_matrix",
     "verify_group_relations",
     "CrossIdentification",

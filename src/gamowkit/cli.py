@@ -14,7 +14,8 @@ values, grids outside the half-domain), 1 on internal errors.  An optional
 ``--config FILE`` supplies flat key=value defaults; explicit flags win.
 
 The grid commands check their whole grid, then compute, format and write it
-one block of Python floats at a time; only ``rep-check`` loads numpy.
+one block of Python floats at a time, and ``rep-check`` checks signed
+permutations as tuples of ints: no command loads numpy.
 """
 
 from __future__ import annotations

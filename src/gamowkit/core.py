@@ -328,12 +328,14 @@ def canonical_state(arrow: Arrow, kind: Kind, regime: int, pole: ResonancePole,
     return GamowState(pole, kind, regime, arrow, amplitude)
 
 
-def resonance_s_matrix(pole: ResonancePole, energies) -> np.ndarray:
-    """Rank-one resonance S-matrix values on a real energy grid.
+def resonance_s_matrix(pole: ResonancePole, energies):
+    """Rank-one resonance S-matrix at a real energy (a complex, without
+    numpy) or at every energy of a grid (a complex array).
 
     S(E) = (E - z*) / (E - z) with z the lower-half-plane pole.  On the real
     axis numerator and denominator are complex conjugates, so |S(E)| = 1 and
     conj(S) = 1/S.
     """
-    e = np.asarray(require_finite("energies", energies), dtype=float)
+    e = require_finite("energies", energies)
+    e = float(e) if isinstance(e, (int, float)) else np.asarray(e, dtype=float)
     return (e - pole.growing_pole) / (e - pole.decaying_pole)

@@ -112,8 +112,14 @@ class ResultTable:
         columns, rows = data["columns"], data["rows"]
         if type(columns) is not list or not all(isinstance(c, str) for c in columns):
             raise ValueError("JSON table columns must be a list of names")
-        if type(rows) is not list or not all(type(r) is list for r in rows):
-            raise ValueError("JSON table rows must be a list of lists")
+        for i, row in enumerate(rows if type(rows) is list else [rows]):  # a non-list fails
+            if type(row) is not list:
+                raise ValueError("JSON table rows must be a list of lists")
+            if len(row) != len(columns):
+                raise ValueError(f"JSON table rows[{i}] has {len(row)} values, which do not fit "
+                                 f"{len(columns)} columns")
+            for value in itertools.filterfalse(lambda v: type(v) in (int, float), row):
+                raise ValueError(f"JSON table rows[{i}] holds {value!r}, which is not a number")
         return cls(columns, rows)
 
 

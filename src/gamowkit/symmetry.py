@@ -1,4 +1,4 @@
-"""Spin matrices, antilinear operator algebra, and the four symmetry families.
+"""Antilinear operator algebra and the four symmetry families.
 
 The extended spacetime symmetry group adds a parity inversion ``Sigma``
 (unitary), a time reversal ``R`` (antiunitary) and a total inversion
@@ -10,28 +10,34 @@ three double it, with a two-valued index r = 0, 1 labelling the sheets.
 
 Every Sigma, R and T is a signed permutation, one +-1 in each row and each
 column (Wigner's co-representations), held by :class:`AntilinearOperator`
-as its rows' signed columns.  The checks hold each spin matrix J_i as its
-bands, so every product is an O(d) gather and no d x d matrix is formed.
-2j goes up to ``MAX_TWICE_J`` = 65535; dense matrices stop at 2j =
-``MAX_DENSE_TWICE_J`` = 511, and an operator's at ``MAX_DENSE_DIM`` = 1024.
+as its rows' signed columns, a tuple of ints.  The checks hold each spin
+matrix J_i as its bands, so every product is an O(d) integer gather, and
+their grids are Python floats: checking a family never loads numpy.  2j goes
+up to ``MAX_TWICE_J`` = 65535; ``time_reversal_matrix`` stops at 2j =
+``MAX_DENSE_TWICE_J`` = 511, and an operator's matrix at ``MAX_DENSE_DIM`` =
+1024.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 from dataclasses import asdict, dataclass
 
 from .core import DEFAULT_POLE, ResonancePole, energy_window, is_integer, np, resonance_s_matrix
+from .scenarios import linspace_blocks
 
 ROWS = (1, 2, 3, 4)
 # Relative signs (eps_R, eps_T) / (-1)^(2j) of each family (Wigner, Group
 # Theory, ch. 26); every Sigma, R and T below is derived from them.
 _FAMILY_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
-# Largest accepted 2j.  The checks' arrays grow as O(d): row 4 at 2j = 65535
-# (d = 131072) runs in well under a second and about 100 MiB.
+# Largest accepted 2j.  The checks' tuples and lists grow as O(d): row 4 at
+# 2j = 65535 (d = 131072) runs in well under a second and about 50 MiB.
 MAX_TWICE_J = 65535
-# Largest 2j of time_reversal_matrix and spin_matrices, and largest dimension of an
-# operator's matrix: a doubled family's at 2j = 511, 8 MiB of int64.
+# Largest 2j of time_reversal_matrix, and largest dimension of an operator's
+# matrix: a doubled family's at 2j = 511, 8 MiB of int64.
 MAX_DENSE_TWICE_J = 511
 MAX_DENSE_DIM = 2 * (MAX_DENSE_TWICE_J + 1)
 # Point counts of the conjugation check's grids; the momentum count is odd,
@@ -49,11 +55,11 @@ def _check_twice_j(twice_j: int, cap: int = MAX_TWICE_J) -> int:
     return int(twice_j)
 
 
-def _reversal_columns(twice_j: int, diagonal: bool = False) -> np.ndarray:
+def _reversal_columns(twice_j: int, diagonal: bool = False) -> tuple[int, ...]:
     """The signed columns (see :class:`AntilinearOperator`) of C: (-1)^(j+mu)
     at column -mu of row mu, or at column mu when ``diagonal``."""
-    k = np.arange(twice_j + 1, dtype=np.int64)  # (j + mu) is the ascending index
-    return (-1) ** k * ((k + 1) if diagonal else (twice_j + 1 - k))
+    d = twice_j + 1  # (j + mu) is the ascending index k
+    return tuple((k + 1 if diagonal else d - k) * (-1) ** k for k in range(d))
 
 
 def time_reversal_matrix(twice_j: int, diagonal: bool = False) -> np.ndarray:
@@ -75,59 +81,33 @@ def time_reversal_matrix(twice_j: int, diagonal: bool = False) -> np.ndarray:
     return AntilinearOperator(columns, True).matrix.copy()
 
 
-def _ladder(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """m = -j, ..., +j ascending, and <m+1|J_+|m> = sqrt(j(j+1) - m(m+1))
-    for each m but the last."""
-    j = twice_j / 2.0
-    m = np.arange(-twice_j, twice_j + 1, 2) / 2.0
-    return m, np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
-
-
-def spin_matrices(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Angular momentum matrices (J_x, J_y, J_z) for spin j = twice_j / 2.
-
-    Built from the standard ladder construction in the ascending m basis:
-    J_z = diag(-j, ..., +j) and <m+1|J_+|m> = sqrt(j(j+1) - m(m+1)).  The
-    three matrices are Hermitian and satisfy [J_x, J_y] = i J_z cyclically.
-    Dense, so 2j is at most ``MAX_DENSE_TWICE_J``.
-    """
-    twice_j = _check_twice_j(twice_j, MAX_DENSE_TWICE_J)
-    m, ladder = _ladder(twice_j)
-    d = twice_j + 1
-    jz = np.diag(m).astype(complex)
-    jplus = np.zeros((d, d), dtype=complex)
-    jplus[np.arange(1, d), np.arange(d - 1)] = ladder
-    jminus = jplus.conj().T
-    jx = 0.5 * (jplus + jminus)
-    jy = -0.5j * (jplus - jminus)
-    return jx, jy, jz
-
-
 @dataclass(frozen=True, eq=False)
 class AntilinearOperator:
     """A signed permutation, with or without a complex conjugation.
 
     Row i holds its one nonzero s_i = +-1 in column p_i: ``columns[i] =
-    s_i (p_i + 1)``, and anything but a signed permutation of 1..d raises
-    ValueError.  ``apply(v)`` is s_i (conj v)[p_i] and, the signs being real,
-    ``compose`` gives A B's columns sign(a) * b[|a| - 1] and the XOR of the
-    flags; both are O(d) gathers.  ``matrix`` is built on its first read, up
-    to dimension ``MAX_DENSE_DIM``, and :meth:`from_matrix` reads one back.
+    s_i (p_i + 1)``, a tuple of ints, and anything but a signed permutation
+    of 1..d raises ValueError.  ``apply(v)`` is s_i (conj v)[p_i] and, the
+    signs being real, ``compose`` gives A B's columns sign(a) * b[|a| - 1]
+    and the XOR of the flags; both are O(d) gathers.  ``matrix`` is built on
+    its first read, up to dimension ``MAX_DENSE_DIM``, and :meth:`from_matrix`
+    reads one back; only those two and ``apply`` load numpy.
     """
 
-    columns: np.ndarray
+    columns: tuple[int, ...]
     conjugates: bool
 
     def __post_init__(self) -> None:
-        columns = np.array(self.columns)  # a copy no caller can write to
-        if columns.ndim != 1 or columns.dtype.kind != "i":
-            raise ValueError(f"columns must be a 1-D signed integer array, "
-                             f"got {columns.ndim}-D {columns.dtype}")
-        d = len(columns)  # a 0 or a |column| beyond d leaves one of 1..d without a count of 1
-        if (np.bincount(np.abs(columns), minlength=d + 1)[1:] != 1).any():
+        columns = tuple(self.columns)  # a copy no caller can write to
+        if set(map(type, columns)) - {int}:  # numpy integers, or no integers at all
+            for c in columns:  # an unsigned numpy integer holds no sign (and numpy is loaded)
+                if type(c) is not int and (not is_integer(c) or isinstance(c, np.unsignedinteger)):
+                    raise ValueError(f"columns must be signed integers, got {type(c).__name__}")
+            columns = tuple(map(int, columns))
+        d = len(columns)
+        if sorted(map(abs, columns)) != list(range(1, d + 1)):
             raise ValueError(f"columns must hold each of +-1, ..., +-{d} once: a signed permutation")
-        object.__setattr__(self, "columns", columns.astype(np.int64, copy=False))
-        self.columns.flags.writeable = False
+        object.__setattr__(self, "columns", columns)
 
     @classmethod
     def from_matrix(cls, matrix, conjugates: bool) -> "AntilinearOperator":
@@ -137,7 +117,7 @@ class AntilinearOperator:
             rows, cols = np.nonzero(m)
             signs = m[rows, cols]
             if np.array_equal(rows, np.arange(len(m))) and np.isin(signs, (-1, 1)).all():
-                return cls(signs.real.astype(np.int64) * (cols + 1), conjugates)
+                return cls((signs.real.astype(np.int64) * (cols + 1)).tolist(), conjugates)
         raise ValueError(f"matrix of shape {m.shape} is not a square signed permutation matrix")
 
     @functools.cached_property
@@ -145,22 +125,24 @@ class AntilinearOperator:
         d = len(self.columns)
         if d > MAX_DENSE_DIM:
             raise ValueError(f"an operator's matrix has dimension at most {MAX_DENSE_DIM}, got {d}")
+        columns = np.array(self.columns, dtype=np.int64)
         matrix = np.zeros((d, d), dtype=np.int64)
-        matrix[np.arange(d), np.abs(self.columns) - 1] = np.sign(self.columns)
+        matrix[np.arange(d), np.abs(columns) - 1] = np.sign(columns)
         matrix.flags.writeable = False
         return matrix
 
     def apply(self, vector) -> np.ndarray:
-        v = np.asarray(vector)
-        if v.shape != self.columns.shape:
-            raise ValueError(f"a vector of shape {v.shape} does not fit dimension {len(self.columns)}")
-        return np.sign(self.columns) * (np.conj(v) if self.conjugates else v)[np.abs(self.columns) - 1]
+        v, columns = np.asarray(vector), np.array(self.columns, dtype=np.int64)
+        if v.shape != columns.shape:
+            raise ValueError(f"a vector of shape {v.shape} does not fit dimension {len(columns)}")
+        return np.sign(columns) * (np.conj(v) if self.conjugates else v)[np.abs(columns) - 1]
 
     def compose(self, other: "AntilinearOperator") -> "AntilinearOperator":
         a, b = self.columns, other.columns
         if len(a) != len(b):
             raise ValueError(f"cannot compose dimensions {len(a)} and {len(b)}")
-        return AntilinearOperator(np.sign(a) * b[np.abs(a) - 1], self.conjugates ^ other.conjugates)
+        return AntilinearOperator(tuple(b[c - 1] if c > 0 else -b[-c - 1] for c in a),
+                                  self.conjugates ^ other.conjugates)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,12 +190,11 @@ def build_representation(row: int, twice_j: int) -> RepresentationTriple:
     c = _reversal_columns(twice_j)
     d = twice_j + 1
     if row == 1:
-        sigma, r_cols, t_cols = np.arange(1, d + 1, dtype=np.int64), c, c
+        sigma, r_cols, t_cols = range(1, d + 1), c, c
     else:
-        sigma = np.arange(1, 2 * d + 1, dtype=np.int64)
-        sigma[d:] *= s_r * s_t
-        upper = c + np.sign(c) * d  # C in the second block column
-        r_cols, t_cols = (np.concatenate([upper, s * c]) for s in (s_r, s_t))
+        sigma = (*range(1, d + 1), *(s_r * s_t * k for k in range(d + 1, 2 * d + 1)))
+        upper = tuple(x + d if x > 0 else x - d for x in c)  # C in the second block column
+        r_cols, t_cols = ((*upper, *(s * x for x in c)) for s in (s_r, s_t))
     base_sign = (-1) ** twice_j
     return RepresentationTriple(
         row=int(row), twice_j=twice_j,
@@ -235,8 +216,8 @@ def _operator(rep: RepresentationTriple, name: str) -> AntilinearOperator:
 def _square_scalar(op: AntilinearOperator) -> int | None:
     """The s with A^2 = s I, or None if the square is no multiple of I."""
     square = op.compose(op).columns
-    s = int(np.sign(square[0]))
-    return s if np.array_equal(square, s * np.arange(1, len(square) + 1)) else None
+    s = 1 if square[0] > 0 else -1
+    return s if square == tuple(range(s, s * (len(square) + 1), s)) else None
 
 
 @dataclass(frozen=True)
@@ -292,15 +273,15 @@ def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
         checks.append(RelationCheck(name, s == sign, f"{sign:+d} * I", f"{s} * I"))
 
     sigma_r = sigma.compose(r)
-    same = np.array_equal(sigma_r.columns, t.columns) and sigma_r.conjugates == t.conjugates
+    same = sigma_r.columns == t.columns and sigma_r.conjugates == t.conjugates
     checks.append(RelationCheck(
         "total_inversion_is_parity_then_reversal", same,
         "T == Sigma o R", "equal" if same else "different"))
 
     r_sigma = r.compose(sigma)
-    if np.array_equal(sigma_r.columns, r_sigma.columns):
+    if sigma_r.columns == r_sigma.columns:
         comm_sign = 1
-    elif np.array_equal(sigma_r.columns, -r_sigma.columns):
+    elif sigma_r.columns == tuple(-c for c in r_sigma.columns):
         comm_sign = -1
     else:
         comm_sign = None
@@ -338,43 +319,53 @@ class ConjugationReport:
         }
 
 
-def reversed_wavefunction(psi) -> np.ndarray:
+def reversed_wavefunction(psi) -> list[complex]:
     """Time-reversal action on a wavefunction sampled on a grid symmetric
     about zero: psi(p) -> conj(psi(-p)), an exact index reversal."""
-    return np.conj(np.asarray(psi)[::-1])
+    return [complex(z).conjugate() for z in reversed(psi)]
 
 
 def _grid_expectation(weights, psi) -> float:
     """Riemann-sum expectation of a multiplication operator on a uniform
-    grid; the grid spacing cancels in the normalized ratio."""
-    density = np.abs(np.asarray(psi)) ** 2
-    return float(np.sum(np.asarray(weights) * density) / np.sum(density))
+    grid; the grid spacing cancels in the normalized ratio.  Summed with
+    math.fsum, correctly rounded on every Python."""
+    density = [abs(z) * abs(z) for z in psi]
+    return math.fsum(map(operator.mul, weights, density)) / math.fsum(density)
 
 
-def _angular_momentum_flip(r: AntilinearOperator, twice_j: int, sheets: int) -> float:
-    """max |R J_i R^-1 + J_i| over i = x, y, z: each nonzero J_i[x, y] = v
-    moves to (a, b) = (p^-1 x, p^-1 y) as s_a s_b conj(v) and meets at most
-    one entry of J_i there, so each sum is the dense one's, bit for bit."""
-    m, ladder = _ladder(_check_twice_j(twice_j))
-    d, k, half = twice_j + 1, np.arange(twice_j), 0.5 * ladder
-    perm, sign = np.abs(r.columns) - 1, np.sign(r.columns)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(len(perm))
-    dim, dev = sheets * d, 0.0
-    bands = (np.concatenate([k + 1, k]), np.concatenate([k, k + 1]))  # below, above the diagonal
-    for rows, cols, vals in ((*bands, np.concatenate([half, half])),              # J_x
-                             (*bands, np.concatenate([-1j * half, 1j * half])),  # J_y
-                             (np.arange(d), np.arange(d), m)):                   # J_z
-        # the entries of J_i embedded block-diagonally over the sheets
-        rows, cols = (np.concatenate([x + sheet * d for sheet in range(sheets)]) for x in (rows, cols))
-        vals = np.tile(vals, sheets)
-        a, b = inverse[rows], inverse[cols]
-        mapped = sign[a] * sign[b] * (np.conj(vals) if r.conjugates else vals)
-        keys = np.concatenate([a * dim + b, rows * dim + cols])
-        order = np.argsort(keys, kind="stable")  # R J R^-1's term first, as in the dense sum
-        keys, terms = keys[order], np.concatenate([mapped, vals])[order]
-        sums = np.add.reduceat(terms, np.flatnonzero(np.diff(keys, prepend=-1)))
-        dev = max(dev, float(np.max(np.abs(sums), initial=0.0)))
+def _angular_momentum_flip(r: AntilinearOperator, twice_j: int) -> float:
+    """max |R J_i R^-1 + J_i| over i = x, y, z, bit for bit the dense sum, where
+    (R conj(J) R^-1)[a, b] = s_a s_b conj(J)[p_a, p_b] and J_i is block-diagonal
+    over the sheets.  J_z is diagonal, and R maps the diagonal onto itself.  J_x
+    and J_y hold h_k at (k, k+1) and (k+1, k), times 1 and 1, or i and -i: they
+    are Hermitian, so one pass over the upper band suffices.  It adds each
+    entry's partner J(p_a, p_b), a band entry or 0, and takes |J| of each entry
+    whose image leaves the band."""
+    d = _check_twice_j(twice_j) + 1
+    j = twice_j / 2.0
+    m = [(2 * k - twice_j) / 2.0 for k in range(d)]  # m = -j, ..., +j
+    # half of <m+1|J_+|m> = sqrt(j(j+1) - m(m+1)), for each m but the last
+    half = [0.5 * math.sqrt(j * (j + 1) - x * (x + 1)) for x in m[:-1]]
+    columns = r.columns
+    perm = [abs(c) - 1 for c in columns]
+    dev = max(abs(m[p % d] + m[a % d]) for a, p in enumerate(perm))  # J_z
+    y_sign = -1 if r.conjugates else 1  # conj(i h) = -i h
+    inverse = [0] * len(perm)
+    for a, p in enumerate(perm):
+        inverse[p] = a
+    for base in range(0, len(perm), d):  # J_x and J_y at (a, a+1) = (base + k, base + k + 1)
+        for h, pa, pb, ca, cb, ia, ib in zip(half, perm[base:], perm[base + 1:], columns[base:],
+                                             columns[base + 1:], inverse[base:], inverse[base + 1:]):
+            if pb == pa + 1 and pb % d:  # J_x = h', J_y = i h' at (pa, pb)
+                x = y = half[pa % d]
+            elif pa == pb + 1 and pa % d:  # J_x = h', J_y = -i h'
+                x, y = half[pb % d], -half[pb % d]
+            else:
+                x = y = 0.0
+            sign = 1 if (ca > 0) == (cb > 0) else -1
+            dev = max(dev, abs(sign * x + h), abs(sign * y_sign * y + h))
+            if abs(ia - ib) != 1 or max(ia, ib) % d == 0:  # (a, a+1) moves out of the band
+                dev = max(dev, h)
     return dev
 
 
@@ -388,10 +379,9 @@ def check_conjugation_identities(rep: RepresentationTriple,
       matrices embedded block-diagonally when the family is doubled
       (tolerance 1e-12).  R must be a signed permutation, R[i, p_i] = s_i,
       so R^-1 = R^T and (R conj(J) R^-1)[a, b] = s_a s_b conj(J)[p_a, p_b].
-      J_z is diagonal and J_x, J_y have one band on each side of it, so each
-      of their O(d) nonzeros is moved to its new place and added to J_i's
-      entry there, with no d x d matrix; a time reversal of another
-      dimension raises ValueError;
+      J_z is diagonal and J_x, J_y have one band on each side of it, so the
+      sums are taken band-wise in O(d), bit for bit the dense ones, with no
+      d x d matrix; a time reversal of another dimension raises ValueError;
     * on a symmetric grid of 201 momenta over [-10, 10], with a unit-width
       Gaussian packet centred at p = 2, R: psi(p) -> conj(psi(-p)) flips
       the expectation of the momentum multiplication operator and leaves
@@ -400,29 +390,29 @@ def check_conjugation_identities(rep: RepresentationTriple,
       Gamma = 0.2) satisfies |S| = 1 and conj(S) = S^-1, the reciprocity
       relation, on 1000 energies over E_R +- 25 Gamma (tolerance 1e-12);
       a window whose bounds or span overflow a double raises ValueError.
+
+    The grids are Python floats, ``np.linspace``'s bit for bit (``linspace_blocks``),
+    summed by ``math.fsum``, correctly rounded on every Python: no check loads numpy.
     """
     e_min, e_max = energy_window(pole)
-    dev = _angular_momentum_flip(_operator(rep, "time_reversal"), rep.twice_j, 2 if rep.doubled else 1)
+    dev = _angular_momentum_flip(_operator(rep, "time_reversal"), rep.twice_j)
     entries = [IdentityCheck("angular_momentum_flip", dev <= 1e-12, dev, 1e-12)]
 
-    p = np.linspace(-10.0, 10.0, _MOMENTUM_POINTS)
-    psi = np.exp(-((p - 2.0) ** 2) / 2.0).astype(complex)
+    p = next(linspace_blocks(-10.0, 10.0, _MOMENTUM_POINTS))  # one block
+    psi = [complex(math.exp(-((x - 2.0) * (x - 2.0)) / 2.0)) for x in p]
     psi_rev = reversed_wavefunction(psi)
-    p_before = _grid_expectation(p, psi)
-    p_after = _grid_expectation(p, psi_rev)
-    dev = abs(p_after + p_before)
+    dev = abs(_grid_expectation(p, psi_rev) + _grid_expectation(p, psi))
     entries.append(IdentityCheck("momentum_expectation_flip", dev <= 1e-10, dev, 1e-10))
 
-    kinetic = 0.5 * p**2
-    k_before = _grid_expectation(kinetic, psi)
-    k_after = _grid_expectation(kinetic, psi_rev)
-    dev = abs(k_after - k_before)
+    kinetic = [0.5 * (x * x) for x in p]
+    dev = abs(_grid_expectation(kinetic, psi_rev) - _grid_expectation(kinetic, psi))
     entries.append(IdentityCheck("kinetic_energy_invariance", dev <= 1e-10, dev, 1e-10))
 
-    s = resonance_s_matrix(pole, np.linspace(e_min, e_max, _ENERGY_POINTS))
-    dev = float(np.max(np.abs(np.abs(s) - 1.0)))
+    s = [resonance_s_matrix(pole, e)
+         for e in itertools.chain.from_iterable(linspace_blocks(e_min, e_max, _ENERGY_POINTS))]
+    dev = max(abs(abs(z) - 1.0) for z in s)
     entries.append(IdentityCheck("s_matrix_unitarity", dev <= 1e-12, dev, 1e-12))
-    dev = float(np.max(np.abs(np.conj(s) - 1.0 / s)))
+    dev = max(abs(z.conjugate() - 1.0 / z) for z in s)
     entries.append(IdentityCheck("s_matrix_reciprocity", dev <= 1e-12, dev, 1e-12))
 
     return ConjugationReport(rep.row, rep.twice_j, tuple(entries))

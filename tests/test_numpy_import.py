@@ -1,5 +1,6 @@
-"""numpy loads on the first numeric library call: label algebra, the grid
-commands, help and rejected inputs run without it, in a fresh interpreter each."""
+"""numpy loads on the first numeric library call on an array: label algebra,
+every CLI command, help and rejected inputs run without it, in a fresh
+interpreter each."""
 
 import os
 import subprocess
@@ -49,6 +50,9 @@ def test_import_does_not_load_numpy():
     (("evolve", "--er", "1e300", "--tmax", "1e10", "--steps", "3"), 2),  # E_R * t overflows
     (("lineshape", "--gamma", "1e-160", "--emin", "0", "--emax", "2"), 2),  # (Gamma/2)^2 < min
     (("rep-check", "--row", "4", "--twice-j", "65536"), 2),
+    *[(("rep-check", "--row", row, "--twice-j", twice_j), 0)
+      for row in ("1", "2", "3", "4") for twice_j in ("0", "1", "255")],
+    (("rep-check", "--row", "1", "--twice-j", "0", "--gamma", "1e307"), 2),  # window overflows
 ])
 def test_label_commands_and_rejections_do_not_load_numpy(tmp_path, argv, code):
     config = tmp_path / "bad.cfg"
@@ -69,11 +73,12 @@ def test_grid_commands_do_not_load_numpy(tmp_path, argv, fmt, to_file):
     assert _fresh("-c", _CHILD, *argv, "--format", fmt, *out) == "0 False"
 
 
-@pytest.mark.parametrize("argv", [
-    ("rep-check", "--row", "1", "--twice-j", "0"),
-])
-def test_numeric_commands_load_numpy(argv):
-    assert _fresh("-c", _CHILD, *argv) == "0 True"
+@pytest.mark.parametrize("energies, loads", [("1.0", False), ("[1.0]", True)],
+                         ids=["float", "list"])
+def test_numeric_library_calls_load_numpy(energies, loads):
+    call = f"gamowkit.resonance_s_matrix(gamowkit.ResonancePole(1.0, 0.2), {energies})"
+    code = f"import gamowkit, sys; {call}; print('numpy' in sys.modules)"
+    assert _fresh("-c", code) == str(loads)
 
 
 def test_lazy_numpy_is_numpy():

@@ -386,6 +386,16 @@ class TestResultTableRoundTrip:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             getattr(ResultTable, parse)(text)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("[[1, 2], [3]]", "JSON table rows[1] has 1 values, which do not fit 2 columns"),
+        ('[[1, 2], [3, "x"]]', "JSON table rows[1] holds 'x', which is not a number"),
+        ("[[true, 2]]", "JSON table rows[0] holds True, which is not a number"),
+        ("[[1, 2], [3, null]]", "JSON table rows[1] holds None, which is not a number"),
+    ], ids=["ragged", "string", "bool", "null"])
+    def test_json_rows_name_the_bad_row(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ResultTable.from_json(f'{{"columns": ["a", "b"], "rows": {rows}}}')
+
 
 # Every float that formats unusually: signed zero, the smallest subnormal,
 # non-finite values, a value without a short decimal form, a large exponent.
