@@ -9,112 +9,13 @@ total inversion for arbitrary spin, and derives the summary tables of how
 states transform under time reversal in both time-arrow conventions.
 """
 
-from .core import (
-    Arrow,
-    GamowState,
-    HalfPlane,
-    Kind,
-    Orientation,
-    ResonancePole,
-    Role,
-    TimeDomain,
-    TimeHalf,
-    canonical_state,
-    resonance_s_matrix,
-)
-from .evolution import (
-    BRANCHES,
-    BRANCH_LABELS,
-    DomainViolationError,
-    EvolutionBranch,
-    NonHermitianError,
-    branch_by_label,
-    branch_for,
-    evolve,
-    group_evolve,
-    survival_probability,
-)
-from .scenarios import (
-    ResultTable,
-    Scenario,
-    evolution_table,
-    lineshape,
-    lorentzian_density,
-    run_decay,
-)
-from .symmetry import (
-    AntilinearOperator,
-    ConjugationReport,
-    IdentityCheck,
-    RelationCheck,
-    RelationReport,
-    RepresentationTriple,
-    build_representation,
-    check_conjugation_identities,
-    reversed_wavefunction,
-    time_reversal_matrix,
-    verify_group_relations,
-)
-from .transform import (
-    CrossIdentification,
-    DerivedTable,
-    FactorConsistencyEntry,
-    TableCell,
-    cross_identify,
-    derive_table,
-    factor_consistency_report,
-    time_reverse,
-    time_reverse_twice,
-)
+from .core import *
+from .evolution import *
+from .scenarios import *
+from .symmetry import *
+from .transform import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arrow",
-    "GamowState",
-    "HalfPlane",
-    "Kind",
-    "Orientation",
-    "ResonancePole",
-    "Role",
-    "TimeDomain",
-    "TimeHalf",
-    "canonical_state",
-    "resonance_s_matrix",
-    "BRANCHES",
-    "BRANCH_LABELS",
-    "DomainViolationError",
-    "EvolutionBranch",
-    "NonHermitianError",
-    "branch_by_label",
-    "branch_for",
-    "evolve",
-    "group_evolve",
-    "survival_probability",
-    "ResultTable",
-    "Scenario",
-    "evolution_table",
-    "lineshape",
-    "lorentzian_density",
-    "run_decay",
-    "AntilinearOperator",
-    "ConjugationReport",
-    "IdentityCheck",
-    "RelationCheck",
-    "RelationReport",
-    "RepresentationTriple",
-    "build_representation",
-    "check_conjugation_identities",
-    "reversed_wavefunction",
-    "time_reversal_matrix",
-    "verify_group_relations",
-    "CrossIdentification",
-    "DerivedTable",
-    "FactorConsistencyEntry",
-    "TableCell",
-    "cross_identify",
-    "derive_table",
-    "factor_consistency_report",
-    "time_reverse",
-    "time_reverse_twice",
-]
+__all__ = [*core.__all__, *evolution.__all__, *scenarios.__all__, *symmetry.__all__,
+           *transform.__all__]

@@ -13,9 +13,9 @@ Exit codes: 0 on success, 2 on validation errors (bad flags, bad or non-finite
 values, grids outside the half-domain), 1 on internal errors.  An optional
 ``--config FILE`` supplies flat key=value defaults; explicit flags win.
 
-The grid commands check their whole grid, then compute, format and write it
-one block of Python floats at a time, and ``rep-check`` checks signed
-permutations as tuples of ints: no command loads numpy.
+The grid commands check their whole grid in one pass, then compute, format
+and write it one block of Python floats at a time, and ``rep-check`` checks
+signed permutations as tuples of ints: no command loads numpy.
 """
 
 from __future__ import annotations
@@ -144,12 +144,10 @@ def _time_grid(opts: _Resolver):
     t_min = opts.get("tmin", 0.0 if decaying else -10.0)
     t_max = opts.get("tmax", 10.0 if decaying else 0.0)
     steps = opts.get("steps")
-    state = Scenario(pole, arrow, kind, regime, t_min, t_max, steps).state()
+    scenario = Scenario(pole, arrow, kind, regime, t_min, t_max, steps)
+    scenario.checked_times()
+    state = scenario.state()
     branch, points = branch_for(state), functools.partial(linspace_blocks, t_min, t_max, steps)
-    for block in points():  # the half-domain over the whole grid first, as for an array
-        branch.checked_times(block)
-    for block in points():
-        branch.evolvable_times(pole, block)
     return points, lambda t: branch.factor(pole, t) * state.amplitude
 
 

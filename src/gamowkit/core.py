@@ -22,6 +22,9 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 
+__all__ = ["Arrow", "GamowState", "HalfPlane", "Kind", "Orientation", "ResonancePole", "Role",
+           "TimeDomain", "TimeHalf", "canonical_state", "resonance_s_matrix"]
+
 
 class _Numpy:
     """numpy, imported on first attribute access: the label algebra (tables,
@@ -259,6 +262,8 @@ class GamowState:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
+        if not isinstance(self.pole, ResonancePole):
+            raise ValueError(f"pole must be a ResonancePole, got {self.pole!r}")
         if not is_integer(self.regime) or self.regime not in (0, 1):
             raise ValueError(f"regime must be 0 or 1, got {self.regime}")
         if (self.arrow, self.kind) not in _CANONICAL_LABELS:

@@ -25,6 +25,9 @@ from dataclasses import dataclass
 from .core import (Arrow, GamowState, Kind, ResonancePole, TimeDomain, canonical_time_domain,
                    is_float_block, np, require_finite)
 
+__all__ = ["BRANCHES", "DomainViolationError", "EvolutionBranch", "NonHermitianError",
+           "branch_for", "evolve", "group_evolve", "survival_probability"]
+
 DEFAULT_DIM_CAP = 64
 
 
@@ -133,23 +136,10 @@ BRANCHES = _with_partners({
     _EXC: (("12", +1, Kind.GROWING, "13"), ("5b", -1, Kind.DECAYING, "5a")),
 })
 
-BRANCH_LABELS = tuple(sorted(b.label for b in BRANCHES.values()))
-
-_BY_LABEL = {b.label: b for b in BRANCHES.values()}
-
 
 def branch_for(state: GamowState) -> EvolutionBranch:
     """The unique branch governing a canonical state."""
     return BRANCHES[(state.arrow, state.kind, state.regime)]
-
-
-def branch_by_label(label: str) -> EvolutionBranch:
-    try:
-        return _BY_LABEL[label]
-    except KeyError:
-        raise ValueError(
-            f"unknown branch label {label!r}; expected one of {', '.join(BRANCH_LABELS)}"
-        ) from None
 
 
 def evolve(state: GamowState, t):

@@ -24,6 +24,9 @@ from .core import (Arrow, GamowState, Kind, ResonancePole, canonical_state, is_i
                    require_finite)
 from .evolution import branch_for, evolve
 
+__all__ = ["ResultTable", "Scenario", "evolution_table", "lineshape", "lorentzian_density",
+           "run_decay"]
+
 # Largest accepted grid.  A streamed grid holds one block of rows, so the
 # bound is time: a 1e6-point `decay` spends seconds formatting text.
 MAX_GRID_STEPS = 1_000_000
@@ -97,7 +100,10 @@ class ResultTable:
                 if row and len(row) != len(columns):
                     raise ValueError(f"CSV line {reader.line_num} has {len(row)} fields, "
                                      f"expected {len(columns)}")
-                yield from map(float, row)
+                try:
+                    yield from map(float, row)
+                except ValueError as exc:
+                    raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
 
         return cls(columns, np.fromiter(values(), dtype=float))
 
@@ -118,8 +124,11 @@ class ResultTable:
             if len(row) != len(columns):
                 raise ValueError(f"JSON table rows[{i}] has {len(row)} values, which do not fit "
                                  f"{len(columns)} columns")
-            for value in itertools.filterfalse(lambda v: type(v) in (int, float), row):
-                raise ValueError(f"JSON table rows[{i}] holds {value!r}, which is not a number")
+            for value in itertools.filterfalse(lambda v: type(v) is float, row):
+                if type(value) is not int:
+                    raise ValueError(f"JSON table rows[{i}] holds {value!r}, which is not "
+                                     "a number")
+                require_finite(f"JSON table rows[{i}]", value)  # an int beyond the double range
         return cls(columns, rows)
 
 
@@ -202,8 +211,14 @@ class Scenario:
     def times(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.steps)
 
-    def checked_times(self) -> np.ndarray:
-        return branch_for(self.state()).evolvable_times(self.pole, self.times())
+    def checked_times(self) -> None:
+        """A sweep's checks, without numpy: the half-domain at every point of the grid's blocks
+        (a subnormal step can overshoot t_max), then the phase at their extremes."""
+        branch, extremes = branch_for(self.state()), []
+        for block in linspace_blocks(self.t_min, self.t_max, self.steps):
+            branch.checked_times(block)
+            extremes += min(block), max(block)
+        branch.evolvable_times(self.pole, extremes)
 
 
 DECAY_COLUMNS = ("t", "survival", "factor_real", "factor_imag")

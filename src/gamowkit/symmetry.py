@@ -29,6 +29,11 @@ from dataclasses import asdict, dataclass
 from .core import DEFAULT_POLE, ResonancePole, energy_window, is_integer, np, resonance_s_matrix
 from .scenarios import linspace_blocks
 
+__all__ = ["AntilinearOperator", "ConjugationReport", "IdentityCheck", "RelationCheck",
+           "RelationReport", "RepresentationTriple", "build_representation",
+           "check_conjugation_identities", "reversed_wavefunction", "time_reversal_matrix",
+           "verify_group_relations"]
+
 ROWS = (1, 2, 3, 4)
 # Relative signs (eps_R, eps_T) / (-1)^(2j) of each family (Wigner, Group
 # Theory, ch. 26); every Sigma, R and T below is derived from them.
@@ -98,6 +103,8 @@ class AntilinearOperator:
     conjugates: bool
 
     def __post_init__(self) -> None:
+        if type(self.conjugates) is not bool:
+            raise ValueError(f"conjugates must be a bool, got {self.conjugates!r}")
         columns = tuple(self.columns)  # a copy no caller can write to
         if set(map(type, columns)) - {int}:  # numpy integers, or no integers at all
             for c in columns:  # an unsigned numpy integer holds no sign (and numpy is loaded)

@@ -29,6 +29,10 @@ from .core import (
 from .evolution import BRANCHES, branch_for, evolve
 from .symmetry import RepresentationTriple, _operator, _square_scalar
 
+__all__ = ["CrossIdentification", "DerivedTable", "FactorConsistencyEntry", "TableCell",
+           "cross_identify", "derive_table", "factor_consistency_report", "time_reverse",
+           "time_reverse_twice"]
+
 
 def time_reverse(state: GamowState) -> GamowState:
     """The image of a canonical state under the time-reversal operator.

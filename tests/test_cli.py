@@ -514,6 +514,9 @@ class TestStreamedOutput:
         (("evolve", "--arrow", "exc", "--kind", "decay", "--regime", "1", "--tmin=-1e-320",
           "--tmax", "5", "--steps", "1100"), "t=-1e-320 lies outside the t>=0 half-domain of "
          "branch 13"),
+        # a subnormal step overshoots t_max = 0 inside the grid, as np.linspace does
+        (("decay", "--kind", "grow", "--tmin=-1.5e-323", "--tmax", "0", "--steps", "6"),
+         "t=5e-324 lies outside the t<=0 half-domain of branch 4a"),
     ])
     def test_crossing_grid_names_its_first_point_outside(self, tmp_path, capsys, argv, message):
         target = tmp_path / "grid.csv"

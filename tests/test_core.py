@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gamowkit
 from gamowkit import (
     Arrow,
     GamowState,
@@ -205,6 +206,24 @@ def test_ill_typed_energies_and_amplitudes_name_themselves(pole, call, message):
         warnings.simplefilter("error")  # no numpy warning either
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(pole)
+
+
+@pytest.mark.parametrize("pole", ["x", None, (1.0, 0.2)], ids=["str", "none", "tuple"])
+def test_state_needs_a_resonance_pole(pole):
+    message = f"pole must be a ResonancePole, got {pole!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        canonical_state(PREP, Kind.GROWING, 0, pole)
+
+
+def test_package_exports_each_module_list_once():
+    modules = (gamowkit.core, gamowkit.evolution, gamowkit.scenarios, gamowkit.symmetry,
+               gamowkit.transform)
+    names = [name for module in modules for name in module.__all__]
+    assert gamowkit.__all__ == names
+    assert len(names) == len(set(names)) == 45
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(gamowkit, name) is getattr(module, name)
 
 
 class TestArrowConvention:

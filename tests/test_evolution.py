@@ -16,7 +16,6 @@ from gamowkit import (
     ResonancePole,
     Scenario,
     TimeHalf,
-    branch_by_label,
     branch_for,
     canonical_state,
     evolve,
@@ -77,11 +76,6 @@ class TestBranchTable:
     def test_labels_unique(self, pole):
         labels = {branch_for(state_for(key, pole)).label for key in ALL_KEYS}
         assert len(labels) == 8
-
-    def test_lookup_by_label(self):
-        assert branch_by_label("5a").phase_sign == +1
-        with pytest.raises(ValueError, match="unknown branch"):
-            branch_by_label("6c")
 
 
 class TestEvolve:

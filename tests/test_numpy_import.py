@@ -73,10 +73,13 @@ def test_grid_commands_do_not_load_numpy(tmp_path, argv, fmt, to_file):
     assert _fresh("-c", _CHILD, *argv, "--format", fmt, *out) == "0 False"
 
 
-@pytest.mark.parametrize("energies, loads", [("1.0", False), ("[1.0]", True)],
-                         ids=["float", "list"])
-def test_numeric_library_calls_load_numpy(energies, loads):
-    call = f"gamowkit.resonance_s_matrix(gamowkit.ResonancePole(1.0, 0.2), {energies})"
+@pytest.mark.parametrize("call, loads", [
+    ("gamowkit.resonance_s_matrix(gamowkit.ResonancePole(1.0, 0.2), 1.0)", False),
+    ("gamowkit.resonance_s_matrix(gamowkit.ResonancePole(1.0, 0.2), [1.0])", True),
+    ("gamowkit.Scenario(gamowkit.ResonancePole(1.0, 0.2), gamowkit.Arrow.PREPARATION_REGISTRATION,"
+     " gamowkit.Kind.DECAYING, 0, 0.0, 10.0, 1100).checked_times()", False),
+], ids=["float", "list", "scenario-check"])
+def test_numeric_library_calls_load_numpy(call, loads):
     code = f"import gamowkit, sys; {call}; print('numpy' in sys.modules)"
     assert _fresh("-c", code) == str(loads)
 

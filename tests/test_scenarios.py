@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -371,6 +372,8 @@ class TestResultTableRoundTrip:
 
     @pytest.mark.parametrize("parse, text, message", [
         ("from_csv", "", "CSV table has no header line"),
+        ("from_csv", "a\nx\n", "CSV line 2: could not convert string to float: 'x'"),
+        ("from_csv", "a,b\n1,2\n3,\n", "CSV line 3: could not convert string to float: ''"),
         ("from_json", '{"columns": ["a"]}', "JSON table has no 'rows'"),
         ("from_json", '{"rows": []}', "JSON table has no 'columns'"),
         ("from_json", "{}", "JSON table has no 'columns' or 'rows'"),
@@ -391,10 +394,17 @@ class TestResultTableRoundTrip:
         ('[[1, 2], [3, "x"]]', "JSON table rows[1] holds 'x', which is not a number"),
         ("[[true, 2]]", "JSON table rows[0] holds True, which is not a number"),
         ("[[1, 2], [3, null]]", "JSON table rows[1] holds None, which is not a number"),
-    ], ids=["ragged", "string", "bool", "null"])
+        (f"[[1, 2], [3, {10**400}]]", "JSON table rows[1] must be finite, got an integer of "
+         "1329 bits"),
+    ], ids=["ragged", "string", "bool", "null", "huge-int"])
     def test_json_rows_name_the_bad_row(self, rows, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ResultTable.from_json(f'{{"columns": ["a", "b"], "rows": {rows}}}')
+
+    def test_json_keeps_the_largest_int_a_double_holds(self):
+        big = int(sys.float_info.max)
+        table = ResultTable.from_json(f'{{"columns": ["a"], "rows": [[{big}], [-{big}]]}}')
+        assert table.rows == [(sys.float_info.max,), (-sys.float_info.max,)]
 
 
 # Every float that formats unusually: signed zero, the smallest subnormal,

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
@@ -247,6 +248,12 @@ class TestAntilinearOperator:
             a.compose(b)
         with pytest.raises(ValueError, match=r"^cannot compose dimensions 3 and 2$"):
             b.compose(a)
+
+    @pytest.mark.parametrize("conjugates", ["no", 1, None, np.bool_(True)])
+    def test_conjugates_must_be_a_bool(self, conjugates):
+        message = f"conjugates must be a bool, got {conjugates!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AntilinearOperator([1], conjugates)
 
     @pytest.mark.parametrize("columns, message", [
         ([[1, 2], [2, 1]], "columns must be signed integers, got list"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamowkit import (
+    BRANCHES,
     AntilinearOperator,
     Arrow,
     HalfPlane,
@@ -14,7 +15,6 @@ from gamowkit import (
     Orientation,
     ResonancePole,
     TimeHalf,
-    branch_by_label,
     branch_for,
     build_representation,
     canonical_state,
@@ -32,6 +32,8 @@ EXC = Arrow.EXCITATION_DEEXCITATION
 
 ALL_LABELS = [(arrow, kind, regime)
               for arrow in Arrow for kind in Kind for regime in (0, 1)]
+
+BY_LABEL = {b.label: b for b in BRANCHES.values()}
 
 
 @pytest.fixture
@@ -162,14 +164,14 @@ class TestCrossIdentify:
             "phase_sign": -1, "growth_sign": -1, "domain": "t>=0"}
 
     def test_5b_pattern_equals_4b_pattern(self):
-        b5b, b4b = branch_by_label("5b"), branch_by_label("4b")
+        b5b, b4b = BY_LABEL["5b"], BY_LABEL["4b"]
         assert (b5b.phase_sign, b5b.growth_sign, b5b.domain.half) == \
                (b4b.phase_sign, b4b.growth_sign, b4b.domain.half)
 
     def test_5a_pattern_equals_11_pattern(self):
         # The same match that gives 5b ~ 4b gives 5a ~ 11, yet the identification
         # records no factor match for 5a; both facts are pinned here.
-        b5a, b11 = branch_by_label("5a"), branch_by_label("11")
+        b5a, b11 = BY_LABEL["5a"], BY_LABEL["11"]
         assert (b5a.phase_sign, b5a.growth_sign, b5a.domain) == \
                (b11.phase_sign, b11.growth_sign, b11.domain)
         assert cross_identify("5a").matches_factor_of is None
