@@ -17,7 +17,6 @@ arbitrary unit and times in its inverse.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -45,33 +44,31 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def is_float_block(value) -> bool:
-    """A nonempty list of Python floats: a block of grid points, which the
-    grid commands check and evaluate without numpy."""
-    return type(value) is list and set(map(type, value)) == {float}
-
-
 def require_finite(name: str, value):
-    """``value`` if it is real and all of it is finite, else a ValueError
-    naming the input.  An int, a float or a float block is checked without numpy."""
+    """A real ``value`` as a Python float, or as a float array if it is not one number, after a
+    check that all of it is finite, else a ValueError naming it.  Ints and floats skip numpy."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             if math.isfinite(value):
-                return value
+                return float(value)
         except OverflowError:  # an int beyond the float range
             raise ValueError(f"{name} must be finite, got an integer of "
                              f"{value.bit_length()} bits") from None
         raise ValueError(f"{name} must be finite, got {value}")
-    if is_float_block(value):
-        for bad in itertools.filterfalse(math.isfinite, value):
-            raise ValueError(f"{name} must be finite, got {bad}")
-        return value
     values = np.asarray(value)
     if values.dtype.kind not in "iuf":  # a bool, complex, string or object
         raise ValueError(f"{name} must be real, got {value!r}")
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {values[~finite][0]}")
+    return float(values) if values.ndim == 0 else values.astype(float, copy=False)
+
+
+def require_number(name: str, value) -> float:
+    """``value`` as a Python float after :func:`require_finite`; a grid is a ValueError."""
+    value = require_finite(name, value)
+    if type(value) is not float:
+        raise ValueError(f"{name} must be one number, got an array of shape {value.shape}")
     return value
 
 
@@ -195,8 +192,9 @@ class ResonancePole:
     width: float
 
     def __post_init__(self) -> None:
-        require_finite("resonance energy", self.energy)
-        if not require_finite("resonance width", self.width) > 0.0:
+        for name in ("energy", "width"):  # as Python floats, which warn of no overflow
+            object.__setattr__(self, name, require_number(f"resonance {name}", getattr(self, name)))
+        if not self.width > 0.0:
             raise ValueError(f"resonance width must be positive, got {self.width}")
         if not 0.5 * self.width > 0.0:  # else both poles would sit on the real axis
             raise ValueError(f"resonance width {self.width} is too small: Gamma/2 rounds to 0")
@@ -222,8 +220,8 @@ DEFAULT_POLE = ResonancePole(1.0, 0.2)
 def energy_window(pole: ResonancePole) -> tuple[float, float]:
     """E_R -+ 25*Gamma, the energy grid around a resonance wherever a caller
     gives none, after a check that its bounds and span are finite."""
-    half = 25.0 * float(pole.width)  # Python floats overflow to inf without numpy's warning
-    e_min, e_max = float(pole.energy) - half, float(pole.energy) + half
+    half = 25.0 * pole.width
+    e_min, e_max = pole.energy - half, pole.energy + half
     for bound in (e_min, e_max):
         require_finite("energy window E_R +- 25*Gamma", bound)
     require_finite("energy window span", e_max - e_min)
@@ -342,5 +340,4 @@ def resonance_s_matrix(pole: ResonancePole, energies):
     conj(S) = 1/S.
     """
     e = require_finite("energies", energies)
-    e = float(e) if isinstance(e, (int, float)) else np.asarray(e, dtype=float)
     return (e - pole.growing_pole) / (e - pole.decaying_pole)

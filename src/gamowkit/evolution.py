@@ -18,12 +18,11 @@ for all real times.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (Arrow, GamowState, Kind, ResonancePole, TimeDomain, canonical_time_domain,
-                   is_float_block, np, require_finite)
+from .core import (Arrow, GamowState, Kind, ResonancePole, TimeDomain, canonical_time_domain, np,
+                   require_finite)
 
 __all__ = ["BRANCHES", "DomainViolationError", "EvolutionBranch", "NonHermitianError",
            "branch_for", "evolve", "group_evolve", "survival_probability"]
@@ -56,11 +55,10 @@ class EvolutionBranch:
         """The bare evolution factor at a time t (a complex) or at every time
         of an array t (an array), with no domain or phase check."""
         if isinstance(t, (int, float)):
-            # cmath gives the array path's bits, and raises where numpy gives inf or nan;
-            # float() parts overflow to inf without the warning numpy scalars print
+            # cmath gives the array path's bits, and raises where numpy gives inf or nan
             try:
-                return cmath.exp(complex(self.growth_sign * 0.5 * float(pole.width) * t,
-                                         self.phase_sign * float(pole.energy) * t))
+                return cmath.exp(complex(self.growth_sign * 0.5 * pole.width * t,
+                                         self.phase_sign * pole.energy * t))
             except (OverflowError, ValueError):
                 pass
         t = np.asarray(t, dtype=float)
@@ -73,21 +71,14 @@ class EvolutionBranch:
         return exponent if exponent.ndim else complex(exponent)
 
     def checked_times(self, t):
-        """A time as a float, a block of times (a list of floats) as that list,
-        or an array of times as a float array, after the one finiteness and
-        half-domain check of the package.  Only the array loads numpy."""
-        t = require_finite("t", t)
-        if isinstance(t, (int, float)):
-            times = outside = float(t)  # a Python float: no array for one time
+        """A time as a Python float, or times as a float array, after the one
+        finiteness and half-domain check of the package.  Only times that are
+        not one real number load numpy."""
+        times = outside = require_finite("t", t)
+        if isinstance(times, float):
             if self.domain.contains(times):
                 return times
-        elif is_float_block(t):
-            times = t  # a half-line holds every point between its extremes
-            if self.domain.contains(min(times)) and self.domain.contains(max(times)):
-                return times
-            outside = next(itertools.filterfalse(self.domain.contains, times))
         else:
-            times = np.asarray(t, dtype=float)
             inside = self.domain.contains(times)
             if inside.all():
                 return times
@@ -101,13 +92,10 @@ class EvolutionBranch:
         E_R * t fits a double at the largest |t|: every check of :func:`evolve`."""
         times = self.checked_times(t)
         if isinstance(times, float):
-            longest = times
-        elif isinstance(times, list):
-            longest = max(-min(times), max(times))
+            longest = abs(times)
         else:  # min and max, not abs: no second grid-sized array
-            longest = max(-times.min(initial=0.0), times.max(initial=0.0))
-        # Python floats overflow to inf without the warning numpy scalars print
-        require_finite("E_R * t", float(pole.energy) * float(longest))
+            longest = float(max(-times.min(initial=0.0), times.max(initial=0.0)))
+        require_finite("E_R * t", pole.energy * longest)
         return times
 
 
@@ -184,11 +172,11 @@ def survival_probability(state: GamowState, t):
         raise ValueError("survival probability is defined for decaying states only")
     branch = branch_for(state)
     times = branch.checked_times(t)
-    rate = branch.growth_sign * float(state.pole.width)
+    rate = branch.growth_sign * state.pole.width
     if isinstance(times, float):
         return math.exp(rate * times)
     with np.errstate(over="ignore"):  # -inf on the domain, where exp gives exactly 0
-        return np.exp(rate * np.asarray(times))
+        return np.exp(rate * times)
 
 
 def group_evolve(hamiltonian, t: float, vector) -> np.ndarray:

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import (Arrow, GamowState, Kind, ResonancePole, canonical_state, is_integer, np,
-                   require_finite)
+                   require_finite, require_number)
 from .evolution import branch_for, evolve
 
 __all__ = ["ResultTable", "Scenario", "evolution_table", "lineshape", "lorentzian_density",
@@ -198,12 +198,10 @@ class Scenario:
     def __post_init__(self) -> None:
         check_steps("a scenario grid", self.steps)
         self.state()  # rejects an ill-typed arrow, kind or regime now, not at the first sweep
-        require_finite("t_min", self.t_min)
-        require_finite("t_max", self.t_max)
-        if not self.t_max >= self.t_min:
+        t_min, t_max = require_number("t_min", self.t_min), require_number("t_max", self.t_max)
+        if not t_max >= t_min:
             raise ValueError(f"t_max={self.t_max} must not precede t_min={self.t_min}")
-        # Python floats overflow to inf without the warning numpy scalars print
-        require_finite("t_max - t_min", float(self.t_max) - float(self.t_min))
+        require_finite("t_max - t_min", t_max - t_min)
 
     def state(self) -> GamowState:
         return canonical_state(self.arrow, self.kind, self.regime, self.pole)
@@ -212,13 +210,16 @@ class Scenario:
         return np.linspace(self.t_min, self.t_max, self.steps)
 
     def checked_times(self) -> None:
-        """A sweep's checks, without numpy: the half-domain at every point of the grid's blocks
-        (a subnormal step can overshoot t_max), then the phase at their extremes."""
-        branch, extremes = branch_for(self.state()), []
+        """A sweep's checks, without numpy: the half-domain at every point of the grid (a
+        subnormal step can overshoot t_max), then the phase at its extremes.  A half-line holds
+        every point between its running extremes: only the block where they leave it is scanned."""
+        branch, low, high = branch_for(self.state()), math.inf, -math.inf
         for block in linspace_blocks(self.t_min, self.t_max, self.steps):
-            branch.checked_times(block)
-            extremes += min(block), max(block)
-        branch.evolvable_times(self.pole, extremes)
+            low, high = min(low, min(block)), max(high, max(block))
+            if not (branch.domain.contains(low) and branch.domain.contains(high)):
+                branch.checked_times(next(itertools.filterfalse(branch.domain.contains, block)))
+        for t in (low, high):
+            branch.evolvable_times(self.pole, t)
 
 
 DECAY_COLUMNS = ("t", "survival", "factor_real", "factor_imag")
@@ -266,8 +267,7 @@ def evolution_table(scenario: Scenario) -> ResultTable:
 def lorentzian(pole: ResonancePole):
     """After the width check, the pole's unit-area Lorentzian as an unchecked
     function of an energy (a float, without numpy) or of a float array."""
-    # Python floats overflow and underflow without the warning numpy scalars print
-    energy, half_width = float(pole.energy), 0.5 * float(pole.width)
+    energy, half_width = pole.energy, 0.5 * pole.width
     # A subnormal (Gamma/2)^2 has lost digits, and 0 divides by zero at E_R.
     if half_width * half_width < sys.float_info.min:
         raise ValueError(f"resonance width {pole.width} is too small for a lineshape: "
@@ -276,7 +276,7 @@ def lorentzian(pole: ResonancePole):
         squared = half_width**2  # C pow(), as numpy's float64 ** 2; hw * hw rounds otherwise
     except OverflowError:  # numpy's inf: an infinite denominator is a density of 0.0
         squared = math.inf
-    scale = float(pole.width) / (2.0 * math.pi)
+    scale = pole.width / (2.0 * math.pi)
 
     def density(e):
         offset = e - energy
@@ -289,10 +289,10 @@ def lorentzian_density(pole: ResonancePole, energies):
     energy (a float) or at every energy of an array (an array)."""
     e = require_finite("energies", energies)
     density = lorentzian(pole)
-    if isinstance(e, (int, float)):
-        return density(float(e))
+    if isinstance(e, float):
+        return density(e)
     with np.errstate(over="ignore"):  # an infinite denominator is a density of 0.0
-        return density(np.asarray(e, dtype=float))
+        return density(e)
 
 
 def lineshape(pole: ResonancePole, energies) -> ResultTable:
@@ -302,8 +302,8 @@ def lineshape(pole: ResonancePole, energies) -> ResultTable:
     2 / (pi Gamma) at E = E_R, half the peak at E_R +- Gamma/2, and unit
     area over the whole real axis.
     """
-    e = np.asarray(require_finite("energies", energies), dtype=float)
-    if e.size == 0:
+    e = require_finite("energies", energies)
+    if np.size(e) == 0:
         raise ValueError("lineshape needs a nonempty energy grid")
     return ResultTable(LINESHAPE_COLUMNS,
                        np.column_stack(lineshape_row(e, lorentzian_density(pole, e))))

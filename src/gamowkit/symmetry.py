@@ -13,9 +13,8 @@ column (Wigner's co-representations), held by :class:`AntilinearOperator`
 as its rows' signed columns, a tuple of ints.  The checks hold each spin
 matrix J_i as its bands, so every product is an O(d) integer gather, and
 their grids are Python floats: checking a family never loads numpy.  2j goes
-up to ``MAX_TWICE_J`` = 65535; ``time_reversal_matrix`` stops at 2j =
-``MAX_DENSE_TWICE_J`` = 511, and an operator's matrix at ``MAX_DENSE_DIM`` =
-1024.
+up to ``MAX_TWICE_J`` = 65535; an operator's matrix, ``time_reversal_matrix``
+included, stops at dimension ``MAX_DENSE_DIM`` = 1024.
 """
 
 from __future__ import annotations
@@ -41,22 +40,20 @@ _FAMILY_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}
 # Largest accepted 2j.  The checks' tuples and lists grow as O(d): row 4 at
 # 2j = 65535 (d = 131072) runs in well under a second and about 50 MiB.
 MAX_TWICE_J = 65535
-# Largest 2j of time_reversal_matrix, and largest dimension of an operator's
-# matrix: a doubled family's at 2j = 511, 8 MiB of int64.
-MAX_DENSE_TWICE_J = 511
-MAX_DENSE_DIM = 2 * (MAX_DENSE_TWICE_J + 1)
+# Largest dimension of an operator's matrix, time_reversal_matrix's included:
+# a doubled family's at 2j = 511, 8 MiB of int64.
+MAX_DENSE_DIM = 1024
 # Point counts of the conjugation check's grids; the momentum count is odd,
 # so the symmetric grid holds p = 0 and p -> -p is an exact index reversal.
 _MOMENTUM_POINTS = 201
 _ENERGY_POINTS = 1000
 
 
-def _check_twice_j(twice_j: int, cap: int = MAX_TWICE_J) -> int:
+def _check_twice_j(twice_j: int) -> int:
     if not is_integer(twice_j) or twice_j < 0:
         raise ValueError(f"twice_j must be a nonnegative integer, got {twice_j!r}")
-    if twice_j > cap:
-        dense = "" if cap == MAX_TWICE_J else " for a dense matrix"
-        raise ValueError(f"twice_j must be at most {cap}{dense}, got {twice_j}")
+    if twice_j > MAX_TWICE_J:
+        raise ValueError(f"twice_j must be at most {MAX_TWICE_J}, got {twice_j}")
     return int(twice_j)
 
 
@@ -79,10 +76,10 @@ def time_reversal_matrix(twice_j: int, diagonal: bool = False) -> np.ndarray:
     squares to +I for every j and is retained only to demonstrate its
     inconsistency with the half-integer sign requirement.
 
-    Returns an integer matrix of shape (2j+1, 2j+1), for 2j up to
-    ``MAX_DENSE_TWICE_J``.
+    Returns an integer matrix of shape (2j+1, 2j+1), for 2j + 1 up to
+    ``MAX_DENSE_DIM``.
     """
-    columns = _reversal_columns(_check_twice_j(twice_j, MAX_DENSE_TWICE_J), diagonal)
+    columns = _reversal_columns(_check_twice_j(twice_j), diagonal)
     return AntilinearOperator(columns, True).matrix.copy()
 
 
@@ -115,6 +112,11 @@ class AntilinearOperator:
         if sorted(map(abs, columns)) != list(range(1, d + 1)):
             raise ValueError(f"columns must hold each of +-1, ..., +-{d} once: a signed permutation")
         object.__setattr__(self, "columns", columns)
+
+    def __repr__(self) -> str:  # numpy's summary above 1000 columns: the first and last three
+        c = self.columns
+        shown = repr(c) if len(c) <= 1000 else f"({', '.join(map(str, c[:3] + ('...',) + c[-3:]))})"
+        return f"AntilinearOperator(columns={shown}, conjugates={self.conjugates})"
 
     @classmethod
     def from_matrix(cls, matrix, conjugates: bool) -> "AntilinearOperator":

@@ -101,6 +101,21 @@ class TestResonancePole:
         pole = ResonancePole(energy, width)
         assert pole.decaying_pole == complex(float(energy), -0.5 * float(width))
 
+    @pytest.mark.parametrize("energy, width, message", [
+        (np.array([1.0, 2.0]), 0.2, r"resonance energy must be one number, got an array of shape \(2,\)"),
+        ([1.0], 0.2, r"resonance energy must be one number, got an array of shape \(1,\)"),
+        (1.0, [[0.2]], r"resonance width must be one number, got an array of shape \(1, 1\)"),
+    ], ids=["array", "list", "nested-list"])
+    def test_grid_rejected(self, energy, width, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ResonancePole(energy, width)
+
+    def test_stores_python_floats(self):
+        pole = ResonancePole(np.float32(1.5), np.int64(2))
+        assert (type(pole.energy), type(pole.width)) == (float, float)
+        assert (pole.energy, pole.width) == (1.5, 2.0)
+        assert repr(ResonancePole(1, 2)) == "ResonancePole(energy=1.0, width=2.0)"
+
     def test_negative_energy_allowed(self):
         pole = ResonancePole(-3.0, 0.5)
         assert pole.decaying_pole.imag < 0 < pole.growing_pole.imag

@@ -203,9 +203,6 @@ class TestEvolve:
 
     def test_float_block_checked_as_a_list(self, pole):
         branch = branch_for(state_for((PREP, Kind.GROWING, 0), pole))
-        block = [-1.0, -3.0, -0.0, 0.0]
-        assert branch.checked_times(block) is block
-        assert branch.evolvable_times(pole, block) is block
         # both ends inside, an inner point outside: the first point outside is named
         for times in ([-1.0, 0.5, -3.0, 2.0, -1.0], np.array([-1.0, 0.5, -3.0, 2.0, -1.0])):
             with pytest.raises(DomainViolationError, match="^t=0.5 lies outside the t<=0 "):
@@ -221,6 +218,27 @@ class TestEvolve:
         state = state_for((PREP, Kind.DECAYING, 0), pole)
         assert type(branch_for(state).checked_times(2)) is float
         assert evolve(state, 2) == evolve(state, 2.0)
+
+    def test_checked_times_convert_once(self, pole):
+        branch = branch_for(state_for((PREP, Kind.DECAYING, 0), pole))
+        for t in (np.float32(2.0), np.int64(2), np.array(2.0)):
+            assert type(branch.checked_times(t)) is float
+            assert type(branch.evolvable_times(pole, t)) is float
+        times = branch.evolvable_times(pole, [0.0, 2])
+        assert type(times) is np.ndarray and times.dtype == float and times.tolist() == [0.0, 2.0]
+
+    @pytest.mark.parametrize("energy", [1e300, -1e300])
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_scalar_and_grid_phase_messages_agree(self, key, energy):
+        # the phase is checked at |t|, so its sign is E_R's on either half-domain
+        state = state_for(key, ResonancePole(energy, 0.2))
+        t = 1e10 if branch_for(state).domain.half is TimeHalf.NONNEG else -1e10
+        messages = set()
+        for times in (t, np.float64(t), [t], [0.0, t], np.array([t])):
+            with pytest.raises(ValueError, match=r"^E_R \* t must be finite") as caught:
+                evolve(state, times)
+            messages.add(str(caught.value))
+        assert messages == {f"E_R * t must be finite, got {math.copysign(math.inf, energy)}"}
 
     def test_composition_random(self, pole):
         rng = np.random.default_rng(7)

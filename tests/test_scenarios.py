@@ -87,6 +87,35 @@ class TestRunDecay:
                     "semigroup evolution has no inverse across t=0")
         assert str(from_grid.value) == str(from_scalar.value) == expected
 
+    _BOUNDS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1.5e-323, 1e10, -1e10]),
+                        st.floats(-1e12, 1e12))
+
+    @settings(max_examples=300, deadline=None)
+    @given(index=st.integers(0, 7), bounds=st.tuples(_BOUNDS, _BOUNDS), steps=st.integers(2, 1500),
+           energy=st.sampled_from([1.0, -1.0, 1e300, -1e300]))
+    @example(index=BRANCH_KEYS.index((PREP, Kind.GROWING, 0)), bounds=(-1.5e-323, 0.0), steps=6,
+             energy=1.0)  # a subnormal step overshoots t_max to 5e-324
+    def test_grid_check_equals_a_full_scan(self, index, bounds, steps, energy):
+        # the first point of np.linspace outside the half-domain, else the phase at the largest |t|
+        scenario = Scenario(ResonancePole(energy, 0.2), *BRANCH_KEYS[index], *sorted(bounds),
+                            steps)
+        branch = branch_for(scenario.state())
+        grid = np.linspace(scenario.t_min, scenario.t_max, steps)
+        outside = [float(t) for t in grid if not branch.domain.contains(t)]
+        phase = energy * float(np.abs(grid).max())
+        if outside:
+            error, message = DomainViolationError, (
+                f"t={outside[0]} lies outside the {branch.domain.half.value} half-domain of "
+                f"branch {branch.label}; semigroup evolution has no inverse across t=0")
+        elif not math.isfinite(phase):
+            error, message = ValueError, f"E_R * t must be finite, got {phase}"
+        else:
+            assert scenario.checked_times() is None
+            return
+        with pytest.raises(error) as caught:
+            scenario.checked_times()
+        assert type(caught.value) is error and str(caught.value) == message
+
     @pytest.mark.parametrize("arrow", [PREP, EXC])
     @pytest.mark.parametrize("kind", [Kind.GROWING, Kind.DECAYING])
     @pytest.mark.parametrize("regime", [0, 1])
@@ -201,6 +230,8 @@ class TestScenarioValidation:
         ("regime", True, "regime must be 0 or 1, got True"),
         ("t_min", "0", "t_min must be real, got '0'"),
         ("t_max", None, "t_max must be real, got None"),
+        ("t_min", [0.0], r"t_min must be one number, got an array of shape \(1,\)"),
+        ("t_max", np.array([1.0, 2.0]), r"t_max must be one number, got an array of shape \(2,\)"),
     ])
     def test_ill_typed_field_rejected(self, pole, field, value, message):
         fields = dict(pole=pole, arrow=PREP, kind=Kind.DECAYING, regime=0,

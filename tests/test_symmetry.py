@@ -24,7 +24,7 @@ from gamowkit import (
     time_reverse_twice,
     verify_group_relations,
 )
-from gamowkit.symmetry import MAX_DENSE_DIM, MAX_DENSE_TWICE_J, MAX_TWICE_J
+from gamowkit.symmetry import MAX_DENSE_DIM, MAX_TWICE_J
 
 # numpy < 2.0 names the trapezoidal rule trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -475,7 +475,7 @@ class TestConjugationIdentities:
         assert resonance_s_matrix(pole, [1.0])[0] == pytest.approx(-1.0, abs=1e-15)
 
     @pytest.mark.parametrize("row", ROWS)
-    @pytest.mark.parametrize("twice_j", [0, 63, 255, MAX_DENSE_TWICE_J, MAX_TWICE_J])
+    @pytest.mark.parametrize("twice_j", [0, 63, 255, 511, MAX_TWICE_J])
     def test_exact_up_to_the_cap(self, row, twice_j):
         rep = build_representation(row, twice_j)
         assert verify_group_relations(rep).all_passed
@@ -513,14 +513,14 @@ class TestConjugationIdentities:
                     assert flip.max_deviation == dense_flip_deviation(replaced)
 
     @pytest.mark.parametrize("build, cap, message", [
-        (time_reversal_matrix, 511, "twice_j must be at most 511 for a dense matrix, got 512"),
+        (time_reversal_matrix, 1023, "an operator's matrix has dimension at most 1024, got 1025"),
         (lambda twice_j: build_representation(1, twice_j).parity.matrix, 1023,
          "an operator's matrix has dimension at most 1024, got 1025"),
         (lambda twice_j: build_representation(4, twice_j).time_reversal.matrix, 511,
          "an operator's matrix has dimension at most 1024, got 1026"),
     ], ids=["time_reversal_matrix", "row_1_parity", "row_4_time_reversal"])
     def test_dense_matrices_capped(self, build, cap, message):
-        assert (MAX_DENSE_TWICE_J, MAX_DENSE_DIM) == (511, 1024)
+        assert MAX_DENSE_DIM == 1024
         build(cap)
         with pytest.raises(ValueError, match=f"^{message}$"):
             build(cap + 1)
@@ -534,6 +534,15 @@ class TestConjugationIdentities:
         assert not small.matrix.flags.writeable  # it must stay the matrix of the columns
         assert repr(small) == "AntilinearOperator(columns=(4, -3, -2, 1), conjugates=True)"
         assert repr(AntilinearOperator.from_matrix(small.matrix, True)) == repr(small)
+
+    def test_long_operator_reprs_are_summarized(self):
+        rep = build_representation(4, MAX_TWICE_J)
+        assert repr(rep.time_reversal) == (
+            "AntilinearOperator(columns=(131072, -131071, 131070, ..., 3, -2, 1), conjugates=True)")
+        assert len(repr(rep)) < 400
+        assert repr(build_representation(1, 999).parity).count(", ") == 1000  # 1000 columns in full
+        assert repr(build_representation(1, 1000).parity) == (
+            "AntilinearOperator(columns=(1, 2, 3, ..., 999, 1000, 1001), conjugates=False)")
 
     def test_time_reversal_returns_a_matrix_of_its_own(self):
         c = time_reversal_matrix(1)
