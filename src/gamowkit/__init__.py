@@ -1,21 +1,25 @@
 """gamowkit: resonance states, half-domain semigroup evolution, and the
-extended spacetime symmetry families.
-
-The package models growing and decaying Gamow states as labelled values
-attached to the conjugate pole pair of a resonance, evolves them with the
-eight half-domain semigroup branches (with strict no-inverse enforcement),
-builds the four co-representation families of parity / time reversal /
-total inversion for arbitrary spin, and derives the summary tables of how
-states transform under time reversal in both time-arrow conventions.
+extended spacetime symmetry families.  Importing it loads none of its
+modules: a module's name loads that module, and any other name all five.
 """
 
-from .core import *
-from .evolution import *
-from .scenarios import *
-from .symmetry import *
-from .transform import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [*core.__all__, *evolution.__all__, *scenarios.__all__, *symmetry.__all__,
-           *transform.__all__]
+_MODULES = ("core", "evolution", "scenarios", "symmetry", "transform")
+
+
+def __getattr__(name: str):
+    if name in _MODULES or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    exports = {export: getattr(module, export)
+               for module in map(__getattr__, _MODULES) for export in module.__all__}
+    globals().update(exports, __all__=list(exports))  # each module's names, in their order
+    if name not in globals():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

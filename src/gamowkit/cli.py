@@ -15,25 +15,21 @@ values, grids outside the half-domain), 1 on internal errors.  An optional
 
 The grid commands check their whole grid in one pass, then compute, format
 and write it one block of Python floats at a time, and ``rep-check`` checks
-signed permutations as tuples of ints: no command loads numpy.
+signed permutations as tuples of ints: no command loads numpy.  The parser
+loads ``core`` and ``evolution``, and each command imports its own modules:
+``scenarios`` for a grid, ``transform`` for ``table`` and ``cross-id``, and
+``symmetry`` for ``rep-check``.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import functools
 import json
 import sys
 
-from .core import DEFAULT_POLE, Arrow, Kind, ResonancePole, energy_window, require_finite
-from .evolution import branch_for
-from .scenarios import (DECAY_COLUMNS, EVOLUTION_COLUMNS, LINESHAPE_COLUMNS, Scenario, check_steps,
-                        decay_row, evolution_row, lineshape_row, linspace_blocks, lorentzian,
-                        write_csv, write_json)
-from .symmetry import (ROWS, build_representation, check_conjugation_identities,
-                       verify_group_relations)
-from .transform import CROSS_IDENTIFIED, cross_identify, derive_table
+from .core import DEFAULT_POLE, ROWS, Arrow, Kind, ResonancePole, energy_window, require_finite
+from .evolution import CROSS_IDENTIFIED, branch_for
 
 ARROWS = {"prep": Arrow.PREPARATION_REGISTRATION, "exc": Arrow.EXCITATION_DEEXCITATION}
 KINDS = {"grow": Kind.GROWING, "decay": Kind.DECAYING}
@@ -137,7 +133,22 @@ def _resolve_pole(opts: _Resolver) -> ResonancePole:
     return ResonancePole(opts.get("er"), opts.get("gamma"))
 
 
-def _time_grid(opts: _Resolver):
+def _table_writer(fmt: str, columns, row, points, value):
+    """The writer of ``row(point, value(point))`` over checked ``points``, a block at a time."""
+    from .scenarios import write_csv, write_json
+    blocks = (list(map(row, block, map(value, block))) for block in points)
+    if fmt == "csv":
+        return lambda fh: write_csv(fh, columns, blocks)
+
+    def write(fh) -> None:
+        write_json(fh, columns, blocks)
+        fh.write("\n")
+    return write
+
+
+def _time_table(opts: _Resolver, columns, row):
+    from .scenarios import Scenario, linspace_blocks
+    fmt = opts.get("format")
     pole = _resolve_pole(opts)
     arrow, kind, regime = ARROWS[opts.get("arrow")], KINDS[opts.get("kind")], opts.get("regime")
     decaying = kind is Kind.DECAYING
@@ -147,28 +158,25 @@ def _time_grid(opts: _Resolver):
     scenario = Scenario(pole, arrow, kind, regime, t_min, t_max, steps)
     scenario.checked_times()
     state = scenario.state()
-    branch, points = branch_for(state), functools.partial(linspace_blocks, t_min, t_max, steps)
-    return points, lambda t: branch.factor(pole, t) * state.amplitude
+    branch = branch_for(state)
+    return _table_writer(fmt, columns, row, linspace_blocks(t_min, t_max, steps),
+                         lambda t: branch.factor(pole, t) * state.amplitude)
 
 
-def _table_command(columns, row, grid):
-    """A command whose ``grid(opts)`` checks every input and gives the grid's blocks and the
-    value at a point; it returns the writer that computes ``row``s a block at a time."""
-    def command(opts: _Resolver):
-        fmt = opts.get("format")
-        points, value = grid(opts)
-        blocks = (list(map(row, block, map(value, block))) for block in points())
-        if fmt == "csv":
-            return lambda fh: write_csv(fh, columns, blocks)
-
-        def write(fh) -> None:
-            write_json(fh, columns, blocks)
-            fh.write("\n")
-        return write
-    return command
+def _cmd_evolve(opts: _Resolver):
+    from .scenarios import EVOLUTION_COLUMNS, evolution_row
+    return _time_table(opts, EVOLUTION_COLUMNS, evolution_row)
 
 
-def _energy_grid(opts: _Resolver):
+def _cmd_decay(opts: _Resolver):
+    from .scenarios import DECAY_COLUMNS, decay_row
+    return _time_table(opts, DECAY_COLUMNS, decay_row)
+
+
+def _cmd_lineshape(opts: _Resolver):
+    from .scenarios import (LINESHAPE_COLUMNS, check_steps, lineshape_row, linspace_blocks,
+                            lorentzian)
+    fmt = opts.get("format")
     pole = _resolve_pole(opts)
     e_min, e_max = opts.get("emin"), opts.get("emax")
     window = None
@@ -186,7 +194,8 @@ def _energy_grid(opts: _Resolver):
                              f"single energy {window[0]}; give --emin and --emax")
         raise ValueError(f"emax={e_max} must exceed emin={e_min}")
     require_finite("emax - emin", e_max - e_min)
-    return functools.partial(linspace_blocks, e_min, e_max, steps), lorentzian(pole)
+    return _table_writer(fmt, LINESHAPE_COLUMNS, lineshape_row,
+                         linspace_blocks(e_min, e_max, steps), lorentzian(pole))
 
 
 def _format_table_text(data: dict) -> str:
@@ -202,6 +211,7 @@ def _format_table_text(data: dict) -> str:
 
 
 def _cmd_table(opts: _Resolver) -> str:
+    from .transform import derive_table
     arrow, fmt = ARROWS[opts.get("arrow")], opts.get("format")
     data = derive_table(arrow).to_dict()
     if fmt == "json":
@@ -210,6 +220,7 @@ def _cmd_table(opts: _Resolver) -> str:
 
 
 def _cmd_rep_check(opts: _Resolver) -> str:
+    from .symmetry import build_representation, check_conjugation_identities, verify_group_relations
     row, twice_j = opts.get("row"), opts.get("twice_j")
     if row is None or twice_j is None:
         raise ValueError("rep-check requires --row and --twice-j")
@@ -229,6 +240,7 @@ def _cmd_rep_check(opts: _Resolver) -> str:
 
 
 def _cmd_cross_id(opts: _Resolver) -> str:
+    from .transform import cross_identify
     branch = opts.get("branch")
     if branch is None:
         raise ValueError("cross-id requires --branch 5a or --branch 5b")
@@ -237,9 +249,9 @@ def _cmd_cross_id(opts: _Resolver) -> str:
 
 
 _COMMANDS = {
-    "evolve": _table_command(EVOLUTION_COLUMNS, evolution_row, _time_grid),
-    "decay": _table_command(DECAY_COLUMNS, decay_row, _time_grid),
-    "lineshape": _table_command(LINESHAPE_COLUMNS, lineshape_row, _energy_grid),
+    "evolve": _cmd_evolve,
+    "decay": _cmd_decay,
+    "lineshape": _cmd_lineshape,
     "table": _cmd_table,
     "rep-check": _cmd_rep_check,
     "cross-id": _cmd_cross_id,

@@ -215,6 +215,8 @@ class ResonancePole:
 
 # The pole used wherever a caller gives none, the CLI's included.
 DEFAULT_POLE = ResonancePole(1.0, 0.2)
+# The rows of the four parity / time-reversal / total-inversion families.
+ROWS = (1, 2, 3, 4)
 
 
 def energy_window(pole: ResonancePole) -> tuple[float, float]:

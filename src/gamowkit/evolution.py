@@ -57,6 +57,7 @@ class EvolutionBranch:
         if isinstance(t, (int, float)):
             # cmath gives the array path's bits, and raises where numpy gives inf or nan
             try:
+                t = float(t)  # a numpy float64 would warn of overflow
                 return cmath.exp(complex(self.growth_sign * 0.5 * pole.width * t,
                                          self.phase_sign * pole.energy * t))
             except (OverflowError, ValueError):
@@ -124,9 +125,20 @@ BRANCHES = _with_partners({
     _EXC: (("12", +1, Kind.GROWING, "13"), ("5b", -1, Kind.DECAYING, "5a")),
 })
 
+# Each identified branch's factor match and note.  Recorded, not derived: 5a's sign
+# pattern (+1, +1, t<=0, -inf<-0) equals 11's as 5b's equals 4b's, yet 5a names none.
+CROSS_IDENTIFIED = {
+    "5a": dict(matches_factor_of=None, note="identified with the time-reversed regime once "
+               "laboratory preparations are read as a special case of excitations"),
+    "5b": dict(matches_factor_of="4b", note="identified with the laboratory regime; its "
+               "factor carries the same sign pattern as branch 4b"),
+}
+
 
 def branch_for(state: GamowState) -> EvolutionBranch:
     """The unique branch governing a canonical state."""
+    if not isinstance(state, GamowState):
+        raise ValueError(f"state must be a GamowState, got {state!r}")
     return BRANCHES[(state.arrow, state.kind, state.regime)]
 
 
@@ -168,9 +180,9 @@ def survival_probability(state: GamowState, t):
     Equals exp(-Gamma*t) on the decaying branches.  Domain rules are the
     same as for :func:`evolve`.
     """
+    branch = branch_for(state)
     if state.kind is not Kind.DECAYING:
         raise ValueError("survival probability is defined for decaying states only")
-    branch = branch_for(state)
     times = branch.checked_times(t)
     rate = branch.growth_sign * state.pole.width
     if isinstance(times, float):

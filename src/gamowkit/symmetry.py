@@ -25,7 +25,8 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 
-from .core import DEFAULT_POLE, ResonancePole, energy_window, is_integer, np, resonance_s_matrix
+from .core import (DEFAULT_POLE, ROWS, ResonancePole, energy_window, is_integer, np,
+                   resonance_s_matrix)
 from .scenarios import linspace_blocks
 
 __all__ = ["AntilinearOperator", "ConjugationReport", "IdentityCheck", "RelationCheck",
@@ -33,7 +34,6 @@ __all__ = ["AntilinearOperator", "ConjugationReport", "IdentityCheck", "Relation
            "check_conjugation_identities", "reversed_wavefunction", "time_reversal_matrix",
            "verify_group_relations"]
 
-ROWS = (1, 2, 3, 4)
 # Relative signs (eps_R, eps_T) / (-1)^(2j) of each family (Wigner, Group
 # Theory, ch. 26); every Sigma, R and T below is derived from them.
 _FAMILY_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (1, -1), 4: (-1, -1)}

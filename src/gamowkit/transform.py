@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .core import (
     DEFAULT_POLE,
@@ -26,8 +27,9 @@ from .core import (
     canonical_state,
     np,
 )
-from .evolution import BRANCHES, branch_for, evolve
-from .symmetry import RepresentationTriple, _operator, _square_scalar
+from .evolution import BRANCHES, CROSS_IDENTIFIED, branch_for, evolve
+if TYPE_CHECKING:  # symmetry loads in the one function that needs it
+    from .symmetry import RepresentationTriple
 
 __all__ = ["CrossIdentification", "DerivedTable", "FactorConsistencyEntry", "TableCell",
            "cross_identify", "derive_table", "factor_consistency_report", "time_reverse",
@@ -41,6 +43,8 @@ def time_reverse(state: GamowState) -> GamowState:
     amplitude, and leaves the pole untouched.  The output's time domain is
     the reflection of the input's.
     """
+    if not isinstance(state, GamowState):
+        raise ValueError(f"state must be a GamowState, got {state!r}")
     return canonical_state(
         state.arrow,
         state.kind.flipped(),
@@ -61,6 +65,7 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
     another dimension, or whose square is no multiple of I, raises
     ValueError.
     """
+    from .symmetry import _operator, _square_scalar
     if not rep.doubled:
         raise ValueError(
             "family 1 is not doubled: r=1 content produced by time reversal "
@@ -161,16 +166,6 @@ class CrossIdentification:
             },
             "note": self.note,
         }
-
-
-# Each identified branch's factor match and note.  Recorded, not derived: 5a's sign
-# pattern (+1, +1, t<=0, -inf<-0) equals 11's as 5b's equals 4b's, yet 5a names none.
-CROSS_IDENTIFIED = {
-    "5a": dict(matches_factor_of=None, note="identified with the time-reversed regime once "
-               "laboratory preparations are read as a special case of excitations"),
-    "5b": dict(matches_factor_of="4b", note="identified with the laboratory regime; its "
-               "factor carries the same sign pattern as branch 4b"),
-}
 
 
 def cross_identify(label: str) -> CrossIdentification:

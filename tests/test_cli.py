@@ -556,6 +556,26 @@ def test_grid_output_memory_does_not_grow_with_steps(fmt):
     assert (large - small) / 1024 < 32
 
 
+# The CI gates on the console script, at its bounds: the largest grid and the spin cap.
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_largest_grid_streams_in_under_64_mib(tmp_path):
+    target = tmp_path / "big.csv"
+    peak = _peak_rss_kib("decay", "--steps", str(MAX_GRID_STEPS), "--format", "csv",
+                         "--out", str(target))
+    assert peak < 64 * 1024
+    with open(target, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == MAX_GRID_STEPS + 1
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_spin_cap_checks_in_under_96_mib(tmp_path):
+    target = tmp_path / "cap.json"
+    peak = _peak_rss_kib("rep-check", "--row", "4", "--twice-j", str(MAX_TWICE_J),
+                         "--out", str(target))
+    assert peak < 96 * 1024
+    assert json.loads(target.read_text(encoding="utf-8"))["all_passed"] is True
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_streamed_grid_holds_one_block_beyond_its_times(tmp_path, fmt):
     target = str(tmp_path / "decay.out")

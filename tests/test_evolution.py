@@ -190,6 +190,30 @@ class TestEvolve:
             assert survival_probability(state, 1e10) == 0.0
             assert survival_probability(state, [0.0, 1e10]).tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize("width", [0.2, 1e300])
+    def test_float64_time_factor_is_the_float_factor(self, width):
+        # a numpy float64 time multiplies without numpy's overflow warning, as a float does
+        pole = ResonancePole(1.0, width)
+        branch = BRANCHES[(PREP, Kind.DECAYING, 0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (2.5, 1e10):
+                factor, expected = branch.factor(pole, np.float64(t)), branch.factor(pole, t)
+                assert type(factor) is complex
+                assert (factor.real.hex(), factor.imag.hex()) == (expected.real.hex(),
+                                                                  expected.imag.hex())
+
+    @pytest.mark.parametrize("state", ["x", None, ResonancePole(1.0, 0.2)],
+                             ids=["str", "none", "pole"])
+    @pytest.mark.parametrize("call", [
+        lambda state: branch_for(state),
+        lambda state: evolve(state, 1.0),
+        lambda state: survival_probability(state, 1.0),
+    ], ids=["branch_for", "evolve", "survival_probability"])
+    def test_non_state_rejected(self, call, state):
+        with pytest.raises(ValueError, match=r"^state must be a GamowState, got "):
+            call(state)
+
     @pytest.mark.parametrize("t, message", [
         ("1", "t must be real, got '1'"),
         (True, "t must be real, got True"),

@@ -85,6 +85,14 @@ class TestTimeReverse:
         state = canonical_state(arrow, kind, regime, pole, amplitude=0.3 - 0.7j)
         assert time_reverse(time_reverse(state)) == state
 
+    @pytest.mark.parametrize("state", ["x", None, ResonancePole(1.0, 0.2)],
+                             ids=["str", "none", "pole"])
+    def test_non_state_rejected(self, state):
+        for call in (lambda: time_reverse(state),
+                     lambda: time_reverse_twice(state, build_representation(2, 1))):
+            with pytest.raises(ValueError, match=r"^state must be a GamowState, got "):
+                call()
+
     @pytest.mark.parametrize("arrow,kind,regime", ALL_LABELS)
     def test_domain_reflects(self, pole, arrow, kind, regime):
         state = canonical_state(arrow, kind, regime, pole)
