@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["Arrow", "GamowState", "HalfPlane", "Kind", "Orientation", "ResonancePole", "Role",
            "TimeDomain", "TimeHalf", "canonical_state", "resonance_s_matrix"]
@@ -88,9 +88,6 @@ class HalfPlane(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
 
-    def flipped(self) -> "HalfPlane":
-        return HalfPlane.MINUS if self is HalfPlane.PLUS else HalfPlane.PLUS
-
 
 class Arrow(enum.Enum):
     """The two time-arrow conventions.
@@ -123,9 +120,6 @@ class TimeHalf(enum.Enum):
     def flipped(self) -> "TimeHalf":
         return TimeHalf.NONPOS if self is TimeHalf.NONNEG else TimeHalf.NONNEG
 
-    def contains(self, t: float) -> bool:
-        return t >= 0.0 if self is TimeHalf.NONNEG else t <= 0.0
-
 
 class Orientation(enum.Enum):
     """Reading direction of a half-domain, as annotated in the state tables."""
@@ -149,43 +143,34 @@ _HALF_AND_REGIME = {orientation: key for key, orientation in _ORIENTATION.items(
 
 @dataclass(frozen=True)
 class TimeDomain:
-    """A temporal half-domain together with its reading direction."""
+    """A reading direction of a temporal half-domain, which fixes the half."""
 
-    half: TimeHalf
     orientation: Orientation
 
     def __post_init__(self) -> None:
-        if not isinstance(self.half, TimeHalf):
-            raise ValueError(f"half must be a TimeHalf, got {self.half!r}")
         if not isinstance(self.orientation, Orientation):
             raise ValueError(f"orientation must be an Orientation, got {self.orientation!r}")
-        if _HALF_AND_REGIME[self.orientation][0] is not self.half:
-            raise ValueError(
-                f"orientation {self.orientation.value!r} does not lie in the "
-                f"{self.half.value!r} half-domain"
-            )
+
+    @property
+    def half(self) -> TimeHalf:
+        return _HALF_AND_REGIME[self.orientation][0]
 
     def contains(self, t: float) -> bool:
-        return self.half.contains(t)
+        return t >= 0.0 if self.half is TimeHalf.NONNEG else t <= 0.0
 
     def reflected(self) -> "TimeDomain":
         """The image of this domain under t -> -t: the other half, read in the
         other regime's direction."""
         half, regime = _HALF_AND_REGIME[self.orientation]
-        return TimeDomain(half.flipped(), _ORIENTATION[(half.flipped(), 1 - regime)])
+        return TimeDomain(_ORIENTATION[(half.flipped(), 1 - regime)])
 
 
 @dataclass(frozen=True)
 class ResonancePole:
-    """A resonance with real energy ``energy`` and strictly positive ``width``.
+    """A resonance with real energy E_R and width Gamma, the inverse lifetime.
 
-    Parameters
-    ----------
-    energy : float
-        Resonance energy E_R.  Any finite real value is accepted; positivity
-        is a physical typicality, not a structural requirement.
-    width : float
-        Resonance width Gamma, the inverse lifetime.  Must be finite, with Gamma/2 > 0.
+    Any finite E_R is accepted; positivity is a physical typicality, not a
+    structural requirement.  Gamma must be finite, with Gamma/2 > 0.
     """
 
     energy: float
@@ -244,7 +229,7 @@ def canonical_time_domain(kind: Kind, regime: int) -> TimeDomain:
     """Half-domain and reading direction governing a (kind, regime) pair:
     growing states live on t <= 0, decaying states on t >= 0."""
     half = TimeHalf.NONPOS if kind is Kind.GROWING else TimeHalf.NONNEG
-    return TimeDomain(half, _ORIENTATION[(half, regime)])
+    return TimeDomain(_ORIENTATION[(half, regime)])
 
 
 @dataclass(frozen=True)
@@ -303,32 +288,13 @@ class GamowState:
         ket = "Z_R*" if self.kind is Kind.GROWING else "Z_R"
         return f"<{bra},r={self.regime}|{ket},r={self.regime}>"
 
-    def with_amplitude(self, amplitude: complex) -> "GamowState":
-        return replace(self, amplitude=amplitude)
-
 
 def canonical_state(arrow: Arrow, kind: Kind, regime: int, pole: ResonancePole,
                     amplitude: complex = 1.0 + 0.0j) -> GamowState:
-    """Build the canonical Gamow state for (arrow, kind, regime).
-
-    Parameters
-    ----------
-    arrow : Arrow
-        Time-arrow convention.
-    kind : Kind
-        GROWING attaches the upper pole, DECAYING the lower one.
-    regime : int
-        0 for the laboratory regime, 1 for its time-reversed partner.
-    pole : ResonancePole
-        The resonance the state belongs to.
-    amplitude : complex, optional
-        Bracket amplitude; defaults to 1.
-
-    Returns
-    -------
-    GamowState
-        The unique state with the canonical half-plane, role, and
-        time-domain assignment for those labels.
+    """The unique Gamow state of ``pole`` with the canonical half-plane, role
+    and time domain for (arrow, kind, regime): GROWING attaches the upper
+    pole, DECAYING the lower one; regime 0 is the laboratory regime, 1 its
+    time-reversed partner.
     """
     return GamowState(pole, kind, regime, arrow, amplitude)
 

@@ -143,29 +143,13 @@ def branch_for(state: GamowState) -> EvolutionBranch:
 
 
 def evolve(state: GamowState, t):
-    """Evolve a state's bracket amplitude along its branch by a time t (a
-    complex) or by every time of an array t (a complex array).
+    """exp(i*phase_sign*E_R*t) * exp(growth_sign*(Gamma/2)*t) * amplitude on the
+    state's branch, at a time t (a complex) or at every time of an array t (an array).
 
-    Parameters
-    ----------
-    state : GamowState
-        A canonical state; its branch fixes signs and half-domain.
-    t : float or array_like
-        Times inside the branch's half-domain (t = 0 always allowed).
-
-    Returns
-    -------
-    complex or numpy.ndarray
-        exp(i*phase_sign*E_R*t) * exp(growth_sign*(Gamma/2)*t) * amplitude.
-
-    Raises
-    ------
-    ValueError
-        If a time is NaN or infinite, or the phase E_R * t overflows a
-        double at the largest |t|.
-    DomainViolationError
-        If a time lies outside the half-domain (checked first): the
-        semigroup has no inverse, so evolution never crosses t = 0.
+    Raises DomainViolationError, checked first, if a time lies outside the
+    branch's half-domain (t = 0 is always inside): the semigroup has no
+    inverse, so evolution never crosses t = 0.  Raises ValueError if a time
+    is NaN or infinite, or the phase E_R * t overflows a double at the largest |t|.
     """
     branch = branch_for(state)
     factor = branch.factor(state.pole, branch.evolvable_times(state.pole, t))
@@ -195,24 +179,12 @@ def group_evolve(hamiltonian, t: float, vector) -> np.ndarray:
     """Unitary group evolution exp(-i H t) v by spectral decomposition.
 
     Unlike the semigroup branches this is defined for every real t and
-    satisfies U(t1) U(t2) = U(t1 + t2) and U(t) U(-t) = I.
+    satisfies U(t1) U(t2) = U(t1 + t2) and U(t) U(-t) = I.  H must be a
+    Hermitian matrix of dimension at most ``DEFAULT_DIM_CAP``.
 
-    Parameters
-    ----------
-    hamiltonian : array_like
-        Hermitian matrix of dimension at most ``DEFAULT_DIM_CAP``.
-    t : float
-        Any real time.
-    vector : array_like
-        Vector to evolve.
-
-    Raises
-    ------
-    ValueError
-        If t is not a finite real number, an entry of H or v is not a
-        finite number, or a phase eigenvalue * t overflows a double.
-    NonHermitianError
-        If max |H - H^dagger| exceeds 1e-10.
+    Raises NonHermitianError if max |H - H^dagger| exceeds 1e-10, and
+    ValueError if t is not a finite real number, an entry of H or v is not
+    a finite number, or a phase eigenvalue * t overflows a double.
     """
     t = require_finite("t", t)
     h, v = np.asarray(hamiltonian), np.asarray(vector)

@@ -57,29 +57,26 @@ def _check_twice_j(twice_j: int) -> int:
     return int(twice_j)
 
 
-def _reversal_columns(twice_j: int, diagonal: bool = False) -> tuple[int, ...]:
+def _reversal_columns(twice_j: int) -> tuple[int, ...]:
     """The signed columns (see :class:`AntilinearOperator`) of C: (-1)^(j+mu)
-    at column -mu of row mu, or at column mu when ``diagonal``."""
+    at column -mu of row mu."""
     d = twice_j + 1  # (j + mu) is the ascending index k
-    return tuple((k + 1 if diagonal else d - k) * (-1) ** k for k in range(d))
+    return tuple((d - k) * (-1) ** k for k in range(d))
 
 
-def time_reversal_matrix(twice_j: int, diagonal: bool = False) -> np.ndarray:
+def time_reversal_matrix(twice_j: int) -> np.ndarray:
     """Single-sheet time-reversal matrix C for spin j = twice_j / 2.
 
     Rows and columns are indexed by the magnetic quantum number mu running
-    from -j to +j in ascending order.  By default the nonzero entries sit on
-    the anti-diagonal, C[mu, -mu] = (-1)^(j+mu), which is the convention
+    from -j to +j in ascending order.  The nonzero entries sit on the
+    anti-diagonal, C[mu, -mu] = (-1)^(j+mu), which is the convention
     consistent with the sign formulas of the four symmetry families: it
     gives C conj(C) = (-1)^(2j) I, hence R^2 = -I for half-integer spin.
-    ``diagonal=True`` keeps the entries at C[mu, mu] instead; that variant
-    squares to +I for every j and is retained only to demonstrate its
-    inconsistency with the half-integer sign requirement.
 
     Returns an integer matrix of shape (2j+1, 2j+1), for 2j + 1 up to
     ``MAX_DENSE_DIM``.
     """
-    columns = _reversal_columns(_check_twice_j(twice_j), diagonal)
+    columns = _reversal_columns(_check_twice_j(twice_j))
     return AntilinearOperator(columns, True).matrix.copy()
 
 
@@ -89,11 +86,10 @@ class AntilinearOperator:
 
     Row i holds its one nonzero s_i = +-1 in column p_i: ``columns[i] =
     s_i (p_i + 1)``, a tuple of ints, and anything but a signed permutation
-    of 1..d raises ValueError.  ``apply(v)`` is s_i (conj v)[p_i] and, the
-    signs being real, ``compose`` gives A B's columns sign(a) * b[|a| - 1]
-    and the XOR of the flags; both are O(d) gathers.  ``matrix`` is built on
-    its first read, up to dimension ``MAX_DENSE_DIM``, and :meth:`from_matrix`
-    reads one back; only those two and ``apply`` load numpy.
+    of 1..d raises ValueError.  The signs being real, ``compose`` gives A B's
+    columns sign(a) * b[|a| - 1] and the XOR of the flags, an O(d) gather.
+    ``matrix`` is built on its first read, up to dimension ``MAX_DENSE_DIM``;
+    only it loads numpy.
     """
 
     columns: tuple[int, ...]
@@ -118,17 +114,6 @@ class AntilinearOperator:
         shown = repr(c) if len(c) <= 1000 else f"({', '.join(map(str, c[:3] + ('...',) + c[-3:]))})"
         return f"AntilinearOperator(columns={shown}, conjugates={self.conjugates})"
 
-    @classmethod
-    def from_matrix(cls, matrix, conjugates: bool) -> "AntilinearOperator":
-        """The operator of a square signed-permutation matrix, M[i, p_i] = s_i."""
-        m = np.asarray(matrix)
-        if m.ndim == 2 and m.shape[0] == m.shape[1]:
-            rows, cols = np.nonzero(m)
-            signs = m[rows, cols]
-            if np.array_equal(rows, np.arange(len(m))) and np.isin(signs, (-1, 1)).all():
-                return cls((signs.real.astype(np.int64) * (cols + 1)).tolist(), conjugates)
-        raise ValueError(f"matrix of shape {m.shape} is not a square signed permutation matrix")
-
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         d = len(self.columns)
@@ -139,12 +124,6 @@ class AntilinearOperator:
         matrix[np.arange(d), np.abs(columns) - 1] = np.sign(columns)
         matrix.flags.writeable = False
         return matrix
-
-    def apply(self, vector) -> np.ndarray:
-        v, columns = np.asarray(vector), np.array(self.columns, dtype=np.int64)
-        if v.shape != columns.shape:
-            raise ValueError(f"a vector of shape {v.shape} does not fit dimension {len(columns)}")
-        return np.sign(columns) * (np.conj(v) if self.conjugates else v)[np.abs(columns) - 1]
 
     def compose(self, other: "AntilinearOperator") -> "AntilinearOperator":
         a, b = self.columns, other.columns

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from gamowkit import (
     time_reverse_twice,
     verify_group_relations,
 )
-from gamowkit.symmetry import AntilinearOperator
+from dense import diagonal_reversal_matrix, from_matrix
 from golden_tables import EXCITATION_DEEXCITATION_TABLE, PREPARATION_REGISTRATION_TABLE
 
 PREP = Arrow.PREPARATION_REGISTRATION
@@ -88,14 +89,14 @@ def test_criterion_2_conjugation_matrix_consistency():
 
     # The diagonal placement squares to +I for spin 1/2, contradicting the
     # required reversal sign -1; the anti-diagonal default reproduces it.
-    r_diag = AntilinearOperator.from_matrix(time_reversal_matrix(1, diagonal=True), True)
+    r_diag = from_matrix(diagonal_reversal_matrix(1), True)
     diag_square = r_diag.compose(r_diag)
     np.testing.assert_array_equal(diag_square.matrix, np.eye(2, dtype=np.int64))
     required_sign, _ = _expected_signs(1, 1)
     assert required_sign == -1
     assert not np.array_equal(diag_square.matrix,
                               required_sign * np.eye(2, dtype=np.int64))
-    r_anti = AntilinearOperator.from_matrix(time_reversal_matrix(1), True)
+    r_anti = from_matrix(time_reversal_matrix(1), True)
     np.testing.assert_array_equal(r_anti.compose(r_anti).matrix,
                                   required_sign * np.eye(2, dtype=np.int64))
     elapsed = time.perf_counter() - start
@@ -113,7 +114,7 @@ def test_criterion_3_semigroup_suite():
 
         for _ in range(1000):
             t1, t2 = sign * rng.uniform(0.0, 30.0, size=2)
-            stepped = evolve(state.with_amplitude(evolve(state, t1)), t2)
+            stepped = evolve(replace(state, amplitude=evolve(state, t1)), t2)
             assert abs(stepped - evolve(state, t1 + t2)) < 1e-12
 
         opposite = -sign * rng.uniform(1e-9, 50.0, size=250)

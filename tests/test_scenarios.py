@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ class TestRunDecay:
         for t, amplitude in itertools.product((-0.0, 0.0), (1.0 + 0.0j, complex(1.0, -0.0))):
             array_factor = branch.factor(state.pole, np.array([t]))
             array_factor *= amplitude
-            factor = evolve(state.with_amplitude(amplitude), t)
+            factor = evolve(replace(state, amplitude=amplitude), t)
             assert (factor.real.hex(), factor.imag.hex()) == \
                 (array_factor[0].real.hex(), array_factor[0].imag.hex())
 
