@@ -198,6 +198,28 @@ class ResonancePole:
         return self.growing_pole if kind is Kind.GROWING else self.decaying_pole
 
 
+def require_pole(pole) -> ResonancePole:
+    """``pole`` after a check that it is a ResonancePole, else a ValueError naming it."""
+    if not isinstance(pole, ResonancePole):
+        raise ValueError(f"pole must be a ResonancePole, got {pole!r}")
+    return pole
+
+
+def require_complex(name: str, value) -> complex:
+    """``value`` as a Python complex after a check that it is a finite number, else a
+    ValueError naming it; math, not numpy: the label commands never load it."""
+    if not isinstance(value, numbers.Complex) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a complex number, got {value!r}")
+    try:
+        value = complex(value)
+    except OverflowError:  # an int or a fraction beyond the float range
+        raise ValueError(f"{name} must be finite, got {type(value).__name__} "
+                         f"beyond the double range") from None
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 # The pole used wherever a caller gives none, the CLI's included.
 DEFAULT_POLE = ResonancePole(1.0, 0.2)
 # The rows of the four parity / time-reversal / total-inversion families.
@@ -207,7 +229,7 @@ ROWS = (1, 2, 3, 4)
 def energy_window(pole: ResonancePole) -> tuple[float, float]:
     """E_R -+ 25*Gamma, the energy grid around a resonance wherever a caller
     gives none, after a check that its bounds and span are finite."""
-    half = 25.0 * pole.width
+    half = 25.0 * require_pole(pole).width
     e_min, e_max = pole.energy - half, pole.energy + half
     for bound in (e_min, e_max):
         require_finite("energy window E_R +- 25*Gamma", bound)
@@ -247,22 +269,12 @@ class GamowState:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pole, ResonancePole):
-            raise ValueError(f"pole must be a ResonancePole, got {self.pole!r}")
+        require_pole(self.pole)
         if not is_integer(self.regime) or self.regime not in (0, 1):
             raise ValueError(f"regime must be 0 or 1, got {self.regime}")
         if (self.arrow, self.kind) not in _CANONICAL_LABELS:
             raise ValueError(f"no canonical state for arrow={self.arrow!r} and kind={self.kind!r}")
-        if not isinstance(self.amplitude, numbers.Complex) or isinstance(self.amplitude, bool):
-            raise ValueError(f"amplitude must be a complex number, got {self.amplitude!r}")
-        try:
-            amplitude = complex(self.amplitude)  # math, not numpy: the label commands never load it
-        except OverflowError:  # an int or a fraction beyond the float range
-            raise ValueError(f"amplitude must be finite, got {type(self.amplitude).__name__} "
-                             f"beyond the double range") from None
-        if not (math.isfinite(amplitude.real) and math.isfinite(amplitude.imag)):
-            raise ValueError(f"amplitude must be finite, got {amplitude}")
-        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "amplitude", require_complex("amplitude", self.amplitude))
 
     @property
     def half_plane(self) -> HalfPlane:
@@ -307,5 +319,6 @@ def resonance_s_matrix(pole: ResonancePole, energies):
     axis numerator and denominator are complex conjugates, so |S(E)| = 1 and
     conj(S) = 1/S.
     """
+    require_pole(pole)
     e = require_finite("energies", energies)
     return (e - pole.growing_pole) / (e - pole.decaying_pole)

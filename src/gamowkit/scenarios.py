@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import (Arrow, GamowState, Kind, ResonancePole, canonical_state, is_integer, np,
-                   require_finite, require_number)
+                   require_finite, require_number, require_pole)
 from .evolution import branch_for, evolve
 
 __all__ = ["ResultTable", "Scenario", "evolution_table", "lineshape", "lorentzian_density",
@@ -265,9 +265,9 @@ def evolution_table(scenario: Scenario) -> ResultTable:
 
 
 def lorentzian(pole: ResonancePole):
-    """After the width check, the pole's unit-area Lorentzian as an unchecked
-    function of an energy (a float, without numpy) or of a float array."""
-    energy, half_width = pole.energy, 0.5 * pole.width
+    """After the pole and width checks, the pole's unit-area Lorentzian as an
+    unchecked function of an energy (a float, without numpy) or of a float array."""
+    energy, half_width = require_pole(pole).energy, 0.5 * pole.width
     # A subnormal (Gamma/2)^2 has lost digits, and 0 divides by zero at E_R.
     if half_width * half_width < sys.float_info.min:
         raise ValueError(f"resonance width {pole.width} is too small for a lineshape: "

@@ -26,7 +26,7 @@ import operator
 from dataclasses import asdict, dataclass
 
 from .core import (DEFAULT_POLE, ROWS, ResonancePole, energy_window, is_integer, np,
-                   resonance_s_matrix)
+                   require_complex, resonance_s_matrix)
 from .scenarios import linspace_blocks
 
 __all__ = ["AntilinearOperator", "ConjugationReport", "IdentityCheck", "RelationCheck",
@@ -194,7 +194,9 @@ def build_representation(row: int, twice_j: int) -> RepresentationTriple:
 
 
 def _operator(rep: RepresentationTriple, name: str) -> AntilinearOperator:
-    """``rep``'s operator ``name``, after a check that it acts on rep.dim dimensions."""
+    """``rep``'s operator ``name``, after checks of rep's type and that it acts on rep.dim dimensions."""
+    if not isinstance(rep, RepresentationTriple):
+        raise ValueError(f"rep must be a RepresentationTriple, got {rep!r}")
     op = getattr(rep, name)
     if len(op.columns) != rep.dim:
         raise ValueError(f"{name} must be a {rep.dim}x{rep.dim} signed permutation matrix")
@@ -230,13 +232,8 @@ class RelationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "row": self.row,
-            "twice_j": self.twice_j,
-            "checks": [asdict(c) for c in self.checks],
-            "commutation_sign": self.commutation_sign,
-            "all_passed": self.all_passed,
-        }
+        data = asdict(self)  # its fields in order, the checks as a tuple of dicts
+        return {**data, "checks": list(data["checks"]), "all_passed": self.all_passed}
 
 
 def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
@@ -299,18 +296,14 @@ class ConjugationReport:
         return all(e.passed for e in self.entries)
 
     def to_dict(self) -> dict:
-        return {
-            "row": self.row,
-            "twice_j": self.twice_j,
-            "entries": [asdict(e) for e in self.entries],
-            "all_passed": self.all_passed,
-        }
+        data = asdict(self)  # its fields in order, the entries as a tuple of dicts
+        return {**data, "entries": list(data["entries"]), "all_passed": self.all_passed}
 
 
 def reversed_wavefunction(psi) -> list[complex]:
     """Time-reversal action on a wavefunction sampled on a grid symmetric
-    about zero: psi(p) -> conj(psi(-p)), an exact index reversal."""
-    return [complex(z).conjugate() for z in reversed(psi)]
+    about zero: psi(p) -> conj(psi(-p)), an exact index reversal, of finite numbers."""
+    return [require_complex("an entry of psi", z).conjugate() for z in reversed(psi)]
 
 
 def _grid_expectation(weights, psi) -> float:

@@ -61,18 +61,19 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
     computed by composing the family's time reversal with itself, an O(d)
     gather of its signed columns, and therefore equals that family's eps_R.
     Requires a doubled family: the single-sheet family 1 has nowhere to put
-    the r = 1 content the first application produces.  A time reversal of
-    another dimension, or whose square is no multiple of I, raises
-    ValueError.
+    the r = 1 content the first application produces.  A rep that is no
+    RepresentationTriple, or whose time reversal has another dimension or a
+    square that is no multiple of I, raises ValueError.
     """
     from .symmetry import _operator, _square_scalar
+    r = _operator(rep, "time_reversal")  # checks rep before it is read
     if not rep.doubled:
         raise ValueError(
             "family 1 is not doubled: r=1 content produced by time reversal "
             "is not representable; use one of families 2-4"
         )
     restored = time_reverse(time_reverse(state))
-    sign = _square_scalar(_operator(rep, "time_reversal"))
+    sign = _square_scalar(r)
     if sign is None:
         raise ValueError("time reversal squared is not a scalar multiple of the identity")
     return restored, sign
@@ -175,7 +176,7 @@ def cross_identify(label: str) -> CrossIdentification:
     branch's own; the matching laboratory factor (4b for 5b, none for 5a)
     and the note are the recorded identification in ``CROSS_IDENTIFIED``.
     """
-    if label not in CROSS_IDENTIFIED:
+    if not isinstance(label, str) or label not in CROSS_IDENTIFIED:
         raise ValueError(f"cross-identification is defined for branches "
                          f"{' and '.join(CROSS_IDENTIFIED)}, got {label!r}")
     (_, _, regime), branch = next(item for item in BRANCHES.items() if item[1].label == label)

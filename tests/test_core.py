@@ -17,8 +17,11 @@ from gamowkit import (
     Role,
     TimeDomain,
     TimeHalf,
+    build_representation,
     canonical_state,
+    check_conjugation_identities,
     lineshape,
+    lorentzian_density,
     resonance_s_matrix,
 )
 
@@ -230,6 +233,23 @@ def test_state_needs_a_resonance_pole(pole):
     message = f"pole must be a ResonancePole, got {pole!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         canonical_state(PREP, Kind.GROWING, 0, pole)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pole: lineshape(pole, [1.0]),
+    lambda pole: lorentzian_density(pole, [1.0]),
+    lambda pole: lorentzian_density(pole, 1.0),
+    lambda pole: resonance_s_matrix(pole, 1.0),
+    lambda pole: resonance_s_matrix(pole, [1.0]),
+    lambda pole: check_conjugation_identities(build_representation(1, 0), pole),
+], ids=["lineshape", "density-grid", "density", "s-matrix", "s-matrix-grid", "conjugation"])
+@pytest.mark.parametrize("pole", ["x", None, (1.0, 0.2)], ids=["str", "none", "tuple"])
+def test_pole_functions_need_a_resonance_pole(call, pole):
+    message = f"pole must be a ResonancePole, got {pole!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning either
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(pole)
 
 
 def test_package_exports_each_module_list_once():

@@ -580,6 +580,35 @@ class TestConjugationIdentities:
         assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("psi, message", [
+    ("ab", "an entry of psi must be a complex number, got 'b'"),
+    ([1.0, "a"], "an entry of psi must be a complex number, got 'a'"),
+    ([1.0, True], "an entry of psi must be a complex number, got True"),
+    ([float("nan"), 1.0], "an entry of psi must be finite, got (nan+0j)"),
+    (np.array([1.0, np.inf]), "an entry of psi must be finite, got (inf+0j)"),
+    ([complex(0.0, -np.inf)], "an entry of psi must be finite, got -infj"),
+    ([10**400], "an entry of psi must be finite, got int beyond the double range"),
+], ids=["str", "str-entry", "bool", "nan", "inf-array", "inf-imag", "huge-int"])
+def test_wavefunction_must_hold_finite_numbers(psi, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning either
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reversed_wavefunction(psi)
+
+
+@pytest.mark.parametrize("call", [
+    verify_group_relations,
+    check_conjugation_identities,
+    lambda rep: time_reverse_twice(canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.DECAYING,
+                                                   0, ResonancePole(1.0, 0.2)), rep),
+], ids=["relations", "conjugation", "time_reverse_twice"])
+@pytest.mark.parametrize("rep", ["x", None, 4], ids=["str", "none", "int"])
+def test_rep_must_be_a_representation_triple(call, rep):
+    message = f"rep must be a RepresentationTriple, got {rep!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(rep)
+
+
 def spin_matrices(twice_j):
     """Dense (J_x, J_y, J_z) for spin j = twice_j / 2, by the ladder construction in
     the ascending m basis: J_z = diag(-j, ..., +j), <m+1|J_+|m> = sqrt(j(j+1) - m(m+1))."""

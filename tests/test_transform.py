@@ -184,7 +184,7 @@ class TestCrossIdentify:
                (b11.phase_sign, b11.growth_sign, b11.domain)
         assert cross_identify("5a").matches_factor_of is None
 
-    @pytest.mark.parametrize("label", ["4a", "4b", "10", "11", "12", "13", "zz"])
+    @pytest.mark.parametrize("label", ["4a", "4b", "10", "11", "12", "13", "zz", [], ["5a"]])
     def test_other_branches_rejected(self, label):
         with pytest.raises(ValueError, match="5a and 5b"):
             cross_identify(label)
