@@ -17,6 +17,7 @@ arbitrary unit and times in its inverse.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -151,7 +152,7 @@ class TimeDomain:
         if not isinstance(self.orientation, Orientation):
             raise ValueError(f"orientation must be an Orientation, got {self.orientation!r}")
 
-    @property
+    @functools.cached_property  # read on every domain check
     def half(self) -> TimeHalf:
         return _HALF_AND_REGIME[self.orientation][0]
 

@@ -194,7 +194,7 @@ def build_representation(row: int, twice_j: int) -> RepresentationTriple:
 
 
 def _operator(rep: RepresentationTriple, name: str) -> AntilinearOperator:
-    """``rep``'s operator ``name``, after checks of rep's type and that it acts on rep.dim dimensions."""
+    """``rep``'s operator ``name``, after checks of rep's type and of the operator's dimension."""
     if not isinstance(rep, RepresentationTriple):
         raise ValueError(f"rep must be a RepresentationTriple, got {rep!r}")
     op = getattr(rep, name)
@@ -302,7 +302,7 @@ class ConjugationReport:
 
 def reversed_wavefunction(psi) -> list[complex]:
     """Time-reversal action on a wavefunction sampled on a grid symmetric
-    about zero: psi(p) -> conj(psi(-p)), an exact index reversal, of finite numbers."""
+    about zero: psi(p) -> conj(psi(-p)), an exact index reversal; psi holds finite numbers."""
     return [require_complex("an entry of psi", z).conjugate() for z in reversed(psi)]
 
 
