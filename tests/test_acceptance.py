@@ -88,7 +88,7 @@ def test_criterion_2_conjugation_matrix_consistency():
         np.testing.assert_array_equal(c @ np.conj(c), expected)
 
     # The diagonal placement squares to +I for spin 1/2, contradicting the
-    # required reversal sign -1; the anti-diagonal default reproduces it.
+    # required reversal sign -1; the package's anti-diagonal C reproduces it.
     r_diag = from_matrix(diagonal_reversal_matrix(1), True)
     diag_square = r_diag.compose(r_diag)
     np.testing.assert_array_equal(diag_square.matrix, np.eye(2, dtype=np.int64))

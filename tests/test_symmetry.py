@@ -72,8 +72,8 @@ class TestTimeReversalMatrix:
     def test_diagonal_variant_breaks_half_integer_sign(self):
         # With the diagonal variant, time reversal squares to +I for spin
         # 1/2, contradicting the required eps_R = -1; the anti-diagonal
-        # variant reproduces the sign.  This documents why the
-        # anti-diagonal placement is the default.
+        # variant reproduces the sign.  This documents why the package
+        # places C on the anti-diagonal.
         r_diag = from_matrix(diagonal_reversal_matrix(1), True)
         squared = r_diag.compose(r_diag)
         np.testing.assert_array_equal(squared.matrix, np.eye(2, dtype=np.int64))
