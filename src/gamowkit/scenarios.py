@@ -7,7 +7,8 @@ one float64 array each, that stream to CSV (shortest round-trip float
 formatting) and JSON and parse back without loss.  Each table has one row
 formula, ``row(point, value)``, which builds its columns here from arrays.
 The CLI applies the same formula to Python floats: it takes the grid from
-:func:`linspace_blocks` one block at a time, so it never loads numpy.
+:func:`linspace_blocks` one block at a time, so it never loads numpy, and
+writes each block's rows from one flat sequence of floats by a ``%r`` template.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import (Arrow, GamowState, Kind, ResonancePole, canonical_state, is_integer, np,
-                   require_finite, require_number, require_pole)
+from .core import (_BLOCK_ROWS, Arrow, GamowState, Kind, ResonancePole, canonical_state,
+                   is_integer, linspace_blocks, linspace_points, np, require_finite,
+                   require_number, require_pole)
 from .evolution import branch_for, evolve
 
 __all__ = ["ResultTable", "Scenario", "evolution_table", "lineshape", "lorentzian_density",
@@ -30,11 +32,6 @@ __all__ = ["ResultTable", "Scenario", "evolution_table", "lineshape", "lorentzia
 # Largest accepted grid.  A streamed grid holds one block of rows, so the
 # bound is time: a 1e6-point `decay` spends seconds formatting text.
 MAX_GRID_STEPS = 1_000_000
-
-# Rows computed, formatted and written at a time: about 0.15 MiB of floats and
-# text.  Of 512 to 4096 rows, 512 gave 50001-point runs the lowest peak RSS
-# at no measurable cost in time.
-_BLOCK_ROWS = 512
 
 
 def check_steps(grid: str, steps: int) -> None:
@@ -59,7 +56,7 @@ class ResultTable:
     def __init__(self, columns, rows):
         self.columns = tuple(columns)
         values = np.asarray(rows, dtype=float)
-        if values.ndim > 1 and values.shape[1:] != (len(self.columns),):
+        if not self.columns or values.ndim > 1 and values.shape[1:] != (len(self.columns),):
             raise ValueError(f"rows of shape {values.shape} do not fit {len(self.columns)} columns")
         self._values = values.reshape(-1, len(self.columns))
 
@@ -139,42 +136,33 @@ def _text(write) -> str:
 
 
 def row_blocks(values):
-    """The rows of a float array in order, as lists of at most _BLOCK_ROWS rows of floats."""
-    for start in range(0, len(values), _BLOCK_ROWS):
-        yield values[start:start + _BLOCK_ROWS].tolist()
-
-
-def linspace_blocks(start, stop, steps: int):
-    """``np.linspace(start, stop, steps)`` bit for bit, as lists of at most _BLOCK_ROWS
-    Python floats, by numpy's own arithmetic: point i is i * step + start, or
-    (i / div) * delta + start where the step rounds to 0, and the last is stop."""
-    start, stop, div = float(start), float(stop), steps - 1
-    delta = stop - start
-    step = delta / div
-    for first in range(0, steps, _BLOCK_ROWS):
-        points = range(first, min(first + _BLOCK_ROWS, steps))
-        block = [i * step + start if step else i / div * delta + start for i in points]
-        if points[-1] == div:
-            block[-1] = stop
-        yield block
+    """The rows of a float array in order, at most _BLOCK_ROWS at a time, as flat lists."""
+    return (values[i:i + _BLOCK_ROWS].ravel().tolist() for i in range(0, len(values), _BLOCK_ROWS))
 
 
 def write_csv(fh, columns, blocks) -> None:
-    """``columns``, then the rows of each list of ``blocks``, a block per write."""
+    """``columns``, then each of ``blocks``, a flat sequence of rows' values, a block per write."""
     csv.writer(fh, lineterminator="\n").writerow(columns)  # names may need quoting
-    line = "%r," * (len(columns) - 1) + "%r\n"
-    for block in blocks:
-        fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
+    for text in _texts(blocks, "%r," * (len(columns) - 1) + "%r\n", ""):
+        fh.write(text)
 
 
 def write_json(fh, columns, blocks) -> None:
-    """``{"columns": [...], "rows": [...]}`` with each list of ``blocks``, a block per write."""
+    """``{"columns": [...], "rows": [...]}`` with each of ``blocks``, a block per write."""
     fh.write(json.dumps({"columns": list(columns), "rows": []})[:-2])
-    separator = ""
-    for block in blocks:
-        fh.write(separator + json.dumps(block)[1:-1])
-        separator = ", "
+    for text in _texts(blocks, "[%r" + ", %r" * (len(columns) - 1) + "]", ", "):
+        if "n" in text:  # nan or inf, which json.dumps spells NaN and Infinity
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        fh.write(text)
     fh.write("]}")
+
+
+def _texts(blocks, row, separator):
+    """Each flat block by the ``%r`` template ``row``, rows and blocks joined by ``separator``."""
+    lead = ""
+    for block in blocks:
+        yield (lead + separator.join([row] * (len(block) // row.count("%r")))) % tuple(block)
+        lead = separator
 
 
 @dataclass(frozen=True)
@@ -210,15 +198,15 @@ class Scenario:
         return np.linspace(self.t_min, self.t_max, self.steps)
 
     def checked_times(self) -> None:
-        """A sweep's checks, without numpy: the half-domain at every point of the grid (a
-        subnormal step can overshoot t_max), then the phase at its extremes.  A half-line holds
-        every point between its running extremes: only the block where they leave it is scanned."""
-        branch, low, high = branch_for(self.state()), math.inf, -math.inf
-        for block in linspace_blocks(self.t_min, self.t_max, self.steps):
-            low, high = min(low, min(block)), max(high, max(block))
-            if not (branch.domain.contains(low) and branch.domain.contains(high)):
-                branch.checked_times(next(itertools.filterfalse(branch.domain.contains, block)))
-        for t in (low, high):
+        """A sweep's checks, without numpy: the half-domain at the grid's extremes (point i is
+        monotone in i: the first, the last before t_max, which a subnormal step can overshoot,
+        and t_max), scanned only to name a first point outside, then the phase there."""
+        branch, grid = branch_for(self.state()), (self.t_min, self.t_max, self.steps)
+        extremes = linspace_points(*grid, (0, self.steps - 2, self.steps - 1))
+        if not all(map(branch.domain.contains, extremes)):
+            points = itertools.chain.from_iterable(linspace_blocks(*grid))
+            branch.checked_times(next(itertools.filterfalse(branch.domain.contains, points)))
+        for t in (min(extremes), max(extremes)):
             branch.evolvable_times(self.pole, t)
 
 

@@ -20,14 +20,12 @@ included, stops at dimension ``MAX_DENSE_DIM`` = 1024.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass
 
-from .core import (DEFAULT_POLE, ROWS, ResonancePole, energy_window, is_integer, np,
-                   require_complex, resonance_s_matrix)
-from .scenarios import linspace_blocks
+from .core import (DEFAULT_POLE, ROWS, ResonancePole, energy_window, is_integer, linspace_points,
+                   np, require_complex, resonance_s_matrix)
 
 __all__ = ["AntilinearOperator", "ConjugationReport", "IdentityCheck", "RelationCheck",
            "RelationReport", "RepresentationTriple", "build_representation",
@@ -303,7 +301,11 @@ class ConjugationReport:
 def reversed_wavefunction(psi) -> list[complex]:
     """Time-reversal action on a wavefunction sampled on a grid symmetric
     about zero: psi(p) -> conj(psi(-p)), an exact index reversal; psi holds finite numbers."""
-    return [require_complex("an entry of psi", z).conjugate() for z in reversed(psi)]
+    try:
+        entries = reversed(psi)
+    except TypeError:  # a number, a generator, a set
+        raise ValueError(f"psi must be a sequence of numbers, got {psi!r}") from None
+    return [require_complex("an entry of psi", z).conjugate() for z in entries]
 
 
 def _grid_expectation(weights, psi) -> float:
@@ -372,14 +374,14 @@ def check_conjugation_identities(rep: RepresentationTriple,
       relation, on 1000 energies over E_R +- 25 Gamma (tolerance 1e-12);
       a window whose bounds or span overflow a double raises ValueError.
 
-    The grids are Python floats, ``np.linspace``'s bit for bit (``linspace_blocks``),
+    The grids are Python floats, ``np.linspace``'s bit for bit (``linspace_points``),
     summed by ``math.fsum``, correctly rounded on every Python: no check loads numpy.
     """
     e_min, e_max = energy_window(pole)
     dev = _angular_momentum_flip(_operator(rep, "time_reversal"), rep.twice_j)
     entries = [IdentityCheck("angular_momentum_flip", dev <= 1e-12, dev, 1e-12)]
 
-    p = next(linspace_blocks(-10.0, 10.0, _MOMENTUM_POINTS))  # one block
+    p = linspace_points(-10.0, 10.0, _MOMENTUM_POINTS, range(_MOMENTUM_POINTS))
     psi = [complex(math.exp(-((x - 2.0) * (x - 2.0)) / 2.0)) for x in p]
     psi_rev = reversed_wavefunction(psi)
     dev = abs(_grid_expectation(p, psi_rev) + _grid_expectation(p, psi))
@@ -390,7 +392,7 @@ def check_conjugation_identities(rep: RepresentationTriple,
     entries.append(IdentityCheck("kinetic_energy_invariance", dev <= 1e-10, dev, 1e-10))
 
     s = [resonance_s_matrix(pole, e)
-         for e in itertools.chain.from_iterable(linspace_blocks(e_min, e_max, _ENERGY_POINTS))]
+         for e in linspace_points(e_min, e_max, _ENERGY_POINTS, range(_ENERGY_POINTS))]
     dev = max(abs(abs(z) - 1.0) for z in s)
     entries.append(IdentityCheck("s_matrix_unitarity", dev <= 1e-12, dev, 1e-12))
     dev = max(abs(z.conjugate() - 1.0 / z) for z in s)

@@ -8,12 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import gamowkit
-from gamowkit import (Arrow, Kind, ResonancePole, ResultTable, Scenario, derive_table,
-                      evolution_table, lineshape, run_decay)
+from gamowkit import (Arrow, DomainViolationError, Kind, ResonancePole, ResultTable, Scenario,
+                      derive_table, evolution_table, lineshape, run_decay)
 from gamowkit.cli import ARROWS, KINDS, main
 from gamowkit.core import TimeHalf, canonical_time_domain
 from gamowkit.scenarios import _BLOCK_ROWS, MAX_GRID_STEPS
@@ -462,6 +462,8 @@ class TestStreamedOutput:
            bounds=st.lists(st.one_of(st.floats(0.0, 1e3), st.floats(0.0, 1e-300),
                                      st.integers(0, 40).map(lambda k: k * 5e-324)),
                            min_size=1, max_size=2).map(sorted))
+    @example(energy=0.0, width=1.0, arrow="exc", kind="grow", regime=0, steps=7,
+             bounds=[0.0, 2e-323])  # np.linspace(-2e-323, -0.0, 7) holds 5e-324
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", ["decay", "evolve", "lineshape"])
     def test_stdout_and_out_file_agree(self, tmp_path, capsys, command, fmt, energy, width,
@@ -478,9 +480,14 @@ class TestStreamedOutput:
             scenario = Scenario(pole, ARROWS[arrow], KINDS[kind], regime, low, high, steps)
             grid = ("--arrow", arrow, "--kind", kind, "--regime", str(regime),
                     f"--tmin={low!r}", f"--tmax={high!r}")
-            table = (run_decay if command == "decay" else evolution_table)(scenario)
         argv = (command, "--er", repr(energy), "--gamma", repr(width), *grid,
                 "--steps", str(steps), "--format", fmt)
+        if command != "lineshape":
+            try:
+                table = (run_decay if command == "decay" else evolution_table)(scenario)
+            except DomainViolationError as exc:  # a subnormal step overshoots t_max = -0.0
+                assert invoke(capsys, *argv) == (2, "", f"error: {exc}\n")
+                return
         code, out, err = invoke(capsys, *argv)
         assert code == 0 and not err
         assert out == (table.to_csv() if fmt == "csv" else table.to_json() + "\n")
@@ -591,8 +598,12 @@ def test_streamed_grid_holds_one_block_beyond_its_times(tmp_path, fmt):
         tracemalloc.stop()
     # The grid is never held: one block of rows and its text is, so the peak does not grow
     # with the step count.  The 200001 grid times alone, as Python floats, would take 6.4 MB.
-    assert peaks[200001] < 1024 * 1024
-    assert peaks[200001] - peaks[20001] <= 256 * 1024  # at most one block's worth more
+    # Measured: the writing itself peaked 25 KiB above its start for JSON, and 128 KiB for
+    # CSV, whose header writer takes that; in all 246 KiB for CSV and 142 KiB for JSON, with
+    # 200001 points up to 63 KiB above 20001: the first traced run's argument parser, a
+    # reference cycle the collector had not yet freed.
+    assert peaks[200001] < 384 * 1024
+    assert peaks[200001] - peaks[20001] <= 96 * 1024
 
 
 class TestExitCodes:

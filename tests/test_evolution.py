@@ -413,6 +413,17 @@ class TestGroupEvolve:
                 group_evolve(h, t, v)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("h, v, name", [
+        ([[1.0, 0.0], [0.0]], [1.0, 0.0], "hamiltonian"),
+        (np.eye(2), [[1.0], [0.0, 1.0]], "vector"),
+    ], ids=["hamiltonian", "vector"])
+    def test_ragged_input_names_itself(self, h, v, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 1.24 warned of a ragged array first
+            with pytest.raises(ValueError, match=f"^{name} must be a rectangular array, got a "
+                                                 "ragged sequence$"):
+                group_evolve(h, 1.0, v)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="square"):
             group_evolve(np.zeros((2, 3)), 1.0, np.zeros(2))

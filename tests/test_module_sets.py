@@ -27,7 +27,7 @@ print(code, *sorted(m for m in sys.modules if m.startswith("gamowkit.")))
 PARSER = {"cli", "core", "evolution"}
 GRID = PARSER | {"scenarios"}
 LABELS = PARSER | {"transform"}
-SPIN = GRID | {"symmetry"}
+SPIN = PARSER | {"symmetry"}
 
 EXPORTS = [
     "Arrow", "GamowState", "HalfPlane", "Kind", "Orientation", "ResonancePole", "Role",

@@ -29,7 +29,7 @@ from gamowkit import (
     lorentzian_density,
     run_decay,
 )
-from gamowkit.scenarios import _BLOCK_ROWS, decay_row, linspace_blocks
+from gamowkit.scenarios import _BLOCK_ROWS, decay_row, linspace_blocks, linspace_points
 
 # numpy < 2.0 names the trapezoidal rule trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -91,19 +91,13 @@ class TestRunDecay:
     _BOUNDS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1.5e-323, 1e10, -1e10]),
                         st.floats(-1e12, 1e12))
 
-    @settings(max_examples=300, deadline=None)
-    @given(index=st.integers(0, 7), bounds=st.tuples(_BOUNDS, _BOUNDS), steps=st.integers(2, 1500),
-           energy=st.sampled_from([1.0, -1.0, 1e300, -1e300]))
-    @example(index=BRANCH_KEYS.index((PREP, Kind.GROWING, 0)), bounds=(-1.5e-323, 0.0), steps=6,
-             energy=1.0)  # a subnormal step overshoots t_max to 5e-324
-    def test_grid_check_equals_a_full_scan(self, index, bounds, steps, energy):
+    @staticmethod
+    def _check_as_a_full_scan(scenario):
         # the first point of np.linspace outside the half-domain, else the phase at the largest |t|
-        scenario = Scenario(ResonancePole(energy, 0.2), *BRANCH_KEYS[index], *sorted(bounds),
-                            steps)
         branch = branch_for(scenario.state())
-        grid = np.linspace(scenario.t_min, scenario.t_max, steps)
+        grid = np.linspace(scenario.t_min, scenario.t_max, scenario.steps)
         outside = [float(t) for t in grid if not branch.domain.contains(t)]
-        phase = energy * float(np.abs(grid).max())
+        phase = scenario.pole.energy * float(np.abs(grid).max())
         if outside:
             error, message = DomainViolationError, (
                 f"t={outside[0]} lies outside the {branch.domain.half.value} half-domain of "
@@ -116,6 +110,34 @@ class TestRunDecay:
         with pytest.raises(error) as caught:
             scenario.checked_times()
         assert type(caught.value) is error and str(caught.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(index=st.integers(0, 7), bounds=st.tuples(_BOUNDS, _BOUNDS), steps=st.integers(2, 1500),
+           energy=st.sampled_from([1.0, -1.0, 1e300, -1e300]))
+    @example(index=BRANCH_KEYS.index((PREP, Kind.GROWING, 0)), bounds=(-1.5e-323, 0.0), steps=6,
+             energy=1.0)  # a subnormal step overshoots t_max to 5e-324
+    def test_grid_check_equals_a_full_scan(self, index, bounds, steps, energy):
+        self._check_as_a_full_scan(Scenario(ResonancePole(energy, 0.2), *BRANCH_KEYS[index],
+                                            *sorted(bounds), steps))
+
+    # The check reads three points of the grid, not all: at the edges of a double, with
+    # -0.0, with a step that rounds to 0, and with a first point outside in a later block.
+    _EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1.5e-323, 1e-320, -1e-320, 1e308,
+                              -1e308, 8.9e307, -8.9e307, 1.0, -1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(index=st.integers(0, 7), bounds=st.tuples(_EDGES, _EDGES),
+           steps=st.sampled_from([2, 3, 7, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                  2 * _BLOCK_ROWS, 3 * _BLOCK_ROWS + 7]),
+           energy=st.sampled_from([1.0, 2.0, 1e-300]))
+    @example(index=BRANCH_KEYS.index((PREP, Kind.GROWING, 0)), bounds=(-1.0, 1e-320),
+             steps=3 * _BLOCK_ROWS + 7, energy=1.0)  # only t_max, in the last block, is outside
+    def test_edge_grid_check_equals_a_full_scan(self, index, bounds, steps, energy):
+        low, high = sorted(bounds)
+        if not math.isfinite(high - low):
+            return
+        self._check_as_a_full_scan(Scenario(ResonancePole(energy, 0.2), *BRANCH_KEYS[index],
+                                            low, high, steps))
 
     @pytest.mark.parametrize("arrow", [PREP, EXC])
     @pytest.mark.parametrize("kind", [Kind.GROWING, Kind.DECAYING])
@@ -348,6 +370,27 @@ class TestFloatGrid:
         assert all(type(t) is float for t in points)
         assert np.array(points).tobytes() == np.linspace(start, stop, steps).tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(start=st.one_of(st.floats(-1e308, 1e308), st.floats(-1e-300, 1e-300),
+                           st.sampled_from([-0.0, 0.0, -1e308, 1e308, -5e-324, 5e-324])),
+           span=st.one_of(st.floats(0.0, 1e308), st.integers(0, 40).map(lambda k: k * 5e-324),
+                          st.sampled_from([0.0, 1e308])),
+           steps=st.one_of(st.integers(2, 3 * _BLOCK_ROWS + 3),
+                           st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                            2 * _BLOCK_ROWS + 1])))
+    @example(start=0.0, span=1e-320, steps=7)  # the step rounds to 0
+    @example(start=-1.5e-323, span=1.5e-323, steps=6)  # the last point before stop overshoots it
+    @example(start=-0.0, span=0.0, steps=3)
+    @example(start=-1e308, span=1e308, steps=_BLOCK_ROWS + 1)
+    def test_three_points_are_the_grid_extremes(self, start, span, steps):
+        stop = start + span
+        if not math.isfinite(stop) or not math.isfinite(stop - start):
+            return
+        extremes = linspace_points(start, stop, steps, (0, steps - 2, steps - 1))
+        points = list(itertools.chain.from_iterable(linspace_blocks(start, stop, steps)))
+        assert extremes == [points[0], points[-2], points[-1]]
+        assert (min(extremes), max(extremes)) == (min(points), max(points))
+
     @pytest.mark.parametrize("key", BRANCH_KEYS, ids=lambda key: BRANCHES[key].label)
     def test_decay_row_of_a_float_is_the_array_row(self, pole, key):
         scenario = _in_domain(pole, key, 0.0, 60.0, 97)
@@ -371,6 +414,15 @@ class TestResultTableRoundTrip:
         table = run_decay(Scenario(pole, PREP, Kind.DECAYING, 0, 0.0, 10.0, 9))
         assert table.to_json() == json.dumps({"columns": list(table.columns),
                                               "rows": [list(row) for row in table.rows]})
+
+    def test_json_spells_nonfinite_values_as_json_dumps(self):
+        rows = [(math.nan, math.inf), (-math.inf, 1.5), (-0.0, 5e-324)]
+        table = ResultTable(("n", "inf"), rows)  # names that hold the letters rewritten
+        text = table.to_json()
+        assert text.encode() == json.dumps({"columns": ["n", "inf"],
+                                            "rows": [list(row) for row in rows]}).encode()
+        assert '"rows": [[NaN, Infinity], [-Infinity, 1.5], [-0.0, 5e-324]]' in text
+        assert ResultTable.from_json(text) == table
 
     def test_csv_header_first_row(self):
         table = ResultTable(("a", "b"), [(1.5, -2.25)])
@@ -513,6 +565,11 @@ class TestResultTableBlocks:
         assert table == ResultTable(("x", "y"), [(1.0, 0.0), (2.5, 3.0)])
         assert table != ResultTable(("x", "z"), table.rows)
         assert table != ResultTable(("x", "y"), table.rows[:1])
+
+    @pytest.mark.parametrize("columns", [[], ()])
+    def test_a_table_needs_a_column(self, columns):
+        with pytest.raises(ValueError, match=r"^rows of shape \(0,\) do not fit 0 columns$"):
+            ResultTable(columns, [])
 
     def test_rows_must_fit_the_columns(self):
         with pytest.raises(ValueError, match="do not fit 2 columns"):

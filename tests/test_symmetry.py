@@ -24,6 +24,7 @@ from gamowkit import (
     time_reverse_twice,
     verify_group_relations,
 )
+import gamowkit.core
 from gamowkit.symmetry import MAX_DENSE_DIM, MAX_TWICE_J
 from dense import apply, diagonal_reversal_matrix, from_matrix
 
@@ -594,6 +595,25 @@ def test_wavefunction_must_hold_finite_numbers(psi, message):
         warnings.simplefilter("error")  # no numpy warning either
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             reversed_wavefunction(psi)
+
+
+@pytest.mark.parametrize("psi", [5, (x for x in [1.0]), {1.0}], ids=["number", "generator", "set"])
+def test_wavefunction_must_be_a_sequence(psi):
+    message = f"psi must be a sequence of numbers, got {psi!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        reversed_wavefunction(psi)
+
+
+@pytest.mark.parametrize("row, twice_j", [(4, 7), (1, 0), (2, 63)])
+def test_conjugation_report_does_not_depend_on_the_block_size(monkeypatch, row, twice_j):
+    # the momentum grid of 201 points spans several blocks of 7
+    rep = build_representation(row, twice_j)
+    report = check_conjugation_identities(rep).to_dict()
+    monkeypatch.setattr(gamowkit.core, "_BLOCK_ROWS", 7)
+    assert check_conjugation_identities(rep).to_dict() == report
+    assert report["all_passed"] is True
+    flip = next(e for e in report["entries"] if e["name"] == "momentum_expectation_flip")
+    assert flip["max_deviation"] < 1e-14
 
 
 @pytest.mark.parametrize("call", [
