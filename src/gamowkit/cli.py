@@ -14,24 +14,21 @@ values, grids outside the half-domain), 1 on internal errors.  An optional
 ``--config FILE`` supplies flat key=value defaults; explicit flags win.
 
 The grid commands check their grid's extremes, then compute, format and
-write it a block of Python floats at a time, through one closure per command
-and the table's row formula, and ``rep-check`` checks signed permutations as
-tuples of ints: no command loads numpy.  The parser loads ``core`` and
-``evolution``, and each command imports its own modules: ``scenarios`` for
-a grid, ``transform`` for ``table`` and ``cross-id``, and ``symmetry`` for
-``rep-check``.
+write it one block of Python floats at a time, and ``rep-check`` checks
+signed permutations as tuples of ints: no command loads numpy.  The parser
+loads ``core`` and ``evolution``, and each command imports its own modules:
+``grid`` and ``scenarios`` for a grid, ``transform`` for ``table`` and
+``cross-id``, and ``grid`` and ``symmetry`` for ``rep-check``.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
-import itertools
 import json
 import sys
 
-from .core import (DEFAULT_POLE, ROWS, Arrow, Kind, ResonancePole, energy_window, linspace_blocks,
-                   require_finite)
+from .core import DEFAULT_POLE, ROWS, Arrow, Kind, ResonancePole, energy_window, require_finite
 from .evolution import CROSS_IDENTIFIED, branch_for
 
 ARROWS = {"prep": Arrow.PREPARATION_REGISTRATION, "exc": Arrow.EXCITATION_DEEXCITATION}
@@ -137,19 +134,20 @@ def _resolve_pole(opts: _Resolver) -> ResonancePole:
 
 
 def _table_writer(fmt: str, columns, row, points, value):
-    """The writer of ``row(point, value(point))`` over checked ``points``, as flat blocks."""
+    """The writer of ``row(point, value(point))`` over checked ``points``, a block at a time."""
     from .scenarios import write_csv, write_json
-    blocks = (tuple(itertools.chain.from_iterable(map(row, block, map(value, block))))
-              for block in points)
+    blocks = (list(map(row, block, map(value, block))) for block in points)
+    if fmt == "csv":
+        return lambda fh: write_csv(fh, columns, blocks)
 
     def write(fh) -> None:
-        (write_csv if fmt == "csv" else write_json)(fh, columns, blocks)
-        fh.write("" if fmt == "csv" else "\n")  # a JSON document ends its line
+        write_json(fh, columns, blocks)
+        fh.write("\n")
     return write
 
 
 def _time_table(opts: _Resolver, columns, row):
-    from .scenarios import Scenario
+    from .scenarios import Scenario, linspace_blocks
     fmt = opts.get("format")
     pole = _resolve_pole(opts)
     arrow, kind, regime = ARROWS[opts.get("arrow")], KINDS[opts.get("kind")], opts.get("regime")
@@ -160,8 +158,9 @@ def _time_table(opts: _Resolver, columns, row):
     scenario = Scenario(pole, arrow, kind, regime, t_min, t_max, steps)
     scenario.checked_times()
     state = scenario.state()
+    branch = branch_for(state)
     return _table_writer(fmt, columns, row, linspace_blocks(t_min, t_max, steps),
-                         branch_for(state).scalar_factor(pole, state.amplitude))
+                         lambda t: branch.factor(pole, t) * state.amplitude)
 
 
 def _cmd_evolve(opts: _Resolver):
@@ -175,7 +174,8 @@ def _cmd_decay(opts: _Resolver):
 
 
 def _cmd_lineshape(opts: _Resolver):
-    from .scenarios import LINESHAPE_COLUMNS, check_steps, lineshape_row, lorentzian
+    from .scenarios import (LINESHAPE_COLUMNS, check_steps, lineshape_row, linspace_blocks,
+                            lorentzian)
     fmt = opts.get("format")
     pole = _resolve_pole(opts)
     e_min, e_max = opts.get("emin"), opts.get("emax")

@@ -73,30 +73,6 @@ def require_number(name: str, value) -> float:
     return value
 
 
-# Grid points computed, formatted and written at a time.  16 to 48 kept every 50001-point run at
-# a 3-step run's peak RSS; at 64 to 256 a JSON run whose values grow in length peaked 0.1-0.9 MiB
-# higher, as each block's text outgrows the last one freed (Python 3.11, glibc, Linux x86-64).
-_BLOCK_ROWS = 32
-
-
-def linspace_points(start, stop, steps: int, indices) -> list[float]:
-    """Points ``indices`` (ascending) of ``np.linspace(start, stop, steps)`` as Python floats, by
-    numpy's arithmetic: i * step + start (i / div * delta + start if step is 0), the last stop."""
-    start, stop, div = float(start), float(stop), steps - 1
-    delta = stop - start
-    step = delta / div
-    points = [i * step + start if step else i / div * delta + start for i in indices]
-    if indices[-1] == div:
-        points[-1] = stop
-    return points
-
-
-def linspace_blocks(start, stop, steps: int):
-    """Every point of the grid, in order, as lists of at most _BLOCK_ROWS Python floats."""
-    for first in range(0, steps, _BLOCK_ROWS):
-        yield linspace_points(start, stop, steps, range(first, min(first + _BLOCK_ROWS, steps)))
-
-
 class Kind(enum.Enum):
     """Which member of the conjugate pole pair a Gamow state carries."""
 

@@ -54,32 +54,22 @@ class EvolutionBranch:
     def factor(self, pole: ResonancePole, t):
         """The bare evolution factor at a time t (a complex) or at every time
         of an array t (an array), with no domain or phase check."""
-        growth, phase = self.growth_sign * 0.5 * pole.width, self.phase_sign * pole.energy
         if isinstance(t, (int, float)):
             # cmath gives the array path's bits, and raises where numpy gives inf or nan
             try:
                 t = float(t)  # a numpy float64 would warn of overflow
-                return cmath.exp(complex(growth * t, phase * t))
+                return cmath.exp(complex(self.growth_sign * 0.5 * pole.width * t,
+                                         self.phase_sign * pole.energy * t))
             except (OverflowError, ValueError):
                 pass
         t = np.asarray(t, dtype=float)
         exponent = np.empty(t.shape, dtype=complex)  # parts set apart, as complex(x, y) keeps -0.0
         # On the domain the real part overflows only toward -inf, where exp gives exactly 0.
         with np.errstate(over="ignore"):
-            exponent.real = growth * t
-            exponent.imag = phase * t
+            exponent.real = self.growth_sign * 0.5 * pole.width * t
+            exponent.imag = self.phase_sign * pole.energy * t
         np.exp(exponent, out=exponent)
         return exponent if exponent.ndim else complex(exponent)
-
-    def scalar_factor(self, pole: ResonancePole, amplitude: complex):
-        """``factor(pole, t) * amplitude`` of a float t, bit for bit; coefficients taken once."""
-        growth, phase = self.growth_sign * 0.5 * pole.width, self.phase_sign * pole.energy
-        def at(t: float) -> complex:
-            try:
-                return cmath.exp(complex(growth * t, phase * t)) * amplitude
-            except (OverflowError, ValueError):  # factor's numpy path gives inf or nan
-                return self.factor(pole, t) * amplitude
-        return at
 
     def checked_times(self, t):
         """A time as a Python float, or times as a float array, after the one

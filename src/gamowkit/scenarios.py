@@ -7,8 +7,7 @@ one float64 array each, that stream to CSV (shortest round-trip float
 formatting) and JSON and parse back without loss.  Each table has one row
 formula, ``row(point, value)``, which builds its columns here from arrays.
 The CLI applies the same formula to Python floats: it takes the grid from
-:func:`linspace_blocks` one block at a time, so it never loads numpy, and
-writes each block's rows from one flat sequence of floats by a ``%r`` template.
+:func:`linspace_blocks` one block at a time, so it never loads numpy.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import (_BLOCK_ROWS, Arrow, GamowState, Kind, ResonancePole, canonical_state,
-                   is_integer, linspace_blocks, linspace_points, np, require_finite,
-                   require_number, require_pole)
+from .core import (Arrow, GamowState, Kind, ResonancePole, canonical_state, is_integer, np,
+                   require_finite, require_number, require_pole)
 from .evolution import branch_for, evolve
+from .grid import linspace_blocks, linspace_points, row_blocks
 
 __all__ = ["ResultTable", "Scenario", "evolution_table", "lineshape", "lorentzian_density",
            "run_decay"]
@@ -135,34 +134,22 @@ def _text(write) -> str:
     return buffer.getvalue()
 
 
-def row_blocks(values):
-    """The rows of a float array in order, at most _BLOCK_ROWS at a time, as flat lists."""
-    return (values[i:i + _BLOCK_ROWS].ravel().tolist() for i in range(0, len(values), _BLOCK_ROWS))
-
-
 def write_csv(fh, columns, blocks) -> None:
-    """``columns``, then each of ``blocks``, a flat sequence of rows' values, a block per write."""
+    """``columns``, then the rows of each list of ``blocks``, a block per write."""
     csv.writer(fh, lineterminator="\n").writerow(columns)  # names may need quoting
-    for text in _texts(blocks, "%r," * (len(columns) - 1) + "%r\n", ""):
-        fh.write(text)
+    line = "%r," * (len(columns) - 1) + "%r\n"
+    for block in blocks:
+        fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 def write_json(fh, columns, blocks) -> None:
-    """``{"columns": [...], "rows": [...]}`` with each of ``blocks``, a block per write."""
+    """``{"columns": [...], "rows": [...]}`` with each list of ``blocks``, a block per write."""
     fh.write(json.dumps({"columns": list(columns), "rows": []})[:-2])
-    for text in _texts(blocks, "[%r" + ", %r" * (len(columns) - 1) + "]", ", "):
-        if "n" in text:  # nan or inf, which json.dumps spells NaN and Infinity
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        fh.write(text)
-    fh.write("]}")
-
-
-def _texts(blocks, row, separator):
-    """Each flat block by the ``%r`` template ``row``, rows and blocks joined by ``separator``."""
-    lead = ""
+    separator = ""
     for block in blocks:
-        yield (lead + separator.join([row] * (len(block) // row.count("%r")))) % tuple(block)
-        lead = separator
+        fh.write(separator + json.dumps(block)[1:-1])
+        separator = ", "
+    fh.write("]}")
 
 
 @dataclass(frozen=True)

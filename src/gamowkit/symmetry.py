@@ -24,8 +24,9 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 
-from .core import (DEFAULT_POLE, ROWS, ResonancePole, energy_window, is_integer, linspace_points,
-                   np, require_complex, resonance_s_matrix)
+from .core import (DEFAULT_POLE, ROWS, ResonancePole, energy_window, is_integer, np,
+                   require_complex, resonance_s_matrix)
+from .grid import linspace_points
 
 __all__ = ["AntilinearOperator", "ConjugationReport", "IdentityCheck", "RelationCheck",
            "RelationReport", "RepresentationTriple", "build_representation",

@@ -25,9 +25,9 @@ print(code, *sorted(m for m in sys.modules if m.startswith("gamowkit.")))
 """
 
 PARSER = {"cli", "core", "evolution"}
-GRID = PARSER | {"scenarios"}
+GRID = PARSER | {"grid", "scenarios"}
 LABELS = PARSER | {"transform"}
-SPIN = PARSER | {"symmetry"}
+SPIN = PARSER | {"grid", "symmetry"}
 
 EXPORTS = [
     "Arrow", "GamowState", "HalfPlane", "Kind", "Orientation", "ResonancePole", "Role",
@@ -64,7 +64,7 @@ def _loaded(code: str) -> set[str]:
     ("import gamowkit.evolution", {"core", "evolution"}),
     ("from gamowkit import transform", {"core", "evolution", "transform"}),
     ("from gamowkit import cli", {"cli", "core", "evolution"}),
-    ("import gamowkit; gamowkit.Arrow", {"core", "evolution", "scenarios", "symmetry",
+    ("import gamowkit; gamowkit.Arrow", {"core", "evolution", "grid", "scenarios", "symmetry",
                                          "transform"}),
 ], ids=["import", "core", "evolution", "from-import", "cli", "export"])
 def test_library_loads_what_is_asked_for(code, modules):

@@ -29,7 +29,8 @@ from gamowkit import (
     lorentzian_density,
     run_decay,
 )
-from gamowkit.scenarios import _BLOCK_ROWS, decay_row, linspace_blocks, linspace_points
+from gamowkit.grid import _BLOCK_ROWS, linspace_blocks, linspace_points
+from gamowkit.scenarios import decay_row
 
 # numpy < 2.0 names the trapezoidal rule trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -417,7 +418,7 @@ class TestResultTableRoundTrip:
 
     def test_json_spells_nonfinite_values_as_json_dumps(self):
         rows = [(math.nan, math.inf), (-math.inf, 1.5), (-0.0, 5e-324)]
-        table = ResultTable(("n", "inf"), rows)  # names that hold the letters rewritten
+        table = ResultTable(("n", "inf"), rows)
         text = table.to_json()
         assert text.encode() == json.dumps({"columns": ["n", "inf"],
                                             "rows": [list(row) for row in rows]}).encode()

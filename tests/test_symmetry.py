@@ -24,7 +24,7 @@ from gamowkit import (
     time_reverse_twice,
     verify_group_relations,
 )
-import gamowkit.core
+import gamowkit.grid
 from gamowkit.symmetry import MAX_DENSE_DIM, MAX_TWICE_J
 from dense import apply, diagonal_reversal_matrix, from_matrix
 
@@ -609,7 +609,7 @@ def test_conjugation_report_does_not_depend_on_the_block_size(monkeypatch, row, 
     # the momentum grid of 201 points spans several blocks of 7
     rep = build_representation(row, twice_j)
     report = check_conjugation_identities(rep).to_dict()
-    monkeypatch.setattr(gamowkit.core, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(gamowkit.grid, "_BLOCK_ROWS", 7)
     assert check_conjugation_identities(rep).to_dict() == report
     assert report["all_passed"] is True
     flip = next(e for e in report["entries"] if e["name"] == "momentum_expectation_flip")
