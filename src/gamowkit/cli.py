@@ -16,7 +16,7 @@ values, grids outside the half-domain), 1 on internal errors.  An optional
 The grid commands check their grid's extremes, then compute, format and
 write it one block of Python floats at a time, and ``rep-check`` checks
 signed permutations as tuples of ints: no command loads numpy.  The parser
-loads ``core`` and ``evolution``, and each command imports its own modules:
+loads ``core``, and each command imports its own modules: ``evolution``,
 ``grid`` and ``scenarios`` for a grid, ``transform`` for ``table`` and
 ``cross-id``, and ``grid`` and ``symmetry`` for ``rep-check``.
 """
@@ -28,8 +28,8 @@ import collections
 import json
 import sys
 
-from .core import DEFAULT_POLE, ROWS, Arrow, Kind, ResonancePole, energy_window, require_finite
-from .evolution import CROSS_IDENTIFIED, branch_for
+from .core import (CROSS_IDENTIFIED, DEFAULT_POLE, ROWS, Arrow, Kind, ResonancePole, energy_window,
+                   require_finite)
 
 ARROWS = {"prep": Arrow.PREPARATION_REGISTRATION, "exc": Arrow.EXCITATION_DEEXCITATION}
 KINDS = {"grow": Kind.GROWING, "decay": Kind.DECAYING}
@@ -147,6 +147,7 @@ def _table_writer(fmt: str, columns, row, points, value):
 
 
 def _time_table(opts: _Resolver, columns, row):
+    from .evolution import branch_for
     from .scenarios import Scenario, linspace_blocks
     fmt = opts.get("format")
     pole = _resolve_pole(opts)
@@ -158,9 +159,9 @@ def _time_table(opts: _Resolver, columns, row):
     scenario = Scenario(pole, arrow, kind, regime, t_min, t_max, steps)
     scenario.checked_times()
     state = scenario.state()
-    branch = branch_for(state)
+    factor, amplitude = branch_for(state).scalar_factor(pole), state.amplitude
     return _table_writer(fmt, columns, row, linspace_blocks(t_min, t_max, steps),
-                         lambda t: branch.factor(pole, t) * state.amplitude)
+                         lambda t: factor(t) * amplitude)
 
 
 def _cmd_evolve(opts: _Resolver):

@@ -56,13 +56,22 @@ def require_finite(name: str, value):
             raise ValueError(f"{name} must be finite, got an integer of "
                              f"{value.bit_length()} bits") from None
         raise ValueError(f"{name} must be finite, got {value}")
-    values = np.asarray(value)
+    values = require_array(name, value)
     if values.dtype.kind not in "iuf":  # a bool, complex, string or object
         raise ValueError(f"{name} must be real, got {value!r}")
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {values[~finite][0]}")
     return float(values) if values.ndim == 0 else values.astype(float, copy=False)
+
+
+def require_array(name: str, value):
+    """``np.asarray(value)``, after a check that a nested sequence is not ragged, else a
+    ValueError naming it: numpy's own message names no input."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        raise ValueError(f"{name} must be a rectangular array, got a ragged sequence") from None
 
 
 def require_number(name: str, value) -> float:
@@ -225,6 +234,14 @@ def require_complex(name: str, value) -> complex:
 DEFAULT_POLE = ResonancePole(1.0, 0.2)
 # The rows of the four parity / time-reversal / total-inversion families.
 ROWS = (1, 2, 3, 4)
+# Each identified branch's factor match and note.  Recorded, not derived: 5a's sign
+# pattern (+1, +1, t<=0, -inf<-0) equals 11's as 5b's equals 4b's, yet 5a names none.
+CROSS_IDENTIFIED = {
+    "5a": dict(matches_factor_of=None, note="identified with the time-reversed regime once "
+               "laboratory preparations are read as a special case of excitations"),
+    "5b": dict(matches_factor_of="4b", note="identified with the laboratory regime; its "
+               "factor carries the same sign pattern as branch 4b"),
+}
 
 
 def energy_window(pole: ResonancePole) -> tuple[float, float]:

@@ -21,8 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import (Arrow, GamowState, Kind, ResonancePole, TimeDomain, canonical_time_domain, np,
-                   require_finite)
+# CROSS_IDENTIFIED, unused here, for callers that read it from this module
+from .core import (CROSS_IDENTIFIED, Arrow, GamowState, Kind, ResonancePole, TimeDomain,
+                   canonical_time_domain, np, require_array, require_finite)
 
 __all__ = ["BRANCHES", "DomainViolationError", "EvolutionBranch", "NonHermitianError",
            "branch_for", "evolve", "group_evolve", "survival_probability"]
@@ -51,15 +52,18 @@ class EvolutionBranch:
     growth_sign: int
     domain: TimeDomain
 
+    def scalar_factor(self, pole: ResonancePole):
+        """The bare evolution factor as a function of one float time, with its coefficients
+        computed once; it raises OverflowError or ValueError where numpy gives inf or nan."""
+        growth, phase = self.growth_sign * 0.5 * pole.width, self.phase_sign * pole.energy
+        return lambda t: cmath.exp(complex(growth * t, phase * t))
+
     def factor(self, pole: ResonancePole, t):
         """The bare evolution factor at a time t (a complex) or at every time
         of an array t (an array), with no domain or phase check."""
         if isinstance(t, (int, float)):
-            # cmath gives the array path's bits, and raises where numpy gives inf or nan
-            try:
-                t = float(t)  # a numpy float64 would warn of overflow
-                return cmath.exp(complex(self.growth_sign * 0.5 * pole.width * t,
-                                         self.phase_sign * pole.energy * t))
+            try:  # cmath gives the array path's bits; a numpy float64 would warn of overflow
+                return self.scalar_factor(pole)(float(t))
             except (OverflowError, ValueError):
                 pass
         t = np.asarray(t, dtype=float)
@@ -125,15 +129,6 @@ BRANCHES = _with_partners({
     _EXC: (("12", +1, Kind.GROWING, "13"), ("5b", -1, Kind.DECAYING, "5a")),
 })
 
-# Each identified branch's factor match and note.  Recorded, not derived: 5a's sign
-# pattern (+1, +1, t<=0, -inf<-0) equals 11's as 5b's equals 4b's, yet 5a names none.
-CROSS_IDENTIFIED = {
-    "5a": dict(matches_factor_of=None, note="identified with the time-reversed regime once "
-               "laboratory preparations are read as a special case of excitations"),
-    "5b": dict(matches_factor_of="4b", note="identified with the laboratory regime; its "
-               "factor carries the same sign pattern as branch 4b"),
-}
-
 
 def branch_for(state: GamowState) -> EvolutionBranch:
     """The unique branch governing a canonical state."""
@@ -187,13 +182,7 @@ def group_evolve(hamiltonian, t: float, vector) -> np.ndarray:
     a finite number, or a phase eigenvalue * t overflows a double.
     """
     t = require_finite("t", t)
-    arrays = []
-    for name, value in (("hamiltonian", hamiltonian), ("vector", vector)):
-        try:
-            arrays.append(np.asarray(value))
-        except ValueError:  # numpy's message names no input
-            raise ValueError(f"{name} must be a rectangular array, got a ragged sequence") from None
-    h, v = arrays
+    h, v = require_array("hamiltonian", hamiltonian), require_array("vector", vector)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"hamiltonian must be a square matrix, got shape {h.shape}")
     if h.shape[0] > DEFAULT_DIM_CAP:

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import (Arrow, GamowState, Kind, ResonancePole, canonical_state, is_integer, np,
-                   require_finite, require_number, require_pole)
+                   require_array, require_finite, require_number, require_pole)
 from .evolution import branch_for, evolve
 from .grid import linspace_blocks, linspace_points, row_blocks
 
@@ -54,7 +54,11 @@ class ResultTable:
 
     def __init__(self, columns, rows):
         self.columns = tuple(columns)
-        values = np.asarray(rows, dtype=float)
+        try:
+            values = np.asarray(rows, dtype=float)
+        except ValueError:  # a string, or a ragged sequence, which require_array names
+            require_array("rows", rows)
+            raise
         if not self.columns or values.ndim > 1 and values.shape[1:] != (len(self.columns),):
             raise ValueError(f"rows of shape {values.shape} do not fit {len(self.columns)} columns")
         self._values = values.reshape(-1, len(self.columns))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
+    CROSS_IDENTIFIED,
     DEFAULT_POLE,
     Arrow,
     GamowState,
@@ -27,7 +28,7 @@ from .core import (
     canonical_state,
     np,
 )
-from .evolution import BRANCHES, CROSS_IDENTIFIED, branch_for, evolve
+from .evolution import BRANCHES, branch_for, evolve
 if TYPE_CHECKING:  # symmetry loads in the one function that needs it
     from .symmetry import RepresentationTriple
 

@@ -16,13 +16,16 @@ from gamowkit import (
     ResonancePole,
     Role,
     TimeDomain,
+    ResultTable,
     TimeHalf,
     build_representation,
     canonical_state,
     check_conjugation_identities,
+    evolve,
     lineshape,
     lorentzian_density,
     resonance_s_matrix,
+    survival_probability,
 )
 
 PREP = Arrow.PREPARATION_REGISTRATION
@@ -225,6 +228,26 @@ def test_ill_typed_energies_and_amplitudes_name_themselves(pole, call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning either
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(pole)
+
+
+_RAGGED = [[0.0, 1.0], [2.0]]
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda pole: evolve(canonical_state(PREP, Kind.DECAYING, 0, pole), _RAGGED), "t"),
+    (lambda pole: survival_probability(canonical_state(PREP, Kind.DECAYING, 0, pole), _RAGGED),
+     "t"),
+    (lambda pole: lorentzian_density(pole, _RAGGED), "energies"),
+    (lambda pole: lineshape(pole, _RAGGED), "energies"),
+    (lambda pole: resonance_s_matrix(pole, _RAGGED), "energies"),
+    (lambda pole: ResultTable(("a", "b"), [[1.0, 2.0], [3.0]]), "rows"),
+], ids=["evolve", "survival", "density", "lineshape", "s-matrix", "table"])
+def test_ragged_input_names_itself(pole, call, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning either
+        with pytest.raises(ValueError, match=f"^{name} must be a rectangular array, got a "
+                                             "ragged sequence$"):
             call(pole)
 
 

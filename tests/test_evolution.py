@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gamowkit import (
@@ -140,6 +140,23 @@ class TestEvolve:
             array = branch.factor(pole, np.array([t]))[0]
         assert type(scalar) is complex
         assert (scalar.real.hex(), scalar.imag.hex()) == (array.real.hex(), array.imag.hex())
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(list(BRANCHES)), energy=st.floats(-1e300, 1e300),
+           width=st.floats(1e-300, 1e308), t=st.floats(-1e10, 1e10))
+    @example(key=(PREP, Kind.DECAYING, 0), energy=1.0, width=0.2, t=0.0)
+    @example(key=(PREP, Kind.GROWING, 0), energy=1.0, width=0.2, t=-0.0)
+    @example(key=(EXC, Kind.DECAYING, 1), energy=-3.0, width=0.2, t=-5e-324)
+    @example(key=(EXC, Kind.DECAYING, 0), energy=2.0, width=0.2, t=5e-324)
+    @example(key=(PREP, Kind.GROWING, 1), energy=1.0, width=1e308, t=-1e10)  # growth * t = -inf
+    def test_scalar_factor_function_is_factor(self, key, energy, width, t):
+        branch, pole = BRANCHES[key], ResonancePole(energy, width)
+        t = t if branch.domain.contains(t) else -t  # both zeros lie on every branch
+        assume(math.isfinite(energy * t))  # as a sweep checks first
+        bits = [(z.real.hex(), z.imag.hex()) for z in (
+            branch.scalar_factor(pole)(t), branch.factor(pole, t),
+            branch.factor(pole, np.array([t]))[0])]
+        assert bits[0] == bits[1] == bits[2]
 
     @pytest.mark.parametrize("energy, message", [
         (1e300, "inf"),
