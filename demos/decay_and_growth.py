@@ -30,7 +30,7 @@ decaying = canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.DECAYING, 0, pol
 branch = branch_for(decaying)
 print(f"decaying laboratory state {decaying.bracket}")
 print(f"  branch {branch.label}: domain {branch.domain.half.value}, "
-      f"read {branch.domain.orientation.value}")
+      f"read {branch.domain.value}")
 for t in (0.0, 2.0, 5.0, 10.0):
     print(f"  t = {t:5.1f}: factor = {evolve(decaying, t):+.6f}, "
           f"survival = {survival_probability(decaying, t):.6f} "
@@ -41,7 +41,7 @@ growing = canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.GROWING, 0, pole)
 branch = branch_for(growing)
 print(f"growing laboratory state {growing.bracket}")
 print(f"  branch {branch.label}: domain {branch.domain.half.value}, "
-      f"read {branch.domain.orientation.value}")
+      f"read {branch.domain.value}")
 for t in (-10.0, -5.0, -2.0, 0.0):
     print(f"  t = {t:5.1f}: |factor| = {abs(evolve(growing, t)):.6f}  (builds up toward t = 0)")
 print()

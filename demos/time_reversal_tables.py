@@ -27,7 +27,7 @@ after = time_reverse(before)
 for prefix, state in (("  ", before), ("    -> ", after)):
     branch = branch_for(state)
     print(f"{prefix}{state.bracket}  (branch {branch.label}, "
-          f"{branch.domain.half.value}, read {branch.domain.orientation.value})")
+          f"{branch.domain.half.value}, read {branch.domain.value})")
 print(f"  roles: {before.role.value} -> {after.role.value}")
 amp_state = canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.GROWING, 0, pole,
                             amplitude=1.0 + 2.0j)
@@ -41,7 +41,7 @@ for arrow in Arrow:
     print(header)
     for cell in table.cells:
         print(f"  {cell.row_label:9} {cell.regime:>1}  {cell.bracket:22} "
-              f"{cell.half.value:7} {cell.orientation.value:8} {cell.branch}")
+              f"{cell.orientation.half.value:7} {cell.orientation.value:8} {cell.branch}")
     print()
 
 print("double reversal with a doubled family attached returns the family sign:")

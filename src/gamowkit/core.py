@@ -17,13 +17,12 @@ arbitrary unit and times in its inverse.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 __all__ = ["Arrow", "GamowState", "HalfPlane", "Kind", "Orientation", "ResonancePole", "Role",
-           "TimeDomain", "TimeHalf", "canonical_state", "resonance_s_matrix"]
+           "TimeHalf", "canonical_state", "resonance_s_matrix"]
 
 
 class _Numpy:
@@ -132,47 +131,29 @@ class TimeHalf(enum.Enum):
 
 
 class Orientation(enum.Enum):
-    """Reading direction of a half-domain, as annotated in the state tables."""
+    """Reading direction of a half-domain, as annotated in the state tables, with the half
+    it reads and its regime: r=0 reads the half forward in time, r=1 backward."""
 
-    TOWARD_PLUS_INF = "0->inf"
-    TOWARD_ZERO_FROM_MINUS_INF = "-inf->0"
-    TOWARD_ZERO_FROM_PLUS_INF = "0<-inf"
-    TOWARD_MINUS_INF = "-inf<-0"
+    TOWARD_PLUS_INF = ("0->inf", TimeHalf.NONNEG, 0)
+    TOWARD_ZERO_FROM_MINUS_INF = ("-inf->0", TimeHalf.NONPOS, 0)
+    TOWARD_ZERO_FROM_PLUS_INF = ("0<-inf", TimeHalf.NONNEG, 1)
+    TOWARD_MINUS_INF = ("-inf<-0", TimeHalf.NONPOS, 1)
 
-
-# The reading direction of each half-domain in each regime: r=0 reads it
-# forward in time, r=1 backward.
-_ORIENTATION = {
-    (TimeHalf.NONNEG, 0): Orientation.TOWARD_PLUS_INF,
-    (TimeHalf.NONNEG, 1): Orientation.TOWARD_ZERO_FROM_PLUS_INF,
-    (TimeHalf.NONPOS, 0): Orientation.TOWARD_ZERO_FROM_MINUS_INF,
-    (TimeHalf.NONPOS, 1): Orientation.TOWARD_MINUS_INF,
-}
-_HALF_AND_REGIME = {orientation: key for key, orientation in _ORIENTATION.items()}
-
-
-@dataclass(frozen=True)
-class TimeDomain:
-    """A reading direction of a temporal half-domain, which fixes the half."""
-
-    orientation: Orientation
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.orientation, Orientation):
-            raise ValueError(f"orientation must be an Orientation, got {self.orientation!r}")
-
-    @functools.cached_property  # read on every domain check
-    def half(self) -> TimeHalf:
-        return _HALF_AND_REGIME[self.orientation][0]
+    def __new__(cls, value: str, half: TimeHalf, regime: int):
+        member = object.__new__(cls)
+        member._value_, member.half, member.regime = value, half, regime
+        return member
 
     def contains(self, t: float) -> bool:
         return t >= 0.0 if self.half is TimeHalf.NONNEG else t <= 0.0
 
-    def reflected(self) -> "TimeDomain":
+    def reflected(self) -> "Orientation":
         """The image of this domain under t -> -t: the other half, read in the
         other regime's direction."""
-        half, regime = _HALF_AND_REGIME[self.orientation]
-        return TimeDomain(_ORIENTATION[(half.flipped(), 1 - regime)])
+        return _ORIENTATION[(self.half.flipped(), 1 - self.regime)]
+
+
+_ORIENTATION = {(orientation.half, orientation.regime): orientation for orientation in Orientation}
 
 
 @dataclass(frozen=True)
@@ -265,11 +246,11 @@ _CANONICAL_LABELS = {
 }
 
 
-def canonical_time_domain(kind: Kind, regime: int) -> TimeDomain:
+def canonical_time_domain(kind: Kind, regime: int) -> Orientation:
     """Half-domain and reading direction governing a (kind, regime) pair:
     growing states live on t <= 0, decaying states on t >= 0."""
     half = TimeHalf.NONPOS if kind is Kind.GROWING else TimeHalf.NONNEG
-    return TimeDomain(_ORIENTATION[(half, regime)])
+    return _ORIENTATION[(half, regime)]
 
 
 @dataclass(frozen=True)
@@ -303,7 +284,7 @@ class GamowState:
         return _CANONICAL_LABELS[(self.arrow, self.kind)][1]
 
     @property
-    def time_domain(self) -> TimeDomain:
+    def time_domain(self) -> Orientation:
         """The half-domain and reading direction governing this state."""
         return canonical_time_domain(self.kind, self.regime)
 

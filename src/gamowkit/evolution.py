@@ -21,9 +21,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-# CROSS_IDENTIFIED, unused here, for callers that read it from this module
-from .core import (CROSS_IDENTIFIED, Arrow, GamowState, Kind, ResonancePole, TimeDomain,
-                   canonical_time_domain, np, require_array, require_finite)
+from .core import (Arrow, GamowState, Kind, Orientation, ResonancePole, canonical_time_domain, np,
+                   require_array, require_finite, require_number)
 
 __all__ = ["BRANCHES", "DomainViolationError", "EvolutionBranch", "NonHermitianError",
            "branch_for", "evolve", "group_evolve", "survival_probability"]
@@ -50,7 +49,7 @@ class EvolutionBranch:
     label: str
     phase_sign: int
     growth_sign: int
-    domain: TimeDomain
+    domain: Orientation
 
     def scalar_factor(self, pole: ResonancePole):
         """The bare evolution factor as a function of one float time, with its coefficients
@@ -181,7 +180,7 @@ def group_evolve(hamiltonian, t: float, vector) -> np.ndarray:
     ValueError if t is not a finite real number, an entry of H or v is not
     a finite number, or a phase eigenvalue * t overflows a double.
     """
-    t = require_finite("t", t)
+    t = require_number("t", t)
     h, v = require_array("hamiltonian", hamiltonian), require_array("vector", vector)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"hamiltonian must be a square matrix, got shape {h.shape}")
@@ -200,6 +199,6 @@ def group_evolve(hamiltonian, t: float, vector) -> np.ndarray:
         raise ValueError(f"vector shape {v.shape} does not match dimension {h.shape[0]}")
     eigvals, eigvecs = np.linalg.eigh(h)
     # Python floats overflow to inf without the warning numpy scalars print
-    phase = float(np.max(np.abs(eigvals), initial=0.0)) * float(np.max(np.abs(t)))
+    phase = float(np.max(np.abs(eigvals), initial=0.0)) * abs(t)
     require_finite("eigenvalue * t", phase)
     return eigvecs @ (np.exp(-1j * eigvals * t) * (eigvecs.conj().T @ v))

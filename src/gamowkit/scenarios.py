@@ -54,6 +54,8 @@ class ResultTable:
 
     def __init__(self, columns, rows):
         self.columns = tuple(columns)
+        if isinstance(columns, str) or not all(isinstance(name, str) for name in self.columns):
+            raise ValueError(f"columns must be a sequence of str names, got {columns!r}")
         try:
             values = np.asarray(rows, dtype=float)
         except ValueError:  # a string, or a ragged sequence, which require_array names

@@ -87,7 +87,6 @@ class TableCell:
     row_label: str
     regime: int
     bracket: str
-    half: TimeHalf
     orientation: Orientation
     branch: str
 
@@ -96,7 +95,7 @@ class TableCell:
             "row": self.row_label,
             "regime": self.regime,
             "bracket": self.bracket,
-            "domain": self.half.value,
+            "domain": self.orientation.half.value,
             "orientation": self.orientation.value,
             "branch": self.branch,
         }
@@ -120,8 +119,7 @@ def _cell(row_label: str, state: GamowState) -> TableCell:
         row_label=row_label,
         regime=state.regime,
         bracket=state.bracket,
-        half=branch.domain.half,
-        orientation=branch.domain.orientation,
+        orientation=branch.domain,
         branch=branch.label,
     )
 

@@ -15,7 +15,6 @@ from gamowkit import (
     Orientation,
     ResonancePole,
     Role,
-    TimeDomain,
     ResultTable,
     TimeHalf,
     build_representation,
@@ -145,7 +144,7 @@ class TestCanonicalStates:
         state = canonical_state(arrow, kind, regime, pole)
         assert state.half_plane is half_plane
         assert state.role is role
-        assert state.time_domain == TimeDomain(orientation)
+        assert state.time_domain is orientation
         assert state.time_domain.half is half
         assert state.bracket == bracket
         assert state.amplitude == 1.0 + 0.0j
@@ -280,7 +279,7 @@ def test_package_exports_each_module_list_once():
                gamowkit.transform)
     names = [name for module in modules for name in module.__all__]
     assert gamowkit.__all__ == names
-    assert len(names) == len(set(names)) == 45
+    assert len(names) == len(set(names)) == 44
     for module in modules:
         for name in module.__all__:
             assert getattr(gamowkit, name) is getattr(module, name)
@@ -292,7 +291,7 @@ class TestArrowConvention:
         assert len(list(HalfPlane)) == 2
 
 
-class TestTimeDomain:
+class TestOrientation:
     @pytest.mark.parametrize("half,orientation", [
         (TimeHalf.NONNEG, Orientation.TOWARD_PLUS_INF),
         (TimeHalf.NONNEG, Orientation.TOWARD_ZERO_FROM_PLUS_INF),
@@ -300,19 +299,28 @@ class TestTimeDomain:
         (TimeHalf.NONPOS, Orientation.TOWARD_MINUS_INF),
     ])
     def test_valid_combinations(self, half, orientation):
-        domain = TimeDomain(orientation)
-        assert domain.half is half
-        assert domain.contains(0.0)
+        assert orientation.half is half
+        assert orientation.contains(0.0)
 
-    def test_orientation_must_be_an_orientation(self):
-        with pytest.raises(ValueError, match="orientation must be an Orientation, got '0->inf'"):
-            TimeDomain("0->inf")
+    def test_value_is_the_table_annotation(self):
+        assert Orientation("0->inf") is Orientation.TOWARD_PLUS_INF
+        assert [orientation.value for orientation in Orientation] == \
+            ["0->inf", "-inf->0", "0<-inf", "-inf<-0"]
+
+    def test_each_half_and_regime_names_one_orientation(self):
+        pairs = [(orientation.half, orientation.regime) for orientation in Orientation]
+        assert len(pairs) == len(set(pairs)) == 4
+        assert set(pairs) == {(half, regime) for half in TimeHalf for regime in (0, 1)}
+
+    def test_a_half_is_no_orientation(self):
+        with pytest.raises(ValueError, match="^'t>=0' is not a valid Orientation$"):
+            Orientation("t>=0")
 
     def test_membership(self):
-        nonneg = TimeDomain(Orientation.TOWARD_PLUS_INF)
+        nonneg = Orientation.TOWARD_PLUS_INF
         assert nonneg.contains(3.5) and nonneg.contains(0.0)
         assert not nonneg.contains(-1e-9)
-        nonpos = TimeDomain(Orientation.TOWARD_MINUS_INF)
+        nonpos = Orientation.TOWARD_MINUS_INF
         assert nonpos.contains(-3.5) and nonpos.contains(0.0)
         assert not nonpos.contains(1e-9)
 
@@ -322,10 +330,10 @@ class TestTimeDomain:
             (TimeHalf.NONPOS, (Orientation.TOWARD_ZERO_FROM_MINUS_INF, Orientation.TOWARD_MINUS_INF)),
         ):
             for orientation in orientations:
-                domain = TimeDomain(orientation)
-                mirrored = domain.reflected()
+                mirrored = orientation.reflected()
                 assert mirrored.half is half.flipped()
-                assert mirrored.reflected() == domain
+                assert mirrored.regime == 1 - orientation.regime
+                assert mirrored.reflected() is orientation
 
 
 class TestSMatrix:

@@ -419,6 +419,7 @@ class TestGroupEvolve:
          "hamiltonian must be real, got array([['a', 'b'],\n       ['c', 'd']], dtype='<U1')"),
         (np.eye(2), 1.0, [math.nan, 0.0], "vector must be finite, got nan"),
         (np.eye(2), 1.0, [1.0, complex(0.0, -math.inf)], "vector must be finite, got -inf"),
+        (np.eye(2), [1.0, 2.0], [1.0, 0.0], "t must be one number, got an array of shape (2,)"),
     ])
     def test_nonfinite_input_rejected_before_eigh(self, monkeypatch, h, t, v, message):
         def eigh(_):

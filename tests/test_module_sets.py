@@ -31,7 +31,7 @@ SPIN = PARSER | {"grid", "symmetry"}
 
 EXPORTS = [
     "Arrow", "GamowState", "HalfPlane", "Kind", "Orientation", "ResonancePole", "Role",
-    "TimeDomain", "TimeHalf", "canonical_state", "resonance_s_matrix",
+    "TimeHalf", "canonical_state", "resonance_s_matrix",
     "BRANCHES", "DomainViolationError", "EvolutionBranch", "NonHermitianError", "branch_for",
     "evolve", "group_evolve", "survival_probability",
     "ResultTable", "Scenario", "evolution_table", "lineshape", "lorentzian_density", "run_decay",
@@ -97,7 +97,7 @@ def test_command_loads_its_own_modules(tmp_path, argv, code, modules):
 
 def test_every_export_in_order():
     names = _fresh("-c", "import gamowkit; print(*gamowkit.__all__)").split()
-    assert names == EXPORTS and len(names) == 45
+    assert names == EXPORTS and len(names) == 44
 
 
 def test_star_import_and_dir_give_every_export():
@@ -111,8 +111,7 @@ def test_star_import_and_dir_give_every_export():
 
 def test_moved_tables_still_resolve_from_their_old_modules():
     assert gamowkit.symmetry.ROWS is gamowkit.core.ROWS == (1, 2, 3, 4)
-    assert gamowkit.transform.CROSS_IDENTIFIED is gamowkit.evolution.CROSS_IDENTIFIED
-    assert gamowkit.evolution.CROSS_IDENTIFIED is gamowkit.core.CROSS_IDENTIFIED
+    assert gamowkit.transform.CROSS_IDENTIFIED is gamowkit.core.CROSS_IDENTIFIED
 
 
 def test_unknown_name_raises_attribute_error():

@@ -152,7 +152,7 @@ class TestRunDecay:
         table = run_decay(scenario)
         values = [row[1] for row in table.rows]
         branch = branch_for(scenario.state())
-        reads_forward = branch.domain.orientation.value in ("0->inf", "-inf->0")
+        reads_forward = branch.domain.value in ("0->inf", "-inf->0")
         along = values if reads_forward else values[::-1]
         grows_along_arrow = (kind is Kind.GROWING) == (regime == 0)
         if grows_along_arrow:
@@ -571,6 +571,16 @@ class TestResultTableBlocks:
     def test_a_table_needs_a_column(self, columns):
         with pytest.raises(ValueError, match=r"^rows of shape \(0,\) do not fit 0 columns$"):
             ResultTable(columns, [])
+
+    @pytest.mark.parametrize("columns, rows", [
+        ("time", [[1.0, 2.0, 3.0, 4.0]]),  # else four one-letter columns
+        ((1, 2), [[1.0, 2.0]]),  # else JSON that from_json rejects
+        (("t", None), [[1.0, 2.0]]),
+        ([b"t"], [[1.0]]),
+    ], ids=["str", "ints", "none", "bytes"])
+    def test_columns_are_str_names(self, columns, rows):
+        with pytest.raises(ValueError, match="^columns must be a sequence of str names, got "):
+            ResultTable(columns, rows)
 
     def test_rows_must_fit_the_columns(self):
         with pytest.raises(ValueError, match="do not fit 2 columns"):

@@ -50,7 +50,7 @@ class TestTimeReverse:
         assert image.regime == 1
         domain = branch_for(image).domain
         assert domain.half is TimeHalf.NONNEG
-        assert domain.orientation is Orientation.TOWARD_ZERO_FROM_PLUS_INF
+        assert domain is Orientation.TOWARD_ZERO_FROM_PLUS_INF
 
     def test_decaying_laboratory_state(self, pole):
         state = canonical_state(PREP, Kind.DECAYING, 0, pole)
@@ -60,7 +60,7 @@ class TestTimeReverse:
         assert image.regime == 1
         domain = branch_for(image).domain
         assert domain.half is TimeHalf.NONPOS
-        assert domain.orientation is Orientation.TOWARD_MINUS_INF
+        assert domain is Orientation.TOWARD_MINUS_INF
 
     def test_amplitude_conjugated(self, pole):
         state = canonical_state(EXC, Kind.DECAYING, 0, pole, amplitude=1.0 + 2.0j)
@@ -149,7 +149,7 @@ class TestDerivedTables:
         for arrow in (PREP, EXC):
             table = derive_table(arrow)
             cell = next(c for c in table.cells if c.row_label == "decaying" and c.regime == 0)
-            cells[arrow] = (cell.half, cell.orientation)
+            cells[arrow] = (cell.orientation.half, cell.orientation)
         assert cells[PREP] == cells[EXC] == (TimeHalf.NONNEG, Orientation.TOWARD_PLUS_INF)
 
     def test_four_cells_each(self):
