@@ -271,7 +271,7 @@ class GamowState:
         require_pole(self.pole)
         if not is_integer(self.regime) or self.regime not in (0, 1):
             raise ValueError(f"regime must be 0 or 1, got {self.regime}")
-        if (self.arrow, self.kind) not in _CANONICAL_LABELS:
+        if not (isinstance(self.arrow, Arrow) and isinstance(self.kind, Kind)):
             raise ValueError(f"no canonical state for arrow={self.arrow!r} and kind={self.kind!r}")
         object.__setattr__(self, "amplitude", require_complex("amplitude", self.amplitude))
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from .core import (Arrow, GamowState, Kind, Orientation, ResonancePole, canonical_time_domain, np,
                    require_array, require_finite, require_number)
 
-__all__ = ["BRANCHES", "DomainViolationError", "EvolutionBranch", "NonHermitianError",
-           "branch_for", "evolve", "group_evolve", "survival_probability"]
+__all__ = ["BRANCHES", "DomainViolationError", "NonHermitianError", "branch_for", "evolve",
+           "group_evolve", "survival_probability"]
 
 DEFAULT_DIM_CAP = 64
 

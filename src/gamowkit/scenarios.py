@@ -53,17 +53,19 @@ class ResultTable:
     """
 
     def __init__(self, columns, rows):
-        self.columns = tuple(columns)
+        self.columns = tuple(columns) if hasattr(columns, "__iter__") else (columns,)  # a bad name
         if isinstance(columns, str) or not all(isinstance(name, str) for name in self.columns):
             raise ValueError(f"columns must be a sequence of str names, got {columns!r}")
-        try:
-            values = np.asarray(rows, dtype=float)
-        except ValueError:  # a string, or a ragged sequence, which require_array names
-            require_array("rows", rows)
-            raise
-        if not self.columns or values.ndim > 1 and values.shape[1:] != (len(self.columns),):
-            raise ValueError(f"rows of shape {values.shape} do not fit {len(self.columns)} columns")
-        self._values = values.reshape(-1, len(self.columns))
+        values = require_array("rows", rows)
+        k = len(self.columns)
+        if values.dtype.kind not in "iuf" and not {type(v) for v in values.flat} <= {int, float}:
+            raise ValueError(f"rows must be real numbers, got an array of {values.dtype}")
+        if not k or not values.ndim or values.shape[1:] not in ((), (k,)) or values.size % k:
+            raise ValueError(f"rows of shape {values.shape} do not fit {k} columns")
+        try:  # numpy holds an int beyond int64 as an object, and one beyond a double overflows
+            self._values = values.astype(float, copy=False).reshape(-1, k)
+        except OverflowError:
+            raise ValueError("rows must be finite, got an integer beyond a double") from None
 
     @property
     def rows(self) -> list[tuple[float, ...]]:
@@ -225,6 +227,13 @@ def lineshape_row(energy, density) -> tuple:
     return energy, density
 
 
+def _sweep(scenario: Scenario, columns, row) -> ResultTable:
+    if not isinstance(scenario, Scenario):
+        raise ValueError(f"scenario must be a Scenario, got {scenario!r}")
+    times = scenario.times()
+    return ResultTable(columns, np.column_stack(row(times, evolve(scenario.state(), times))))
+
+
 def run_decay(scenario: Scenario) -> ResultTable:
     """Survival probability and evolution factor over the scenario grid.
 
@@ -232,17 +241,13 @@ def run_decay(scenario: Scenario) -> ResultTable:
     survival = |factor|^2 (the scenario's state has unit amplitude), which
     equals exp(growth_sign * Gamma * t) on the scenario's branch.
     """
-    times = scenario.times()
-    return ResultTable(DECAY_COLUMNS,
-                       np.column_stack(decay_row(times, evolve(scenario.state(), times))))
+    return _sweep(scenario, DECAY_COLUMNS, decay_row)
 
 
 def evolution_table(scenario: Scenario) -> ResultTable:
     """Evolution factor over the scenario grid, columns (t, factor_real,
     factor_imag)."""
-    times = scenario.times()
-    return ResultTable(EVOLUTION_COLUMNS,
-                       np.column_stack(evolution_row(times, evolve(scenario.state(), times))))
+    return _sweep(scenario, EVOLUTION_COLUMNS, evolution_row)
 
 
 def lorentzian(pole: ResonancePole):

@@ -28,10 +28,8 @@ from .core import (DEFAULT_POLE, ROWS, ResonancePole, energy_window, is_integer,
                    require_complex, resonance_s_matrix)
 from .grid import linspace_points
 
-__all__ = ["AntilinearOperator", "ConjugationReport", "IdentityCheck", "RelationCheck",
-           "RelationReport", "RepresentationTriple", "build_representation",
-           "check_conjugation_identities", "reversed_wavefunction", "time_reversal_matrix",
-           "verify_group_relations"]
+__all__ = ["AntilinearOperator", "build_representation", "check_conjugation_identities",
+           "reversed_wavefunction", "time_reversal_matrix", "verify_group_relations"]
 
 # Relative signs (eps_R, eps_T) / (-1)^(2j) of each family (Wigner, Group
 # Theory, ch. 26); every Sigma, R and T below is derived from them.
@@ -97,6 +95,8 @@ class AntilinearOperator:
     def __post_init__(self) -> None:
         if type(self.conjugates) is not bool:
             raise ValueError(f"conjugates must be a bool, got {self.conjugates!r}")
+        if not hasattr(self.columns, "__iter__"):
+            raise ValueError(f"columns must be a sequence of signed integers, got {self.columns!r}")
         columns = tuple(self.columns)  # a copy no caller can write to
         if set(map(type, columns)) - {int}:  # numpy integers, or no integers at all
             for c in columns:  # an unsigned numpy integer holds no sign (and numpy is loaded)

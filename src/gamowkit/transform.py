@@ -12,7 +12,6 @@ suite so that transcription and logic drift are caught independently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,18 +22,13 @@ from .core import (
     GamowState,
     Kind,
     Orientation,
-    ResonancePole,
-    TimeHalf,
     canonical_state,
-    np,
 )
-from .evolution import BRANCHES, branch_for, evolve
+from .evolution import BRANCHES, branch_for
 if TYPE_CHECKING:  # symmetry loads in the one function that needs it
     from .symmetry import RepresentationTriple
 
-__all__ = ["CrossIdentification", "DerivedTable", "FactorConsistencyEntry", "TableCell",
-           "cross_identify", "derive_table", "factor_consistency_report", "time_reverse",
-           "time_reverse_twice"]
+__all__ = ["cross_identify", "derive_table", "time_reverse", "time_reverse_twice"]
 
 
 def time_reverse(state: GamowState) -> GamowState:
@@ -177,56 +171,8 @@ def cross_identify(label: str) -> CrossIdentification:
     """
     if not isinstance(label, str) or label not in CROSS_IDENTIFIED:
         raise ValueError(f"cross-identification is defined for branches "
-                         f"{' and '.join(CROSS_IDENTIFIED)}, got {label!r}")
+                         f"{' and '.join(CROSS_IDENTIFIED)}, got label={label!r}")
     (_, _, regime), branch = next(item for item in BRANCHES.items() if item[1].label == label)
     return CrossIdentification(branch=label, regime=regime, phase_sign=branch.phase_sign,
                                growth_sign=branch.growth_sign, domain=branch.domain.half.value,
                                **CROSS_IDENTIFIED[label])
-
-
-@dataclass(frozen=True)
-class FactorConsistencyEntry:
-    """How one branch's printed factor behaves under time reversal.
-
-    ``reflected_factor_deviation`` measures evolve(R s, -t) - evolve(s, t),
-    which the printed factors satisfy exactly.  ``conjugation_deviation``
-    measures conj(evolve(s, t)) - evolve(R s, -t): the moduli agree but the
-    printed phases do not conjugate (the gap is a phase 2*E_R*t), and the
-    tabulated factors take precedence over normalizing it away.
-    """
-
-    bracket_before: str
-    branch_before: str
-    branch_after: str
-    reflected_factor_deviation: float
-    modulus_deviation: float
-    conjugation_deviation: float
-
-
-def factor_consistency_report(pole: ResonancePole = DEFAULT_POLE) -> tuple[FactorConsistencyEntry, ...]:
-    """Compare each branch's factor with its time-reversed partner's.
-
-    For every canonical state s of ``pole`` (default E_R = 1.0, Gamma = 0.2)
-    with unit amplitude and 50 times t in its half-domain, evaluates
-    evolve(s, t), evolve(R s, -t) and conj(evolve(s, t)) at once and
-    records the maximal deviations described on :class:`FactorConsistencyEntry`.
-    """
-    entries = []
-    for arrow, kind, regime in itertools.product(Arrow, Kind, (0, 1)):
-        state = canonical_state(arrow, kind, regime, pole)
-        branch, reversed_state = branch_for(state), time_reverse(state)
-        sign = 1.0 if branch.domain.half is TimeHalf.NONNEG else -1.0
-        times = sign * np.linspace(0.0, 10.0 / pole.width, 50)
-        forward = evolve(state, times)
-        mirrored = evolve(reversed_state, -times)
-        conjugated = np.conj(forward)
-        entries.append(FactorConsistencyEntry(
-            bracket_before=state.bracket,
-            branch_before=branch.label,
-            branch_after=branch_for(reversed_state).label,
-            reflected_factor_deviation=float(np.max(np.abs(mirrored - forward), initial=0.0)),
-            modulus_deviation=float(np.max(np.abs(np.abs(conjugated) - np.abs(mirrored)),
-                                           initial=0.0)),
-            conjugation_deviation=float(np.max(np.abs(conjugated - mirrored), initial=0.0)),
-        ))
-    return tuple(entries)

@@ -279,7 +279,7 @@ def test_package_exports_each_module_list_once():
                gamowkit.transform)
     names = [name for module in modules for name in module.__all__]
     assert gamowkit.__all__ == names
-    assert len(names) == len(set(names)) == 44
+    assert len(names) == len(set(names)) == 33
     for module in modules:
         for name in module.__all__:
             assert getattr(gamowkit, name) is getattr(module, name)

@@ -263,6 +263,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             Scenario(**{**fields, field: value})
 
+    @pytest.mark.parametrize("sweep", [run_decay, evolution_table])
+    @pytest.mark.parametrize("scenario", ["x", None, ResonancePole(1.0, 0.2)])
+    def test_a_sweep_needs_a_scenario(self, sweep, scenario):
+        message = f"scenario must be a Scenario, got {scenario!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep(scenario)
+
     def test_numpy_integer_steps_accepted(self, pole):
         scenario = Scenario(pole, PREP, Kind.DECAYING, 0, 0.0, 1.0, np.int64(3))
         assert len(run_decay(scenario).rows) == 3
@@ -577,10 +584,35 @@ class TestResultTableBlocks:
         ((1, 2), [[1.0, 2.0]]),  # else JSON that from_json rejects
         (("t", None), [[1.0, 2.0]]),
         ([b"t"], [[1.0]]),
-    ], ids=["str", "ints", "none", "bytes"])
+        (5, [[1.0]]),  # no sequence at all
+        (None, [[1.0]]),
+    ], ids=["str", "ints", "none", "bytes", "int", "none-columns"])
     def test_columns_are_str_names(self, columns, rows):
         with pytest.raises(ValueError, match="^columns must be a sequence of str names, got "):
             ResultTable(columns, rows)
+
+    @pytest.mark.parametrize("rows, message", [
+        (None, "rows must be real numbers, got an array of object"),
+        ([None], "rows must be real numbers, got an array of object"),
+        ([(1.0,), (None,)], "rows must be real numbers, got an array of object"),
+        ([(1j,)], "rows must be real numbers, got an array of complex128"),
+        ([(object(),)], "rows must be real numbers, got an array of object"),
+        ([("1.0",)], "rows must be real numbers, got an array of <U3"),
+        (True, "rows must be real numbers, got an array of bool"),
+        ([(10**400,)], "rows must be finite, got an integer beyond a double"),
+        (5.0, "rows of shape () do not fit 1 columns"),  # a bare number is no row
+        ([[(1.0,)]], "rows of shape (1, 1, 1) do not fit 1 columns"),
+    ], ids=["none", "none-row", "none-entry", "complex", "object", "str", "bool", "huge-int",
+            "number", "3d"])
+    def test_rows_must_be_real_numbers(self, rows, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ResultTable(("a",), rows)
+
+    def test_rows_keep_ints_beyond_int64(self):
+        table = ResultTable(("a", "b"), [(1.5, 2**70), (2**64, -(2**80))])
+        assert table.rows == [(1.5, 2.0**70), (2.0**64, -(2.0**80))]
 
     def test_rows_must_fit_the_columns(self):
         with pytest.raises(ValueError, match="do not fit 2 columns"):
@@ -589,3 +621,6 @@ class TestResultTableBlocks:
             ResultTable.from_csv("x,y\n1.0,2.0\n3.0\n")
         with pytest.raises(ValueError, match="do not fit 2 columns"):
             ResultTable.from_json('{"columns": ["x", "y"], "rows": [[1, 2, 3], [4, 5, 6]]}')
+        with pytest.raises(ValueError, match=r"^rows of shape \(3,\) do not fit 2 columns$"):
+            ResultTable(("x", "y"), [1.0, 2.0, 3.0])  # a flat sequence of whole rows only
+        assert ResultTable(("x", "y"), [1.0, 2.0, 3.0, 4.0]).rows == [(1.0, 2.0), (3.0, 4.0)]

@@ -266,6 +266,8 @@ class TestAntilinearOperator:
         ([2, -2], "+-1, ..., +-2 once"),     # a repeated column
         ([1, 3], "+-1, ..., +-2 once"),      # a column beyond d
         ([-1, -1, 2], "+-1, ..., +-3 once"),
+        (5, "columns must be a sequence of signed integers, got 5"),  # no sequence at all
+        (None, "columns must be a sequence of signed integers, got None"),
     ])
     def test_columns_must_be_a_signed_permutation(self, columns, message):
         with pytest.raises(ValueError) as excinfo:

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import json
 
@@ -20,7 +21,6 @@ from gamowkit import (
     cross_identify,
     derive_table,
     evolve,
-    factor_consistency_report,
     time_reverse,
     time_reverse_twice,
 )
@@ -186,15 +186,28 @@ class TestCrossIdentify:
 
     @pytest.mark.parametrize("label", ["4a", "4b", "10", "11", "12", "13", "zz", [], ["5a"]])
     def test_other_branches_rejected(self, label):
-        with pytest.raises(ValueError, match="5a and 5b"):
+        with pytest.raises(ValueError, match="5a and 5b, got label="):
             cross_identify(label)
 
 
 class TestFactorConsistency:
-    def test_reflected_factor_identity_exact(self, pole):
-        # evolve(R s, -t) reproduces evolve(s, t) for every branch pair
-        for entry in factor_consistency_report(pole):
-            assert entry.reflected_factor_deviation < 1e-12
+    @pytest.mark.parametrize("key", ALL_LABELS, ids=lambda key: BRANCHES[key].label)
+    def test_reversed_factor_conjugates_up_to_twice_the_energy_phase(self, key, pole):
+        # conj(evolve(s, t)) == evolve(R s, -t) * exp(-2i * phase_sign * E_R * t): the moduli
+        # agree, but the tabulated phases do not conjugate, and the tables keep that gap
+        # instead of normalizing it away.  It closes exactly at E_R = 0.
+        branch = BRANCHES[key]
+        sign = 1.0 if branch.domain.half is TimeHalf.NONNEG else -1.0
+        times = [sign * t for t in np.linspace(0.0, 10.0 / pole.width, 50).tolist()]
+        state = canonical_state(*key, pole)
+        conjugated = [evolve(state, t).conjugate() for t in times]
+        mirrored = [evolve(time_reverse(state), -t) for t in times]
+        for t, c, m in zip(times, conjugated, mirrored):
+            assert abs(c - m * cmath.exp(-2j * branch.phase_sign * pole.energy * t)) <= 1e-12
+        assert max(abs(c - m) for c, m in zip(conjugated, mirrored)) > 0.1
+        at_rest = canonical_state(*key, ResonancePole(0.0, pole.width))
+        assert [evolve(at_rest, t).conjugate() for t in times] == \
+            [evolve(time_reverse(at_rest), -t) for t in times]
 
     @settings(max_examples=60, deadline=None)
     @given(energy=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6), t=st.floats(0.0, 1e6))
@@ -216,26 +229,6 @@ class TestFactorConsistency:
                 np.testing.assert_array_equal(
                     bits(branch_for(reversed_state).factor(pole, -times)),
                     bits(branch_for(state).factor(pole, times)))
-
-    def test_modulus_conjugation_consistent(self, pole):
-        for entry in factor_consistency_report(pole):
-            assert entry.modulus_deviation < 1e-12
-
-    def test_phase_does_not_conjugate_at_nonzero_energy(self, pole):
-        # The tabulated factors are not phase-conjugates of each other:
-        # conj(evolve(s, t)) differs from evolve(R s, -t) by a phase
-        # 2*E_R*t, which the report records instead of normalizing away.
-        report = factor_consistency_report(pole)
-        assert all(entry.conjugation_deviation > 0.1 for entry in report)
-
-    def test_phase_gap_closes_at_zero_energy(self):
-        report = factor_consistency_report(ResonancePole(0.0, 0.2))
-        assert all(entry.conjugation_deviation < 1e-12 for entry in report)
-
-    def test_one_entry_per_state(self, pole):
-        report = factor_consistency_report(pole)
-        assert len(report) == 8
-        assert len({entry.branch_before for entry in report}) == 8
 
     def test_sample_spot_check(self, pole):
         state = canonical_state(PREP, Kind.GROWING, 0, pole, amplitude=1.0)
