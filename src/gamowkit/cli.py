@@ -13,18 +13,20 @@ Exit codes: 0 on success, 2 on validation errors (bad flags, bad or non-finite
 values, grids outside the half-domain), 1 on internal errors.  An optional
 ``--config FILE`` supplies flat key=value defaults; explicit flags win.
 
-The grid commands check their grid's extremes, then compute, format and
-write it one block of Python floats at a time, and ``rep-check`` checks
-signed permutations as tuples of ints: no command loads numpy.  The parser
-loads ``core``, and each command imports its own modules: ``evolution``,
-``grid`` and ``scenarios`` for a grid, ``transform`` for ``table`` and
-``cross-id``, and ``grid`` and ``symmetry`` for ``rep-check``.
+Each command runs its checks, then returns its text as an iterable of
+strings, which ``main`` writes to standard output or ``--out``.  The grid
+commands yield their rows one block of Python floats at a time, and
+``rep-check`` checks signed permutations as tuples of ints: no command loads
+numpy.  The parser loads ``core``, and each command imports its own modules:
+``evolution``, ``grid`` and ``scenarios`` for a grid, ``transform`` for
+``table`` and ``cross-id``, and ``grid`` and ``symmetry`` for ``rep-check``.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import itertools
 import json
 import sys
 
@@ -133,17 +135,13 @@ def _resolve_pole(opts: _Resolver) -> ResonancePole:
     return ResonancePole(opts.get("er"), opts.get("gamma"))
 
 
-def _table_writer(fmt: str, columns, row, points, value):
-    """The writer of ``row(point, value(point))`` over checked ``points``, a block at a time."""
-    from .scenarios import write_csv, write_json
+def _table_text(fmt: str, columns, row, points, value):
+    """The text of ``row(point, value(point))`` over checked ``points``, a block at a time."""
+    from .scenarios import csv_text, json_text
     blocks = (list(map(row, block, map(value, block))) for block in points)
     if fmt == "csv":
-        return lambda fh: write_csv(fh, columns, blocks)
-
-    def write(fh) -> None:
-        write_json(fh, columns, blocks)
-        fh.write("\n")
-    return write
+        return csv_text(columns, blocks)
+    return itertools.chain(json_text(columns, blocks), "\n")
 
 
 def _time_table(opts: _Resolver, columns, row):
@@ -160,8 +158,8 @@ def _time_table(opts: _Resolver, columns, row):
     scenario.checked_times()
     state = scenario.state()
     factor, amplitude = branch_for(state).scalar_factor(pole), state.amplitude
-    return _table_writer(fmt, columns, row, linspace_blocks(t_min, t_max, steps),
-                         lambda t: factor(t) * amplitude)
+    return _table_text(fmt, columns, row, linspace_blocks(t_min, t_max, steps),
+                       lambda t: factor(t) * amplitude)
 
 
 def _cmd_evolve(opts: _Resolver):
@@ -195,8 +193,8 @@ def _cmd_lineshape(opts: _Resolver):
                              f"single energy {window[0]}; give --emin and --emax")
         raise ValueError(f"emax={e_max} must exceed emin={e_min}")
     require_finite("emax - emin", e_max - e_min)
-    return _table_writer(fmt, LINESHAPE_COLUMNS, lineshape_row,
-                         linspace_blocks(e_min, e_max, steps), lorentzian(pole))
+    return _table_text(fmt, LINESHAPE_COLUMNS, lineshape_row,
+                       linspace_blocks(e_min, e_max, steps), lorentzian(pole))
 
 
 def _format_table_text(data: dict) -> str:
@@ -211,16 +209,16 @@ def _format_table_text(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_table(opts: _Resolver) -> str:
+def _cmd_table(opts: _Resolver):
     from .transform import derive_table
     arrow, fmt = ARROWS[opts.get("arrow")], opts.get("format")
     data = derive_table(arrow).to_dict()
     if fmt == "json":
-        return json.dumps(data, indent=2) + "\n"
-    return _format_table_text(data)
+        return json.dumps(data, indent=2), "\n"
+    return (_format_table_text(data),)
 
 
-def _cmd_rep_check(opts: _Resolver) -> str:
+def _cmd_rep_check(opts: _Resolver):
     from .symmetry import build_representation, check_conjugation_identities, verify_group_relations
     row, twice_j = opts.get("row"), opts.get("twice_j")
     if row is None or twice_j is None:
@@ -237,16 +235,16 @@ def _cmd_rep_check(opts: _Resolver) -> str:
         "conjugation_identities": identities.to_dict(),
         "all_passed": relations.all_passed and identities.all_passed,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2), "\n"
 
 
-def _cmd_cross_id(opts: _Resolver) -> str:
+def _cmd_cross_id(opts: _Resolver):
     from .transform import cross_identify
     branch = opts.get("branch")
     if branch is None:
         raise ValueError("cross-id requires --branch 5a or --branch 5b")
     opts.get("format")
-    return json.dumps(cross_identify(branch).to_dict(), indent=2) + "\n"
+    return json.dumps(cross_identify(branch).to_dict(), indent=2), "\n"
 
 
 _COMMANDS = {
@@ -283,14 +281,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         opts = _Resolver(args)
-        output = _COMMANDS[args.command](opts)  # a string, or a writer that streams a table
-        write = output if callable(output) else lambda fh: fh.write(output)
+        output = _COMMANDS[args.command](opts)  # strings, a grid's lazily, a block at a time
         out_path = opts.get("out")
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
-                write(fh)
+                fh.writelines(output)
         else:
-            write(sys.stdout)
+            sys.stdout.writelines(output)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

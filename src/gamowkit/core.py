@@ -65,12 +65,17 @@ def require_finite(name: str, value):
 
 
 def require_array(name: str, value):
-    """``np.asarray(value)``, after a check that a nested sequence is not ragged, else a
-    ValueError naming it: numpy's own message names no input."""
+    """``np.asarray(value)``, after a check that a nested sequence is not ragged and holds no
+    bool that numpy promoted to a number, else a ValueError naming it: numpy's own message
+    names no input.  An ndarray's dtype already says whether it holds bools."""
     try:
-        return np.asarray(value)
+        array = np.asarray(value)
     except ValueError:
         raise ValueError(f"{name} must be a rectangular array, got a ragged sequence") from None
+    if array.ndim and array.dtype.kind in "iufc" and not isinstance(value, np.ndarray):
+        if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat)):
+            raise ValueError(f"{name} must hold numbers, got a bool among them")
+    return array
 
 
 def require_number(name: str, value) -> float:

@@ -46,10 +46,10 @@ def check_steps(grid: str, steps: int) -> None:
 class ResultTable:
     """A column-labelled table of floats, held as one n x k float64 array.
 
-    ``rows`` gives the values as a list of tuples.  :meth:`write_csv` and
-    :meth:`write_json` stream the table to a text file a block of rows at a
-    time; CSV uses the shortest round-trip float formatting, and both
-    formats parse back without loss.
+    ``rows`` gives the values as a list of tuples.  :meth:`to_csv` and
+    :meth:`to_json` join the text that :func:`csv_text` and :func:`json_text`
+    yield a block of rows at a time; CSV uses the shortest round-trip float
+    formatting, and both formats parse back without loss.
     """
 
     def __init__(self, columns, rows):
@@ -80,17 +80,11 @@ class ResultTable:
     def __repr__(self) -> str:
         return f"ResultTable(columns={self.columns!r}, rows={self.rows!r})"
 
-    def write_csv(self, fh) -> None:
-        write_csv(fh, self.columns, row_blocks(self._values))
-
-    def write_json(self, fh) -> None:
-        write_json(fh, self.columns, row_blocks(self._values))
-
     def to_csv(self) -> str:
-        return _text(self.write_csv)
+        return "".join(csv_text(self.columns, row_blocks(self._values)))
 
     def to_json(self) -> str:
-        return _text(self.write_json)
+        return "".join(json_text(self.columns, row_blocks(self._values)))
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
@@ -136,28 +130,24 @@ class ResultTable:
         return cls(columns, rows)
 
 
-def _text(write) -> str:
-    buffer = io.StringIO()
-    write(buffer)
-    return buffer.getvalue()
-
-
-def write_csv(fh, columns, blocks) -> None:
-    """``columns``, then the rows of each list of ``blocks``, a block per write."""
-    csv.writer(fh, lineterminator="\n").writerow(columns)  # names may need quoting
+def csv_text(columns, blocks):
+    """``columns``, then the rows of each list of ``blocks``, a string per block."""
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(columns)  # names may need quoting
+    yield header.getvalue()
     line = "%r," * (len(columns) - 1) + "%r\n"
     for block in blocks:
-        fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
+        yield line * len(block) % tuple(itertools.chain.from_iterable(block))
 
 
-def write_json(fh, columns, blocks) -> None:
-    """``{"columns": [...], "rows": [...]}`` with each list of ``blocks``, a block per write."""
-    fh.write(json.dumps({"columns": list(columns), "rows": []})[:-2])
+def json_text(columns, blocks):
+    """``{"columns": [...], "rows": [...]}`` with each list of ``blocks``, a string per block."""
+    yield json.dumps({"columns": list(columns), "rows": []})[:-2]
     separator = ""
     for block in blocks:
-        fh.write(separator + json.dumps(block)[1:-1])
+        yield separator + json.dumps(block)[1:-1]
         separator = ", "
-    fh.write("]}")
+    yield "]}"
 
 
 @dataclass(frozen=True)
@@ -290,6 +280,6 @@ def lineshape(pole: ResonancePole, energies) -> ResultTable:
     """
     e = require_finite("energies", energies)
     if np.size(e) == 0:
-        raise ValueError("lineshape needs a nonempty energy grid")
+        raise ValueError("energies must be a nonempty grid, got an empty one")
     return ResultTable(LINESHAPE_COLUMNS,
                        np.column_stack(lineshape_row(e, lorentzian_density(pole, e))))

@@ -73,8 +73,10 @@ def time_reversal_matrix(twice_j: int) -> np.ndarray:
     Returns an integer matrix of shape (2j+1, 2j+1), for 2j + 1 up to
     ``MAX_DENSE_DIM``.
     """
-    columns = _reversal_columns(_check_twice_j(twice_j))
-    return AntilinearOperator(columns, True).matrix.copy()
+    twice_j = _check_twice_j(twice_j)
+    if twice_j >= MAX_DENSE_DIM:  # checked before a matrix of twice_j + 1 rows is built
+        raise ValueError(f"twice_j must be at most {MAX_DENSE_DIM - 1} for a matrix, got {twice_j}")
+    return AntilinearOperator(_reversal_columns(twice_j), True).matrix.copy()
 
 
 @dataclass(frozen=True, eq=False)

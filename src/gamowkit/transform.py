@@ -64,8 +64,8 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
     r = _operator(rep, "time_reversal")  # checks rep before it is read
     if not rep.doubled:
         raise ValueError(
-            "family 1 is not doubled: r=1 content produced by time reversal "
-            "is not representable; use one of families 2-4"
+            f"rep must be a doubled family, got family {rep.row}: r=1 content produced by "
+            "time reversal is not representable; use one of families 2-4"
         )
     restored = time_reverse(time_reverse(state))
     sign = _square_scalar(r)

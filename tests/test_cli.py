@@ -497,6 +497,19 @@ class TestStreamedOutput:
         assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
         assert target.read_bytes() == out.encode()
 
+    @pytest.mark.parametrize("argv", [
+        ("table", "--arrow", "exc"),
+        ("table", "--format", "text"),
+        ("cross-id", "--branch", "5a"),
+        ("rep-check", "--row", "4", "--twice-j", "7"),
+    ], ids=["table-json", "table-text", "cross-id", "rep-check"])
+    def test_label_command_writes_the_same_bytes_to_out(self, tmp_path, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0 and not err and out.endswith("\n")
+        target = tmp_path / "out.txt"
+        assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+
     @pytest.mark.parametrize("argv, line", [
         # (Gamma/2)^2 by pow(), as numpy's scalar ** 2; (Gamma/2) * (Gamma/2) gives ...953
         (("lineshape", "--er", "1.0", "--gamma", "2.759", "--emin", "0", "--emax", "2",

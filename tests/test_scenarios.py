@@ -30,7 +30,7 @@ from gamowkit import (
     run_decay,
 )
 from gamowkit.grid import _BLOCK_ROWS, linspace_blocks, linspace_points
-from gamowkit.scenarios import decay_row
+from gamowkit.scenarios import csv_text, decay_row, json_text
 
 # numpy < 2.0 names the trapezoidal rule trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -312,7 +312,8 @@ class TestLineshape:
             lineshape(pole, [0.5, value, 1.5])
 
     def test_empty_grid_rejected(self, pole):
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(ValueError,
+                           match="^energies must be a nonempty grid, got an empty one$"):
             lineshape(pole, [])
 
     @pytest.mark.parametrize("width", [1e-200, 1e-160, 2.9e-154])
@@ -511,14 +512,9 @@ def _whole_csv(columns, rows):
     return "\n".join([header.getvalue(), *(",".join(map(repr, map(float, row))) for row in rows), ""])
 
 
-class _Chunks:
-    """A text sink that keeps each write apart."""
-
-    def __init__(self):
-        self.chunks = []
-
-    def write(self, text):
-        self.chunks.append(text)
+def _blocks(rows):
+    """``rows`` as lists of at most _BLOCK_ROWS rows, as a grid command passes them."""
+    return [rows[start:start + _BLOCK_ROWS] for start in range(0, len(rows), _BLOCK_ROWS)]
 
 
 class TestResultTableBlocks:
@@ -535,23 +531,21 @@ class TestResultTableBlocks:
         table = ResultTable(self.COLUMNS, rows)
         expected_csv = _whole_csv(self.COLUMNS, rows)
         expected_json = json.dumps({"columns": list(self.COLUMNS), "rows": rows})
-        for write, to_text, expected in ((table.write_csv, table.to_csv, expected_csv),
-                                         (table.write_json, table.to_json, expected_json)):
-            buffer = io.StringIO()
-            write(buffer)
-            assert buffer.getvalue() == expected
+        for text, to_text, expected in ((csv_text, table.to_csv, expected_csv),
+                                        (json_text, table.to_json, expected_json)):
+            assert "".join(text(self.COLUMNS, _blocks(rows))) == expected
             assert to_text() == expected
 
     @pytest.mark.parametrize("n", [_BLOCK_ROWS + 1, 3 * _BLOCK_ROWS])
     def test_no_write_holds_more_than_a_block(self, n):
-        table = ResultTable(self.COLUMNS, self._rows(n))
-        csv_sink, json_sink = _Chunks(), _Chunks()
-        table.write_csv(csv_sink)
-        table.write_json(json_sink)
-        assert max(chunk.count("\n") for chunk in csv_sink.chunks) == _BLOCK_ROWS
-        assert max(chunk.count("]") for chunk in json_sink.chunks) == _BLOCK_ROWS
-        assert "".join(csv_sink.chunks) == table.to_csv()
-        assert "".join(json_sink.chunks) == table.to_json()
+        rows = self._rows(n)
+        table = ResultTable(self.COLUMNS, rows)
+        csv_chunks = list(csv_text(self.COLUMNS, _blocks(rows)))
+        json_chunks = list(json_text(self.COLUMNS, _blocks(rows)))
+        assert max(chunk.count("\n") for chunk in csv_chunks) == _BLOCK_ROWS
+        assert max(chunk.count("]") for chunk in json_chunks) == _BLOCK_ROWS
+        assert "".join(csv_chunks) == table.to_csv()
+        assert "".join(json_chunks) == table.to_json()
 
     @settings(max_examples=12, deadline=None)
     @given(pool=st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=16),

@@ -517,7 +517,7 @@ class TestConjugationIdentities:
                     assert flip.max_deviation == dense_flip_deviation(replaced)
 
     @pytest.mark.parametrize("build, cap, message", [
-        (time_reversal_matrix, 1023, "an operator's matrix has dimension at most 1024, got 1025"),
+        (time_reversal_matrix, 1023, "twice_j must be at most 1023 for a matrix, got 1024"),
         (lambda twice_j: build_representation(1, twice_j).parity.matrix, 1023,
          "an operator's matrix has dimension at most 1024, got 1025"),
         (lambda twice_j: build_representation(4, twice_j).time_reversal.matrix, 511,

@@ -119,7 +119,7 @@ class TestTimeReverseTwice:
     def test_single_sheet_family_rejected(self, pole):
         rep = build_representation(1, 1)
         state = canonical_state(PREP, Kind.GROWING, 0, pole)
-        with pytest.raises(ValueError, match="doubled"):
+        with pytest.raises(ValueError, match="^rep must be a doubled family, got family 1: "):
             time_reverse_twice(state, rep)
 
     def test_non_scalar_square_rejected(self, pole):
