@@ -10,8 +10,11 @@ rep-check  group-relation and conjugation-identity report (JSON)
 cross-id   regime identification for branches 5a/5b (JSON)
 
 Exit codes: 0 on success, 2 on validation errors (bad flags, bad or non-finite
-values, grids outside the half-domain), 1 on internal errors.  An optional
-``--config FILE`` supplies flat key=value defaults; explicit flags win.
+values, grids outside the half-domain), 1 on internal errors, 141 when a reader
+closes the standard output pipe early (as ``| head`` does).  An optional
+``--config FILE`` supplies flat key=value defaults; explicit flags win.  Every
+option is resolved before the command runs, so a bad config value is reported
+before any other check.
 
 Each command runs its checks, then returns its text as an iterable of
 strings, which ``main`` writes to standard output or ``--out``.  The grid
@@ -28,6 +31,7 @@ import argparse
 import collections
 import itertools
 import json
+import os
 import sys
 
 from .core import (CROSS_IDENTIFIED, DEFAULT_POLE, ROWS, Arrow, Kind, ResonancePole, energy_window,
@@ -68,33 +72,28 @@ def _parse_config(path: str) -> dict[str, str]:
 _Unset = collections.namedtuple("_Unset", "default convert choices")
 
 
-class _Resolver:
-    """Merge flags, config-file keys and defaults; unknown keys fail before any command runs."""
+def _resolve(args: argparse.Namespace) -> None:
+    """Set each option not given as a flag to its config value, else its default.
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _parse_config(args.config) if getattr(args, "config", None) else {}
-        unknown = set(self.config) - (set(vars(args)) - {"command", "config"})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    def get(self, name: str, default=None):
-        """The flag, else the config key, else the option's default, else ``default``."""
-        unset = getattr(self.args, name)
+    Unknown config keys fail first; then each config value is converted and
+    checked as its flag would be, so no command sees an unchecked option."""
+    config = _parse_config(args.config) if args.config else {}
+    unknown = set(config) - (set(vars(args)) - {"command", "config"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for name, unset in vars(args).items():
         if not isinstance(unset, _Unset):
-            return unset  # a flag, converted and checked by argparse
-        if name not in self.config:
-            return default if unset.default is None else unset.default
-        value = self.config[name]
-        if unset.convert is not None:
+            continue  # a flag, converted and checked by argparse
+        value = config.get(name, unset.default)
+        if name in config and unset.convert is not None:
             try:
                 value = unset.convert(value)
             except (TypeError, ValueError):
                 raise ValueError(f"invalid value {value!r} for option {name!r}") from None
-        if unset.choices is not None and value not in unset.choices:
+        if name in config and unset.choices is not None and value not in unset.choices:
             raise ValueError(
                 f"option {name!r} must be one of {sorted(unset.choices)}, got {value!r}")
-        return value
+        setattr(args, name, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,61 +130,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_pole(opts: _Resolver) -> ResonancePole:
-    return ResonancePole(opts.get("er"), opts.get("gamma"))
-
-
-def _table_text(fmt: str, columns, row, points, value):
-    """The text of ``row(point, value(point))`` over checked ``points``, a block at a time."""
+def _table_text(fmt: str, columns, row, points):
+    """The text of ``row(point)`` over checked ``points``, a block at a time."""
     from .scenarios import csv_text, json_text
-    blocks = (list(map(row, block, map(value, block))) for block in points)
+    blocks = (list(map(row, block)) for block in points)
     if fmt == "csv":
         return csv_text(columns, blocks)
     return itertools.chain(json_text(columns, blocks), "\n")
 
 
-def _time_table(opts: _Resolver, columns, row):
+def _cmd_time_table(opts: argparse.Namespace):
     from .evolution import branch_for
-    from .scenarios import Scenario, linspace_blocks
-    fmt = opts.get("format")
-    pole = _resolve_pole(opts)
-    arrow, kind, regime = ARROWS[opts.get("arrow")], KINDS[opts.get("kind")], opts.get("regime")
-    decaying = kind is Kind.DECAYING
-    t_min = opts.get("tmin", 0.0 if decaying else -10.0)
-    t_max = opts.get("tmax", 10.0 if decaying else 0.0)
-    steps = opts.get("steps")
-    scenario = Scenario(pole, arrow, kind, regime, t_min, t_max, steps)
+    from .scenarios import TIME_TABLES, Scenario, linspace_blocks
+    columns, row = TIME_TABLES[opts.command]
+    pole = ResonancePole(opts.er, opts.gamma)
+    arrow, kind, steps = ARROWS[opts.arrow], KINDS[opts.kind], opts.steps
+    default_min, default_max = (0.0, 10.0) if kind is Kind.DECAYING else (-10.0, 0.0)
+    t_min = default_min if opts.tmin is None else opts.tmin
+    t_max = default_max if opts.tmax is None else opts.tmax
+    scenario = Scenario(pole, arrow, kind, opts.regime, t_min, t_max, steps)
     scenario.checked_times()
     state = scenario.state()
     factor, amplitude = branch_for(state).scalar_factor(pole), state.amplitude
-    return _table_text(fmt, columns, row, linspace_blocks(t_min, t_max, steps),
-                       lambda t: factor(t) * amplitude)
+    return _table_text(opts.format, columns, lambda t: row(t, factor(t) * amplitude),
+                       linspace_blocks(t_min, t_max, steps))
 
 
-def _cmd_evolve(opts: _Resolver):
-    from .scenarios import EVOLUTION_COLUMNS, evolution_row
-    return _time_table(opts, EVOLUTION_COLUMNS, evolution_row)
-
-
-def _cmd_decay(opts: _Resolver):
-    from .scenarios import DECAY_COLUMNS, decay_row
-    return _time_table(opts, DECAY_COLUMNS, decay_row)
-
-
-def _cmd_lineshape(opts: _Resolver):
-    from .scenarios import (LINESHAPE_COLUMNS, check_steps, lineshape_row, linspace_blocks,
-                            lorentzian)
-    fmt = opts.get("format")
-    pole = _resolve_pole(opts)
-    e_min, e_max = opts.get("emin"), opts.get("emax")
+def _cmd_lineshape(opts: argparse.Namespace):
+    from .scenarios import LINESHAPE_COLUMNS, check_steps, linspace_blocks, lorentzian
+    pole = ResonancePole(opts.er, opts.gamma)
+    e_min, e_max = opts.emin, opts.emax
     window = None
     if e_min is None or e_max is None:  # a default bound needs a representable default window
         window = energy_window(pole)
         e_min, e_max = (d if e is None else e for e, d in zip((e_min, e_max), window))
     require_finite("emin", e_min)
     require_finite("emax", e_max)
-    steps = opts.get("steps")
-    check_steps("lineshape grid", steps)
+    check_steps("lineshape grid", opts.steps)
     if not e_max > e_min:
         if window is not None and window[0] == window[1]:
             raise ValueError(f"--gamma {pole.width} is too narrow for the default window "
@@ -193,8 +174,9 @@ def _cmd_lineshape(opts: _Resolver):
                              f"single energy {window[0]}; give --emin and --emax")
         raise ValueError(f"emax={e_max} must exceed emin={e_min}")
     require_finite("emax - emin", e_max - e_min)
-    return _table_text(fmt, LINESHAPE_COLUMNS, lineshape_row,
-                       linspace_blocks(e_min, e_max, steps), lorentzian(pole))
+    density = lorentzian(pole)
+    return _table_text(opts.format, LINESHAPE_COLUMNS, lambda e: (e, density(e)),
+                       linspace_blocks(e_min, e_max, opts.steps))
 
 
 def _format_table_text(data: dict) -> str:
@@ -209,22 +191,20 @@ def _format_table_text(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_table(opts: _Resolver):
+def _cmd_table(opts: argparse.Namespace):
     from .transform import derive_table
-    arrow, fmt = ARROWS[opts.get("arrow")], opts.get("format")
-    data = derive_table(arrow).to_dict()
-    if fmt == "json":
+    data = derive_table(ARROWS[opts.arrow]).to_dict()
+    if opts.format == "json":
         return json.dumps(data, indent=2), "\n"
     return (_format_table_text(data),)
 
 
-def _cmd_rep_check(opts: _Resolver):
+def _cmd_rep_check(opts: argparse.Namespace):
     from .symmetry import build_representation, check_conjugation_identities, verify_group_relations
-    row, twice_j = opts.get("row"), opts.get("twice_j")
+    row, twice_j = opts.row, opts.twice_j
     if row is None or twice_j is None:
         raise ValueError("rep-check requires --row and --twice-j")
-    opts.get("format")
-    pole = _resolve_pole(opts)
+    pole = ResonancePole(opts.er, opts.gamma)
     rep = build_representation(row, twice_j)
     relations = verify_group_relations(rep)
     identities = check_conjugation_identities(rep, pole)
@@ -238,18 +218,16 @@ def _cmd_rep_check(opts: _Resolver):
     return json.dumps(payload, indent=2), "\n"
 
 
-def _cmd_cross_id(opts: _Resolver):
+def _cmd_cross_id(opts: argparse.Namespace):
     from .transform import cross_identify
-    branch = opts.get("branch")
-    if branch is None:
+    if opts.branch is None:
         raise ValueError("cross-id requires --branch 5a or --branch 5b")
-    opts.get("format")
-    return json.dumps(cross_identify(branch).to_dict(), indent=2), "\n"
+    return json.dumps(cross_identify(opts.branch).to_dict(), indent=2), "\n"
 
 
 _COMMANDS = {
-    "evolve": _cmd_evolve,
-    "decay": _cmd_decay,
+    "evolve": _cmd_time_table,
+    "decay": _cmd_time_table,
     "lineshape": _cmd_lineshape,
     "table": _cmd_table,
     "rep-check": _cmd_rep_check,
@@ -280,14 +258,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        opts = _Resolver(args)
-        output = _COMMANDS[args.command](opts)  # strings, a grid's lazily, a block at a time
-        out_path = opts.get("out")
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
+        _resolve(args)
+        output = _COMMANDS[args.command](args)  # strings, a grid's lazily, a block at a time
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(output)
         else:
-            sys.stdout.writelines(output)
+            try:
+                sys.stdout.writelines(output)
+                sys.stdout.flush()
+            except BrokenPipeError:  # a reader such as `head` closed the pipe: not bad input
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+                return 141  # 128 + SIGPIPE, as a shell reports a process that pipe killed
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

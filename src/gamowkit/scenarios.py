@@ -4,8 +4,8 @@ A :class:`Scenario` pins a resonance, a canonical state, and a uniform time
 grid; :func:`run_decay` and :func:`evolution_table` sweep the grid through
 the semigroup evolution.  Results come back as :class:`ResultTable` values,
 one float64 array each, that stream to CSV (shortest round-trip float
-formatting) and JSON and parse back without loss.  Each table has one row
-formula, ``row(point, value)``, which builds its columns here from arrays.
+formatting) and JSON and parse back without loss.  Each time table has one
+row formula, ``row(point, value)``, which builds its columns here from arrays.
 The CLI applies the same formula to Python floats: it takes the grid from
 :func:`linspace_blocks` one block at a time, so it never loads numpy.
 """
@@ -213,8 +213,8 @@ def evolution_row(t, factor) -> tuple:
     return t, factor.real, factor.imag
 
 
-def lineshape_row(energy, density) -> tuple:
-    return energy, density
+# The CLI's time tables, by command: columns and row formula.
+TIME_TABLES = {"decay": (DECAY_COLUMNS, decay_row), "evolve": (EVOLUTION_COLUMNS, evolution_row)}
 
 
 def _sweep(scenario: Scenario, columns, row) -> ResultTable:
@@ -279,7 +279,8 @@ def lineshape(pole: ResonancePole, energies) -> ResultTable:
     area over the whole real axis.
     """
     e = require_finite("energies", energies)
+    if np.ndim(e) > 1:
+        raise ValueError(f"energies must be a number or a 1-D grid, got shape {np.shape(e)}")
     if np.size(e) == 0:
         raise ValueError("energies must be a nonempty grid, got an empty one")
-    return ResultTable(LINESHAPE_COLUMNS,
-                       np.column_stack(lineshape_row(e, lorentzian_density(pole, e))))
+    return ResultTable(LINESHAPE_COLUMNS, np.column_stack((e, lorentzian_density(pole, e))))

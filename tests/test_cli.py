@@ -396,11 +396,17 @@ class TestOutputAndConfig:
         ("evolve", "regime = 2", "option 'regime' must be one of [0, 1], got 2"),
         ("cross-id", "branch = 4a", "option 'branch' must be one of ['5a', '5b'], got '4a'"),
         ("lineshape", "emin = low", "invalid value 'low' for option 'emin'"),
+        # before the missing --row or --branch
+        ("rep-check", "format = csv", "option 'format' must be one of ['json'], got 'csv'"),
+        ("cross-id", "format = csv", "option 'format' must be one of ['json'], got 'csv'"),
+        # before the bad flag value
+        ("decay --gamma -1", "steps=plenty", "invalid value 'plenty' for option 'steps'"),
     ])
     def test_config_value_checked_like_its_flag(self, tmp_path, capsys, command, line, message):
         config = tmp_path / "bad.cfg"
         config.write_text(line + "\n")
-        assert invoke(capsys, command, "--config", str(config)) == (2, "", f"error: {message}\n")
+        assert invoke(capsys, *command.split(), "--config", str(config)) == (
+            2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command, steps",
                              [("decay", 101), ("evolve", 101), ("lineshape", 201)])
@@ -642,3 +648,12 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "t,survival,factor_real,factor_imag"
+
+    def test_closed_stdout_pipe_exits_141_without_an_error_line(self):
+        # as `gamowkit decay --steps 200000 | head -c 10`: the rows overflow the pipe's buffer
+        with subprocess.Popen([sys.executable, "-m", "gamowkit", "decay", "--steps", "200000"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b"t,survival"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (141, b"")

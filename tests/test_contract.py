@@ -109,7 +109,8 @@ CONTRACT = {
     "evolution_table": (evolution_table, dict(scenario=SCENARIO), dict(scenario=OBJECT)),
     "run_decay": (run_decay, dict(scenario=SCENARIO), dict(scenario=OBJECT)),
     "lineshape": (lineshape, dict(pole=POLE, energies=[0.5, 1.0]),
-                  dict(pole=OBJECT, energies=[*GRID, []])),
+                  dict(pole=OBJECT,
+                       energies=[*GRID, [], [[1.0, 2.0], [3.0, 4.0]], [[1.0], [2.0]]])),
     "lorentzian_density": (lorentzian_density, dict(pole=POLE, energies=1.0),
                            dict(pole=OBJECT, energies=GRID)),
     "AntilinearOperator": (
