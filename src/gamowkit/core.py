@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
 
 __all__ = ["Arrow", "GamowState", "HalfPlane", "Kind", "Orientation", "ResonancePole", "Role",
            "TimeHalf", "canonical_state", "resonance_s_matrix"]
@@ -161,8 +160,48 @@ class Orientation(enum.Enum):
 _ORIENTATION = {(orientation.half, orientation.regime): orientation for orientation in Orientation}
 
 
-@dataclass(frozen=True)
-class ResonancePole:
+class Record:
+    """A frozen value whose fields are its class body's annotations, in order; a class
+    attribute is a field's default.  Built by position or by name, then ``__post_init__``
+    if the class has one; equal and hashed by its fields, or by identity with ``eq=False``."""
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        cls._fields = tuple(cls.__annotations__)  # the names alone: each annotation is a string
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, defaults = self._fields, self._defaults
+        values = dict(zip(names, args), **kwargs)  # a field given twice or a value too many is lost
+        if len(values) < len(args) + len(kwargs) or {*values, *defaults} != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}, got "
+                            f"{len(args)} by position and {', '.join(kwargs) or 'none'} by name")
+        self.__dict__.update({name: values.get(name, defaults.get(name)) for name in names})
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ResonancePole(Record):
     """A resonance with real energy E_R and width Gamma, the inverse lifetime.
 
     Any finite E_R is accepted; positivity is a physical typicality, not a
@@ -258,8 +297,7 @@ def canonical_time_domain(kind: Kind, regime: int) -> Orientation:
     return _ORIENTATION[(half, regime)]
 
 
-@dataclass(frozen=True)
-class GamowState:
+class GamowState(Record):
     """One generalized eigenvector, keyed by (arrow, kind, regime).
 
     The half-plane, role, bracket and time domain are derived from that key,

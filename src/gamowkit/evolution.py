@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .core import (Arrow, GamowState, Kind, Orientation, ResonancePole, canonical_time_domain, np,
-                   require_array, require_finite, require_number)
+from .core import (Arrow, GamowState, Kind, Orientation, Record, ResonancePole,
+                   canonical_time_domain, np, require_array, require_finite, require_number)
 
 __all__ = ["BRANCHES", "DomainViolationError", "NonHermitianError", "branch_for", "evolve",
            "group_evolve", "survival_probability"]
@@ -38,8 +37,7 @@ class NonHermitianError(ValueError):
     """The supplied generator is not Hermitian within tolerance."""
 
 
-@dataclass(frozen=True)
-class EvolutionBranch:
+class EvolutionBranch(Record):
     """One of the eight semigroup formulas.
 
     ``label`` is the paper's equation number; ``phase_sign`` multiplies

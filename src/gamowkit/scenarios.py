@@ -18,10 +18,9 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
-from .core import (Arrow, GamowState, Kind, ResonancePole, canonical_state, is_integer, np,
-                   require_array, require_finite, require_number, require_pole)
+from .core import (Arrow, GamowState, Kind, Record, ResonancePole, canonical_state, is_integer,
+                   np, require_array, require_finite, require_number, require_pole)
 from .evolution import branch_for, evolve
 from .grid import linspace_blocks, linspace_points, row_blocks
 
@@ -150,8 +149,7 @@ def json_text(columns, blocks):
     yield "]}"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A canonical state swept over a uniform time grid.
 
     The grid must have at least two points.  A sweep checks, through

@@ -22,9 +22,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import asdict, dataclass
 
-from .core import (DEFAULT_POLE, ROWS, ResonancePole, energy_window, is_integer, np,
+from .core import (DEFAULT_POLE, ROWS, Record, ResonancePole, energy_window, is_integer, np,
                    require_complex, resonance_s_matrix)
 from .grid import linspace_points
 
@@ -79,8 +78,7 @@ def time_reversal_matrix(twice_j: int) -> np.ndarray:
     return AntilinearOperator(_reversal_columns(twice_j), True).matrix.copy()
 
 
-@dataclass(frozen=True, eq=False)
-class AntilinearOperator:
+class AntilinearOperator(Record, eq=False):
     """A signed permutation, with or without a complex conjugation.
 
     Row i holds its one nonzero s_i = +-1 in column p_i: ``columns[i] =
@@ -134,8 +132,7 @@ class AntilinearOperator:
                                   self.conjugates ^ other.conjugates)
 
 
-@dataclass(frozen=True, eq=False)
-class RepresentationTriple:
+class RepresentationTriple(Record, eq=False):
     """The (parity, time reversal, total inversion) operators of one family.
 
     ``row`` is the family index 1..4.  Family 1 acts on the bare spin space;
@@ -211,16 +208,14 @@ def _square_scalar(op: AntilinearOperator) -> int | None:
     return s if square == tuple(range(s, s * (len(square) + 1), s)) else None
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(Record):
     name: str
     passed: bool
     expected: str
     observed: str
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Record):
     """Outcome of the exact group-relation checks for one family."""
 
     row: int
@@ -233,8 +228,8 @@ class RelationReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        data = asdict(self)  # its fields in order, the checks as a tuple of dicts
-        return {**data, "checks": list(data["checks"]), "all_passed": self.all_passed}
+        checks = [dict(vars(check)) for check in self.checks]  # each one's vars: its fields
+        return {**vars(self), "checks": checks, "all_passed": self.all_passed}
 
 
 def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
@@ -278,16 +273,14 @@ def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
     return RelationReport(rep.row, rep.twice_j, tuple(checks), comm_sign)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     name: str
     passed: bool
     max_deviation: float
     tolerance: float
 
 
-@dataclass(frozen=True)
-class ConjugationReport:
+class ConjugationReport(Record):
     row: int
     twice_j: int
     entries: tuple[IdentityCheck, ...]
@@ -297,8 +290,8 @@ class ConjugationReport:
         return all(e.passed for e in self.entries)
 
     def to_dict(self) -> dict:
-        data = asdict(self)  # its fields in order, the entries as a tuple of dicts
-        return {**data, "entries": list(data["entries"]), "all_passed": self.all_passed}
+        entries = [dict(vars(entry)) for entry in self.entries]  # each one's vars: its fields
+        return {**vars(self), "entries": entries, "all_passed": self.all_passed}
 
 
 def reversed_wavefunction(psi) -> list[complex]:

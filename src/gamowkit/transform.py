@@ -12,7 +12,6 @@ suite so that transcription and logic drift are caught independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -22,6 +21,7 @@ from .core import (
     GamowState,
     Kind,
     Orientation,
+    Record,
     canonical_state,
 )
 from .evolution import BRANCHES, branch_for
@@ -74,8 +74,7 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
     return restored, sign
 
 
-@dataclass(frozen=True)
-class TableCell:
+class TableCell(Record):
     """One cell of a derived table: a bracket with its domain annotation."""
 
     row_label: str
@@ -95,8 +94,7 @@ class TableCell:
         }
 
 
-@dataclass(frozen=True)
-class DerivedTable:
+class DerivedTable(Record):
     arrow: Arrow
     cells: tuple[TableCell, ...]
 
@@ -136,8 +134,7 @@ def derive_table(arrow: Arrow) -> DerivedTable:
     return DerivedTable(arrow, tuple(cells))
 
 
-@dataclass(frozen=True)
-class CrossIdentification:
+class CrossIdentification(Record):
     """Regime identification of one excitation/de-excitation branch."""
 
     branch: str

@@ -1,6 +1,7 @@
 """numpy loads on the first numeric library call on an array: label algebra,
 every CLI command, help and rejected inputs run without it, in a fresh
-interpreter each."""
+interpreter each.  None of them, and no import of a module, loads dataclasses
+or the modules it brings (inspect, ast, dis, tokenize)."""
 
 import os
 import subprocess
@@ -12,9 +13,11 @@ import pytest
 import gamowkit
 import gamowkit.core
 
-# Runs gamowkit.cli.main on its arguments with output swallowed, then
-# prints the exit code and whether numpy was imported.
-_CHILD = """
+# The modules that `import dataclasses` loads, which no run needs.
+_RECORD_MACHINERY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# Runs gamowkit.cli.main on its arguments with output swallowed, then prints the
+# exit code, whether numpy was imported, and any of _RECORD_MACHINERY imported.
+_CHILD = f"""
 import contextlib, io, sys
 from gamowkit.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -22,7 +25,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = main(sys.argv[1:])
     except SystemExit as exc:  # --help
         code = exc.code
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, *(m for m in {_RECORD_MACHINERY} if m in sys.modules))
 """
 
 
@@ -35,6 +38,14 @@ def _fresh(*args) -> str:
 
 def test_import_does_not_load_numpy():
     assert _fresh("-c", "import gamowkit, sys; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("module", ["core", "evolution", "grid", "scenarios", "symmetry",
+                                    "transform", "cli"])
+def test_import_of_a_module_does_not_load_dataclasses(module):
+    code = (f"import gamowkit.{module}, sys; "
+            f"print([m for m in {_RECORD_MACHINERY} if m in sys.modules])")
+    assert _fresh("-c", code) == "[]"
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 
 import numpy as np
@@ -24,6 +23,7 @@ from gamowkit import (
     time_reverse,
     time_reverse_twice,
 )
+from gamowkit.symmetry import RepresentationTriple
 from dense import from_matrix
 from golden_tables import EXCITATION_DEEXCITATION_TABLE, PREPARATION_REGISTRATION_TABLE
 
@@ -126,8 +126,8 @@ class TestTimeReverseTwice:
         # a signed permutation that cycles three of the four basis vectors:
         # its square is another 3-cycle, no multiple of I
         cycle = np.eye(4, dtype=np.int64)[[1, 2, 0, 3]]
-        rep = dataclasses.replace(build_representation(2, 1),
-                                  time_reversal=from_matrix(cycle, True))
+        rep = RepresentationTriple(**{**vars(build_representation(2, 1)),
+                                      "time_reversal": from_matrix(cycle, True)})
         state = canonical_state(PREP, Kind.GROWING, 0, pole)
         with pytest.raises(ValueError, match="not a scalar multiple of the identity"):
             time_reverse_twice(state, rep)
