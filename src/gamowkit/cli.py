@@ -45,7 +45,7 @@ KINDS = {"grow": Kind.GROWING, "decay": Kind.DECAYING}
 _POLE_OPTIONS = (("--er", "resonance energy E_R", DEFAULT_POLE.energy, float, None),
                  ("--gamma", "resonance width Gamma", DEFAULT_POLE.width, float, None))
 _ARROW_OPTION = ("--arrow", "time-arrow convention", "prep", None, sorted(ARROWS))
-_GRID_OPTIONS = (_ARROW_OPTION,
+_GRID_OPTIONS = (*_POLE_OPTIONS, _ARROW_OPTION,
                  ("--kind", "state kind", "decay", None, sorted(KINDS)),
                  ("--regime", "regime r", 0, int, (0, 1)),
                  ("--tmin", "grid start (default depends on kind)", None, float, None),
@@ -78,7 +78,7 @@ def _resolve(args: argparse.Namespace) -> None:
     Unknown config keys fail first; then each config value is converted and
     checked as its flag would be, so no command sees an unchecked option."""
     config = _parse_config(args.config) if args.config else {}
-    unknown = set(config) - (set(vars(args)) - {"command", "config"})
+    unknown = set(config) - (set(vars(args)) - {"command", "config", "handler"})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for name, unset in vars(args).items():
@@ -104,9 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, options, formats=("csv", "json")):
+    def add(name, help, handler, options, formats=("csv", "json")):
         """A subcommand: ``options``, then the output options (the first format is the default)."""
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         for flag, text, default, type, choices in (
                 *options, ("--format", "output format", formats[0], None, formats),
                 ("--out", "output file (default standard output)", None, None, None)):
@@ -115,17 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
                            default=_Unset(default, type, choices))
         p.add_argument("--config", help="key=value config file; flags override it")
 
-    add("evolve", "evolution factor over a time grid", _POLE_OPTIONS + _GRID_OPTIONS)
-    add("decay", "survival probability over a time grid", _POLE_OPTIONS + _GRID_OPTIONS)
-    add("lineshape", "Lorentzian lineshape over an energy grid", _POLE_OPTIONS + (
+    add("evolve", "evolution factor over a time grid", _cmd_time_table, _GRID_OPTIONS)
+    add("decay", "survival probability over a time grid", _cmd_time_table, _GRID_OPTIONS)
+    add("lineshape", "Lorentzian lineshape over an energy grid", _cmd_lineshape, _POLE_OPTIONS + (
         ("--emin", "grid start (default E_R - 25*Gamma)", None, float, None),
         ("--emax", "grid end (default E_R + 25*Gamma)", None, float, None),
         ("--steps", "grid points", 201, int, None)))
-    add("table", "derived time-reversal state table", (_ARROW_OPTION,), ("json", "text"))
-    add("rep-check", "symmetry-family relation report", (
+    add("table", "derived time-reversal state table", _cmd_table, (_ARROW_OPTION,),
+        ("json", "text"))
+    add("rep-check", "symmetry-family relation report", _cmd_rep_check, (
         ("--row", "family row 1..4", None, int, ROWS),
         ("--twice-j", "twice the spin, 2j >= 0", None, int, None)) + _POLE_OPTIONS, ("json",))
-    add("cross-id", "regime identification for branches 5a/5b",
+    add("cross-id", "regime identification for branches 5a/5b", _cmd_cross_id,
         (("--branch", "branch to identify", None, None, tuple(CROSS_IDENTIFIED)),), ("json",))
     return parser
 
@@ -145,9 +147,8 @@ def _cmd_time_table(opts: argparse.Namespace):
     columns, row = TIME_TABLES[opts.command]
     pole = ResonancePole(opts.er, opts.gamma)
     arrow, kind, steps = ARROWS[opts.arrow], KINDS[opts.kind], opts.steps
-    default_min, default_max = (0.0, 10.0) if kind is Kind.DECAYING else (-10.0, 0.0)
-    t_min = default_min if opts.tmin is None else opts.tmin
-    t_max = default_max if opts.tmax is None else opts.tmax
+    defaults = (0.0, 10.0) if kind is Kind.DECAYING else (-10.0, 0.0)
+    t_min, t_max = (d if t is None else t for t, d in zip((opts.tmin, opts.tmax), defaults))
     scenario = Scenario(pole, arrow, kind, opts.regime, t_min, t_max, steps)
     scenario.checked_times()
     state = scenario.state()
@@ -185,9 +186,7 @@ def _format_table_text(data: dict) -> str:
              c["orientation"], c["branch"]) for c in data["cells"]]
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
     lines = [f"arrow: {data['arrow']}"]
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    for r in rows:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
+    lines += ("  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in (headers, *rows))
     return "\n".join(lines) + "\n"
 
 
@@ -225,16 +224,6 @@ def _cmd_cross_id(opts: argparse.Namespace):
     return json.dumps(cross_identify(opts.branch).to_dict(), indent=2), "\n"
 
 
-_COMMANDS = {
-    "evolve": _cmd_time_table,
-    "decay": _cmd_time_table,
-    "lineshape": _cmd_lineshape,
-    "table": _cmd_table,
-    "rep-check": _cmd_rep_check,
-    "cross-id": _cmd_cross_id,
-}
-
-
 def _attach_negative_values(argv) -> list[str]:
     """``--flag -1e3`` as ``--flag=-1e3``: argparse reads only ``-1000`` and
     ``-.5`` as negative numbers, and takes ``-1e3`` or ``-inf`` for an option."""
@@ -259,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _resolve(args)
-        output = _COMMANDS[args.command](args)  # strings, a grid's lazily, a block at a time
+        output = args.handler(args)  # strings, a grid's lazily, a block at a time
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(output)

@@ -163,13 +163,11 @@ _ORIENTATION = {(orientation.half, orientation.regime): orientation for orientat
 class Record:
     """A frozen value whose fields are its class body's annotations, in order; a class
     attribute is a field's default.  Built by position or by name, then ``__post_init__``
-    if the class has one; equal and hashed by its fields, or by identity with ``eq=False``."""
+    if the class has one; equal and hashed by its fields."""
 
-    def __init_subclass__(cls, eq: bool = True) -> None:
+    def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)  # the names alone: each annotation is a string
         cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *args, **kwargs) -> None:
         names, defaults = self._fields, self._defaults

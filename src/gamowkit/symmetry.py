@@ -53,6 +53,11 @@ def _check_twice_j(twice_j: int) -> int:
     return int(twice_j)
 
 
+def _check_row(row: int) -> None:
+    if not is_integer(row) or row not in ROWS:
+        raise ValueError(f"row must be one of {ROWS}, got {row!r}")
+
+
 def _reversal_columns(twice_j: int) -> tuple[int, ...]:
     """The signed columns (see :class:`AntilinearOperator`) of C: (-1)^(j+mu)
     at column -mu of row mu."""
@@ -78,7 +83,7 @@ def time_reversal_matrix(twice_j: int) -> np.ndarray:
     return AntilinearOperator(_reversal_columns(twice_j), True).matrix.copy()
 
 
-class AntilinearOperator(Record, eq=False):
+class AntilinearOperator(Record):
     """A signed permutation, with or without a complex conjugation.
 
     Row i holds its one nonzero s_i = +-1 in column p_i: ``columns[i] =
@@ -132,7 +137,7 @@ class AntilinearOperator(Record, eq=False):
                                   self.conjugates ^ other.conjugates)
 
 
-class RepresentationTriple(Record, eq=False):
+class RepresentationTriple(Record):
     """The (parity, time reversal, total inversion) operators of one family.
 
     ``row`` is the family index 1..4.  Family 1 acts on the bare spin space;
@@ -170,8 +175,7 @@ def build_representation(row: int, twice_j: int) -> RepresentationTriple:
     operator is built as its signed columns, in O(d).
     """
     twice_j = _check_twice_j(twice_j)
-    if not is_integer(row) or row not in ROWS:
-        raise ValueError(f"row must be one of {ROWS}, got {row!r}")
+    _check_row(row)
     s_r, s_t = _FAMILY_SIGNS[row]
     c = _reversal_columns(twice_j)
     d = twice_j + 1
@@ -192,20 +196,31 @@ def build_representation(row: int, twice_j: int) -> RepresentationTriple:
 
 
 def _operator(rep: RepresentationTriple, name: str) -> AntilinearOperator:
-    """``rep``'s operator ``name``, after checks of rep's type and of the operator's dimension."""
+    """``rep``'s operator ``name``, after checks of each field of rep that the checks read."""
     if not isinstance(rep, RepresentationTriple):
         raise ValueError(f"rep must be a RepresentationTriple, got {rep!r}")
+    _check_row(rep.row)
+    _check_twice_j(rep.twice_j)
+    for field in ("reversal_sign", "inversion_sign"):
+        sign = getattr(rep, field)
+        if not is_integer(sign) or sign not in (1, -1):
+            raise ValueError(f"{field} must be +1 or -1, got {sign!r}")
     op = getattr(rep, name)
+    if not isinstance(op, AntilinearOperator):
+        raise ValueError(f"{name} must be an AntilinearOperator, got {type(op).__name__}")
     if len(op.columns) != rep.dim:
         raise ValueError(f"{name} must be a {rep.dim}x{rep.dim} signed permutation matrix")
     return op
 
 
+def _scalar(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
+    """The s with A = s B, for A and B as their signed columns, or None if there is none."""
+    return 1 if a == b else -1 if a == tuple(-c for c in b) else None
+
+
 def _square_scalar(op: AntilinearOperator) -> int | None:
     """The s with A^2 = s I, or None if the square is no multiple of I."""
-    square = op.compose(op).columns
-    s = 1 if square[0] > 0 else -1
-    return s if square == tuple(range(s, s * (len(square) + 1), s)) else None
+    return _scalar(op.compose(op).columns, tuple(range(1, len(op.columns) + 1)))
 
 
 class RelationCheck(Record):
@@ -241,9 +256,9 @@ def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
     rather than asserted).  Every product is an exact O(d) integer gather,
     :meth:`AntilinearOperator.compose`.
 
-    Raises ValueError, naming the operator, if Sigma, R or T does not act on
-    the family's d dimensions.  A relation that fails between signed
-    permutations becomes a report entry, not an exception.
+    Raises ValueError, naming the field, if a field of rep is out of range or
+    Sigma, R or T is no AntilinearOperator on the family's d dimensions.  A
+    relation that fails between them becomes a report entry, not an exception.
     """
     sigma, r, t = (_operator(rep, name) for name in ("parity", "time_reversal", "total_inversion"))
     checks = []
@@ -254,18 +269,12 @@ def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
         checks.append(RelationCheck(name, s == sign, f"{sign:+d} * I", f"{s} * I"))
 
     sigma_r = sigma.compose(r)
-    same = sigma_r.columns == t.columns and sigma_r.conjugates == t.conjugates
+    same = sigma_r == t
     checks.append(RelationCheck(
         "total_inversion_is_parity_then_reversal", same,
         "T == Sigma o R", "equal" if same else "different"))
 
-    r_sigma = r.compose(sigma)
-    if sigma_r.columns == r_sigma.columns:
-        comm_sign = 1
-    elif sigma_r.columns == tuple(-c for c in r_sigma.columns):
-        comm_sign = -1
-    else:
-        comm_sign = None
+    comm_sign = _scalar(sigma_r.columns, r.compose(sigma).columns)
     checks.append(RelationCheck(
         "parity_reversal_commute_up_to_sign", comm_sign is not None,
         "Sigma o R == +/- R o Sigma", f"sign {comm_sign}"))
@@ -320,7 +329,7 @@ def _angular_momentum_flip(r: AntilinearOperator, twice_j: int) -> float:
     are Hermitian, so one pass over the upper band suffices.  It adds each
     entry's partner J(p_a, p_b), a band entry or 0, and takes |J| of each entry
     whose image leaves the band."""
-    d = _check_twice_j(twice_j) + 1
+    d = twice_j + 1
     j = twice_j / 2.0
     m = [(2 * k - twice_j) / 2.0 for k in range(d)]  # m = -j, ..., +j
     # half of <m+1|J_+|m> = sqrt(j(j+1) - m(m+1)), for each m but the last
@@ -360,7 +369,7 @@ def check_conjugation_identities(rep: RepresentationTriple,
       so R^-1 = R^T and (R conj(J) R^-1)[a, b] = s_a s_b conj(J)[p_a, p_b].
       J_z is diagonal and J_x, J_y have one band on each side of it, so the
       sums are taken band-wise in O(d), bit for bit the dense ones, with no
-      d x d matrix; a time reversal of another dimension raises ValueError;
+      d x d matrix; rep raises ValueError as in ``verify_group_relations``;
     * on a symmetric grid of 201 momenta over [-10, 10], with a unit-width
       Gaussian packet centred at p = 2, R: psi(p) -> conj(psi(-p)) flips
       the expectation of the momentum multiplication operator and leaves
@@ -374,24 +383,21 @@ def check_conjugation_identities(rep: RepresentationTriple,
     summed by ``math.fsum``, correctly rounded on every Python: no check loads numpy.
     """
     e_min, e_max = energy_window(pole)
-    dev = _angular_momentum_flip(_operator(rep, "time_reversal"), rep.twice_j)
-    entries = [IdentityCheck("angular_momentum_flip", dev <= 1e-12, dev, 1e-12)]
-
+    flip = _angular_momentum_flip(_operator(rep, "time_reversal"), rep.twice_j)
     p = linspace_points(-10.0, 10.0, _MOMENTUM_POINTS, range(_MOMENTUM_POINTS))
     psi = [complex(math.exp(-((x - 2.0) * (x - 2.0)) / 2.0)) for x in p]
     psi_rev = reversed_wavefunction(psi)
-    dev = abs(_grid_expectation(p, psi_rev) + _grid_expectation(p, psi))
-    entries.append(IdentityCheck("momentum_expectation_flip", dev <= 1e-10, dev, 1e-10))
-
     kinetic = [0.5 * (x * x) for x in p]
-    dev = abs(_grid_expectation(kinetic, psi_rev) - _grid_expectation(kinetic, psi))
-    entries.append(IdentityCheck("kinetic_energy_invariance", dev <= 1e-10, dev, 1e-10))
-
     s = [resonance_s_matrix(pole, e)
          for e in linspace_points(e_min, e_max, _ENERGY_POINTS, range(_ENERGY_POINTS))]
-    dev = max(abs(abs(z) - 1.0) for z in s)
-    entries.append(IdentityCheck("s_matrix_unitarity", dev <= 1e-12, dev, 1e-12))
-    dev = max(abs(z.conjugate() - 1.0 / z) for z in s)
-    entries.append(IdentityCheck("s_matrix_reciprocity", dev <= 1e-12, dev, 1e-12))
-
-    return ConjugationReport(rep.row, rep.twice_j, tuple(entries))
+    identities = (  # (name, deviation, tolerance), each passing at deviation <= tolerance
+        ("angular_momentum_flip", flip, 1e-12),
+        ("momentum_expectation_flip",
+         abs(_grid_expectation(p, psi_rev) + _grid_expectation(p, psi)), 1e-10),
+        ("kinetic_energy_invariance",
+         abs(_grid_expectation(kinetic, psi_rev) - _grid_expectation(kinetic, psi)), 1e-10),
+        ("s_matrix_unitarity", max(abs(abs(z) - 1.0) for z in s), 1e-12),
+        ("s_matrix_reciprocity", max(abs(z.conjugate() - 1.0 / z) for z in s), 1e-12),
+    )
+    entries = tuple(IdentityCheck(name, dev <= tol, dev, tol) for name, dev, tol in identities)
+    return ConjugationReport(rep.row, rep.twice_j, entries)

@@ -12,8 +12,6 @@ suite so that transcription and logic drift are caught independently.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .core import (
     CROSS_IDENTIFIED,
     DEFAULT_POLE,
@@ -25,8 +23,6 @@ from .core import (
     canonical_state,
 )
 from .evolution import BRANCHES, branch_for
-if TYPE_CHECKING:  # symmetry loads in the one function that needs it
-    from .symmetry import RepresentationTriple
 
 __all__ = ["cross_identify", "derive_table", "time_reverse", "time_reverse_twice"]
 
@@ -57,8 +53,8 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
     gather of its signed columns, and therefore equals that family's eps_R.
     Requires a doubled family: the single-sheet family 1 has nowhere to put
     the r = 1 content the first application produces.  A rep that is no
-    RepresentationTriple, or whose time reversal has another dimension or a
-    square that is no multiple of I, raises ValueError.
+    RepresentationTriple, that has a field out of range, or whose time reversal
+    is of another dimension or squares to no multiple of I, raises ValueError.
     """
     from .symmetry import _operator, _square_scalar
     r = _operator(rep, "time_reversal")  # checks rep before it is read

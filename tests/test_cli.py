@@ -376,7 +376,7 @@ class TestOutputAndConfig:
         code, _, err = invoke(capsys, "decay", "--config", str(config))
         assert code == 2 and "unknown config" in err
 
-    @pytest.mark.parametrize("key", ["volume", "command", "config"])
+    @pytest.mark.parametrize("key", ["volume", "command", "config", "handler"])
     def test_unknown_config_key_rejected_before_the_command_runs(
             self, tmp_path, capsys, monkeypatch, key):
         import gamowkit.cli as cli_module
@@ -384,7 +384,7 @@ class TestOutputAndConfig:
         def never(_):
             pytest.fail("the command ran despite an unknown config key")
 
-        monkeypatch.setitem(cli_module._COMMANDS, "decay", never)
+        monkeypatch.setattr(cli_module, "_cmd_time_table", never)
         config = tmp_path / "bad.cfg"
         config.write_text(f"steps=plenty\n{key}=11\n")  # the unknown key is reported first
         assert invoke(capsys, "decay", "--config", str(config)) == (
@@ -638,7 +638,7 @@ class TestExitCodes:
         def boom(_):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setitem(cli_module._COMMANDS, "decay", boom)
+        monkeypatch.setattr(cli_module, "_cmd_time_table", boom)
         code, _, err = invoke(capsys, "decay")
         assert code == 1 and "internal error" in err
 

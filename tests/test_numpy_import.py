@@ -1,7 +1,8 @@
 """numpy loads on the first numeric library call on an array: label algebra,
 every CLI command, help and rejected inputs run without it, in a fresh
 interpreter each.  None of them, and no import of a module, loads dataclasses
-or the modules it brings (inspect, ast, dis, tokenize)."""
+or the modules it brings (inspect, ast, dis, tokenize), and the label commands
+and rep-check load no typing."""
 
 import os
 import subprocess
@@ -26,6 +27,16 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     except SystemExit as exc:  # --help
         code = exc.code
 print(code, "numpy" in sys.modules, *(m for m in {_RECORD_MACHINERY} if m in sys.modules))
+"""
+
+# Runs gamowkit.cli.main on its arguments with output swallowed, then prints the
+# exit code and whether typing was imported.
+_TYPING_CHILD = """
+import contextlib, io, sys
+from gamowkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "typing" in sys.modules)
 """
 
 
@@ -70,6 +81,14 @@ def test_label_commands_and_rejections_do_not_load_numpy(tmp_path, argv, code):
     config.write_text("volume=11\n")
     argv = [a.format(config=config) for a in argv]
     assert _fresh("-c", _CHILD, *argv) == f"{code} False"
+
+
+@pytest.mark.parametrize("argv", [
+    ("table",), ("cross-id", "--branch", "5a"), ("rep-check", "--row", "4", "--twice-j", "7"),
+], ids=["table", "cross-id", "rep-check"])
+def test_label_commands_and_rep_check_do_not_load_typing(argv):
+    # -S: no .pth file of site-packages imports typing before the command runs
+    assert _fresh("-S", "-c", _TYPING_CHILD, *argv) == "0 False"
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])

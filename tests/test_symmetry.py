@@ -424,6 +424,13 @@ class TestGroupRelations:
         by_name = {c.name: c for c in report.checks}
         assert by_name["total_inversion_is_parity_then_reversal"].passed
 
+    def test_total_inversion_differing_only_in_conjugation_is_different(self):
+        rep = build_representation(4, 1)
+        t = AntilinearOperator(rep.total_inversion.columns, not rep.total_inversion.conjugates)
+        report = verify_group_relations(with_operators(rep, total_inversion=t))
+        check = next(c for c in report.checks if c.name == "total_inversion_is_parity_then_reversal")
+        assert (check.passed, check.observed) == (False, "different")
+
     @pytest.mark.parametrize("row,sign", [(1, 1), (2, -1), (3, -1), (4, 1)])
     def test_commutation_sign_recorded(self, row, sign):
         for twice_j in TESTED_TWICE_J:
@@ -634,6 +641,32 @@ def test_rep_must_be_a_representation_triple(call, rep):
         call(rep)
 
 
+EMPTY = AntilinearOperator((), True)
+
+
+@pytest.mark.parametrize("call", [
+    verify_group_relations,
+    check_conjugation_identities,
+    lambda rep: time_reverse_twice(canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.DECAYING,
+                                                   0, ResonancePole(1.0, 0.2)), rep),
+], ids=["relations", "conjugation", "time_reverse_twice"])
+@pytest.mark.parametrize("fields, message", [
+    ({"twice_j": -1, "parity": EMPTY, "time_reversal": EMPTY, "total_inversion": EMPTY},
+     "twice_j must be a nonnegative integer, got -1"),
+    ({"twice_j": "x"}, "twice_j must be a nonnegative integer, got 'x'"),
+    ({"twice_j": 0.0}, "twice_j must be a nonnegative integer, got 0.0"),
+    ({"row": 5}, "row must be one of (1, 2, 3, 4), got 5"),
+    ({"reversal_sign": "x"}, "reversal_sign must be +1 or -1, got 'x'"),
+    ({"inversion_sign": 2}, "inversion_sign must be +1 or -1, got 2"),
+], ids=["negative-twice-j", "str-twice-j", "float-twice-j", "row", "str-sign", "sign-two"])
+def test_hand_built_fields_checked_before_they_are_read(call, fields, message):
+    rep = RepresentationTriple(**{**vars(build_representation(1, 0)), **fields})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(rep)
+
+
 def spin_matrices(twice_j):
     """Dense (J_x, J_y, J_z) for spin j = twice_j / 2, by the ladder construction in
     the ascending m basis: J_z = diag(-j, ..., +j), <m+1|J_+|m> = sqrt(j(j+1) - m(m+1))."""
@@ -721,6 +754,16 @@ class TestSignedPermutationRelations:
                                     ResonancePole(1.0, 0.2))
             with pytest.raises(ValueError, match=message):
                 time_reverse_twice(state, rep)
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_operator_must_be_an_antilinear_operator(self, name):
+        rep = with_operators(build_representation(4, 0), **{name: np.eye(2, dtype=np.int64)})
+        message = f"^{name} must be an AntilinearOperator, got ndarray$"
+        with pytest.raises(ValueError, match=message):
+            verify_group_relations(rep)
+        if name == "time_reversal":
+            with pytest.raises(ValueError, match=message):
+                check_conjugation_identities(rep)
 
     @pytest.mark.parametrize("name", OPERATORS)
     def test_family_operator_of_another_dimension_rejected(self, name):
