@@ -14,25 +14,25 @@ values, grids outside the half-domain), 1 on internal errors, 141 when a reader
 closes the standard output pipe early (as ``| head`` does).  An optional
 ``--config FILE`` supplies flat key=value defaults; explicit flags win.  Every
 option is resolved before the command runs, so a bad config value is reported
-before any other check.
+before any other check.  Exact, valid flags are read without argparse.
 
 Each command runs its checks, then returns its text as an iterable of
 strings, which ``main`` writes to standard output or ``--out``.  The grid
 commands yield their rows one block of Python floats at a time, and
 ``rep-check`` checks signed permutations as tuples of ints: no command loads
-numpy.  The parser loads ``core``, and each command imports its own modules:
+numpy.  Every run loads ``core``, and each command imports its own modules:
 ``evolution``, ``grid`` and ``scenarios`` for a grid, ``transform`` for
 ``table`` and ``cross-id``, and ``grid`` and ``symmetry`` for ``rep-check``.
 """
 
 from __future__ import annotations
 
-import argparse
 import collections
 import itertools
 import json
 import os
 import sys
+import types
 
 from .core import (CROSS_IDENTIFIED, DEFAULT_POLE, ROWS, Arrow, Kind, ResonancePole, energy_window,
                    require_finite)
@@ -51,6 +51,8 @@ _GRID_OPTIONS = (*_POLE_OPTIONS, _ARROW_OPTION,
                  ("--tmin", "grid start (default depends on kind)", None, float, None),
                  ("--tmax", "grid end (default depends on kind)", None, float, None),
                  ("--steps", "grid points", 101, int, None))
+_OUTPUT_OPTIONS = (("--out", "output file (default standard output)", None, None, None),
+                   ("--config", "key=value config file; flags override it", None, None, None))
 
 
 def _parse_config(path: str) -> dict[str, str]:
@@ -67,8 +69,8 @@ def _parse_config(path: str) -> dict[str, str]:
     return values
 
 
-# What argparse stores for an option not given as a flag: its default, and the
-# type and choices that a config-file value for it must meet.
+# What the namespace holds for an option not given as a flag: its default, and
+# the type and choices that a config-file value for it must meet.
 _Unset = collections.namedtuple("_Unset", "default convert choices")
 
 
@@ -77,13 +79,13 @@ def _resolve(args: argparse.Namespace) -> None:
 
     Unknown config keys fail first; then each config value is converted and
     checked as its flag would be, so no command sees an unchecked option."""
-    config = _parse_config(args.config) if args.config else {}
+    config = _parse_config(args.config) if isinstance(args.config, str) and args.config else {}
     unknown = set(config) - (set(vars(args)) - {"command", "config", "handler"})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for name, unset in vars(args).items():
         if not isinstance(unset, _Unset):
-            continue  # a flag, converted and checked by argparse
+            continue  # a flag, converted and checked as it was read
         value = config.get(name, unset.default)
         if name in config and unset.convert is not None:
             try:
@@ -96,40 +98,69 @@ def _resolve(args: argparse.Namespace) -> None:
         setattr(args, name, value)
 
 
+def _commands() -> dict:
+    """Each command's name: (help, handler, options ending with ``--format``, ``--out`` and
+    ``--config``), built per command line, so that a handler is looked up when it runs."""
+    def command(help, handler, options, formats=("csv", "json")):
+        return help, handler, (*options, ("--format", "output format", formats[0], None, formats),
+                               *_OUTPUT_OPTIONS)
+    return {
+        "evolve": command("evolution factor over a time grid", _cmd_time_table, _GRID_OPTIONS),
+        "decay": command("survival probability over a time grid", _cmd_time_table, _GRID_OPTIONS),
+        "lineshape": command("Lorentzian lineshape over an energy grid", _cmd_lineshape, (
+            *_POLE_OPTIONS, ("--emin", "grid start (default E_R - 25*Gamma)", None, float, None),
+            ("--emax", "grid end (default E_R + 25*Gamma)", None, float, None),
+            ("--steps", "grid points", 201, int, None))),
+        "table": command("derived time-reversal state table", _cmd_table, (_ARROW_OPTION,),
+                         ("json", "text")),
+        "rep-check": command("symmetry-family relation report", _cmd_rep_check, (
+            ("--row", "family row 1..4", None, int, ROWS),
+            ("--twice-j", "twice the spin, 2j >= 0", None, int, None)) + _POLE_OPTIONS, ("json",)),
+        "cross-id": command("regime identification for branches 5a/5b", _cmd_cross_id, (
+            ("--branch", "branch to identify", None, None, tuple(CROSS_IDENTIFIED)),), ("json",)),
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="gamowkit",
         description="Semigroup evolution of resonance states, time reversal, "
                     "and the extended spacetime symmetry families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help, handler, options, formats=("csv", "json")):
-        """A subcommand: ``options``, then the output options (the first format is the default)."""
+    for name, (help, handler, options) in _commands().items():
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        for flag, text, default, type, choices in (
-                *options, ("--format", "output format", formats[0], None, formats),
-                ("--out", "output file (default standard output)", None, None, None)):
-            p.add_argument(flag, type=type, choices=choices,
-                           help=text if default is None else f"{text} (default {default})",
-                           default=_Unset(default, type, choices))
-        p.add_argument("--config", help="key=value config file; flags override it")
-
-    add("evolve", "evolution factor over a time grid", _cmd_time_table, _GRID_OPTIONS)
-    add("decay", "survival probability over a time grid", _cmd_time_table, _GRID_OPTIONS)
-    add("lineshape", "Lorentzian lineshape over an energy grid", _cmd_lineshape, _POLE_OPTIONS + (
-        ("--emin", "grid start (default E_R - 25*Gamma)", None, float, None),
-        ("--emax", "grid end (default E_R + 25*Gamma)", None, float, None),
-        ("--steps", "grid points", 201, int, None)))
-    add("table", "derived time-reversal state table", _cmd_table, (_ARROW_OPTION,),
-        ("json", "text"))
-    add("rep-check", "symmetry-family relation report", _cmd_rep_check, (
-        ("--row", "family row 1..4", None, int, ROWS),
-        ("--twice-j", "twice the spin, 2j >= 0", None, int, None)) + _POLE_OPTIONS, ("json",))
-    add("cross-id", "regime identification for branches 5a/5b", _cmd_cross_id,
-        (("--branch", "branch to identify", None, None, tuple(CROSS_IDENTIFIED)),), ("json",))
+        for flag, text, default, type, choices in options:
+            p.add_argument(flag, type=type, choices=choices, default=_Unset(default, type, choices),
+                           help=text if default is None else f"{text} (default {default})")
     return parser
+
+
+def _read(argv: list[str]) -> types.SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` for a command, then only ``--flag value`` (a value
+    not starting with ``-``) or ``--flag=value``, each flag exactly one of the command's and each
+    value of its type and in its choices; else None, and argparse reads ``argv``."""
+    if not argv or argv[0] not in (commands := _commands()):
+        return None
+    _, handler, options = commands[argv[0]]
+    flags = {o[0]: (o[0][2:].replace("-", "_"), *o[3:]) for o in options}  # dest, type, choices
+    values = {"command": argv[0], **{flags[o[0]][0]: _Unset(*o[2:]) for o in options}}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, sep, value = token.partition("=")
+        value = value if sep else next(tokens, "-")  # a missing value fails as a "-" one
+        if flag not in flags or value == "--" or not sep and value.startswith("-"):
+            return None
+        dest, type, choices = flags[flag]
+        try:
+            values[dest] = value = value if type is None else type(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+    return types.SimpleNamespace(**values, handler=handler)
 
 
 def _table_text(fmt: str, columns, row, points):
@@ -244,8 +275,8 @@ def _attach_negative_values(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         _resolve(args)
         output = args.handler(args)  # strings, a grid's lazily, a block at a time

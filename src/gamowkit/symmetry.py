@@ -53,9 +53,10 @@ def _check_twice_j(twice_j: int) -> int:
     return int(twice_j)
 
 
-def _check_row(row: int) -> None:
+def _check_row(row: int) -> int:
     if not is_integer(row) or row not in ROWS:
         raise ValueError(f"row must be one of {ROWS}, got {row!r}")
+    return int(row)
 
 
 def _reversal_columns(twice_j: int) -> tuple[int, ...]:
@@ -175,7 +176,7 @@ def build_representation(row: int, twice_j: int) -> RepresentationTriple:
     operator is built as its signed columns, in O(d).
     """
     twice_j = _check_twice_j(twice_j)
-    _check_row(row)
+    row = _check_row(row)
     s_r, s_t = _FAMILY_SIGNS[row]
     c = _reversal_columns(twice_j)
     d = twice_j + 1
@@ -187,7 +188,7 @@ def build_representation(row: int, twice_j: int) -> RepresentationTriple:
         r_cols, t_cols = ((*upper, *(s * x for x in c)) for s in (s_r, s_t))
     base_sign = (-1) ** twice_j
     return RepresentationTriple(
-        row=int(row), twice_j=twice_j,
+        row=row, twice_j=twice_j,
         parity=AntilinearOperator(sigma, False),
         time_reversal=AntilinearOperator(r_cols, True),
         total_inversion=AntilinearOperator(t_cols, True),
@@ -195,22 +196,24 @@ def build_representation(row: int, twice_j: int) -> RepresentationTriple:
     )
 
 
-def _operator(rep: RepresentationTriple, name: str) -> AntilinearOperator:
-    """``rep``'s operator ``name``, after checks of each field of rep that the checks read."""
+def _checked(rep: RepresentationTriple, *names: str) -> tuple:
+    """``rep``'s row, twice_j and two signs as ints, then its operators ``names``, all checked."""
     if not isinstance(rep, RepresentationTriple):
         raise ValueError(f"rep must be a RepresentationTriple, got {rep!r}")
-    _check_row(rep.row)
-    _check_twice_j(rep.twice_j)
+    fields = [_check_row(rep.row), _check_twice_j(rep.twice_j)]
     for field in ("reversal_sign", "inversion_sign"):
         sign = getattr(rep, field)
         if not is_integer(sign) or sign not in (1, -1):
             raise ValueError(f"{field} must be +1 or -1, got {sign!r}")
-    op = getattr(rep, name)
-    if not isinstance(op, AntilinearOperator):
-        raise ValueError(f"{name} must be an AntilinearOperator, got {type(op).__name__}")
-    if len(op.columns) != rep.dim:
-        raise ValueError(f"{name} must be a {rep.dim}x{rep.dim} signed permutation matrix")
-    return op
+        fields.append(int(sign))
+    for name in names:
+        op = getattr(rep, name)
+        if not isinstance(op, AntilinearOperator):
+            raise ValueError(f"{name} must be an AntilinearOperator, got {type(op).__name__}")
+        if len(op.columns) != rep.dim:
+            raise ValueError(f"{name} must be a {rep.dim}x{rep.dim} signed permutation matrix")
+        fields.append(op)
+    return tuple(fields)
 
 
 def _scalar(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
@@ -260,11 +263,12 @@ def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
     Sigma, R or T is no AntilinearOperator on the family's d dimensions.  A
     relation that fails between them becomes a report entry, not an exception.
     """
-    sigma, r, t = (_operator(rep, name) for name in ("parity", "time_reversal", "total_inversion"))
+    row, twice_j, eps_r, eps_t, sigma, r, t = _checked(rep, "parity", "time_reversal",
+                                                       "total_inversion")
     checks = []
     for name, a, sign in (("parity_squared", sigma, 1),
-                          ("time_reversal_squared", r, rep.reversal_sign),
-                          ("total_inversion_squared", t, rep.inversion_sign)):
+                          ("time_reversal_squared", r, eps_r),
+                          ("total_inversion_squared", t, eps_t)):
         s = _square_scalar(a)
         checks.append(RelationCheck(name, s == sign, f"{sign:+d} * I", f"{s} * I"))
 
@@ -279,7 +283,7 @@ def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
         "parity_reversal_commute_up_to_sign", comm_sign is not None,
         "Sigma o R == +/- R o Sigma", f"sign {comm_sign}"))
 
-    return RelationReport(rep.row, rep.twice_j, tuple(checks), comm_sign)
+    return RelationReport(row, twice_j, tuple(checks), comm_sign)
 
 
 class IdentityCheck(Record):
@@ -383,7 +387,7 @@ def check_conjugation_identities(rep: RepresentationTriple,
     summed by ``math.fsum``, correctly rounded on every Python: no check loads numpy.
     """
     e_min, e_max = energy_window(pole)
-    flip = _angular_momentum_flip(_operator(rep, "time_reversal"), rep.twice_j)
+    row, twice_j, _, _, r = _checked(rep, "time_reversal")
     p = linspace_points(-10.0, 10.0, _MOMENTUM_POINTS, range(_MOMENTUM_POINTS))
     psi = [complex(math.exp(-((x - 2.0) * (x - 2.0)) / 2.0)) for x in p]
     psi_rev = reversed_wavefunction(psi)
@@ -391,7 +395,7 @@ def check_conjugation_identities(rep: RepresentationTriple,
     s = [resonance_s_matrix(pole, e)
          for e in linspace_points(e_min, e_max, _ENERGY_POINTS, range(_ENERGY_POINTS))]
     identities = (  # (name, deviation, tolerance), each passing at deviation <= tolerance
-        ("angular_momentum_flip", flip, 1e-12),
+        ("angular_momentum_flip", _angular_momentum_flip(r, twice_j), 1e-12),
         ("momentum_expectation_flip",
          abs(_grid_expectation(p, psi_rev) + _grid_expectation(p, psi)), 1e-10),
         ("kinetic_energy_invariance",
@@ -400,4 +404,4 @@ def check_conjugation_identities(rep: RepresentationTriple,
         ("s_matrix_reciprocity", max(abs(z.conjugate() - 1.0 / z) for z in s), 1e-12),
     )
     entries = tuple(IdentityCheck(name, dev <= tol, dev, tol) for name, dev, tol in identities)
-    return ConjugationReport(rep.row, rep.twice_j, entries)
+    return ConjugationReport(row, twice_j, entries)

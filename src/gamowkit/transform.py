@@ -56,8 +56,8 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
     RepresentationTriple, that has a field out of range, or whose time reversal
     is of another dimension or squares to no multiple of I, raises ValueError.
     """
-    from .symmetry import _operator, _square_scalar
-    r = _operator(rep, "time_reversal")  # checks rep before it is read
+    from .symmetry import _checked, _square_scalar
+    *_, r = _checked(rep, "time_reversal")  # checks rep before it is read
     if not rep.doubled:
         raise ValueError(
             f"rep must be a doubled family, got family {rep.row}: r=1 content produced by "

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 import gamowkit
 from gamowkit import (Arrow, DomainViolationError, Kind, ResonancePole, ResultTable, Scenario,
                       derive_table, evolution_table, lineshape, run_decay)
-from gamowkit.cli import ARROWS, KINDS, main
+from gamowkit.cli import (ARROWS, KINDS, _attach_negative_values, _commands, _read, build_parser,
+                          main)
 from gamowkit.core import TimeHalf, canonical_time_domain
 from gamowkit.grid import _BLOCK_ROWS
 from gamowkit.scenarios import MAX_GRID_STEPS
@@ -657,3 +660,81 @@ class TestExitCodes:
             proc.stdout.close()
             err = proc.stderr.read()
         assert (proc.returncode, err) == (141, b"")
+
+
+COMMANDS = tuple(_commands())
+FLAGS = sorted({option[0] for _, _, options in _commands().values() for option in options})
+# Values of every kind a flag meets: valid ints, floats and choices, bad ones, and ones that
+# look like flags.  No "nan": the reader and argparse give equal namespaces but nan != nan.
+VALUES = ["0", "1", "3", "4", "5", "11", "0.5", "1e3", " 7", "1_0", "inf", "1e400", "-1", "-1000",
+          "-1e3", "-.5", "-inf", "x", "1.5x", "", "-", "--", "-h", "--help", "--steps", "prep",
+          "exc", "grow", "decay", "json", "csv", "text", "5a", "5b", "4a", "a=b", "out.csv"]
+# Values each flag takes, by its choices, else its type.
+BY_TYPE = {int: ["0", "3", "11", "-2"], float: ["0.5", "1e3", "-1.5", "inf"], None: ["a.txt"]}
+GOOD = {flag: [str(c) for c in choices] if choices else BY_TYPE[type]
+        for _, _, options in _commands().values() for flag, _, _, type, choices in options}
+
+
+@st.composite
+def command_lines(draw):
+    """A command (now and then none), then mostly exact flags with good values, and tokens
+    of every other shape: abbreviated, unknown and other commands' flags, flags repeated or
+    alone, bad values, and stray values."""
+    command = draw(st.sampled_from(COMMANDS * 4 + ("warp", "--help", "-h", "")))
+    own = [option[0] for option in _commands()[command][2]] if command in COMMANDS else FLAGS
+    good = st.sampled_from(own).flatmap(lambda f: st.sampled_from(GOOD[f]).flatmap(
+        lambda v: st.sampled_from([[f, v], [f"{f}={v}"]])))
+    flag = st.one_of(st.sampled_from(own), st.sampled_from(FLAGS),
+                     st.sampled_from(own).flatmap(
+                         lambda f: st.integers(3, len(f) - 1).map(lambda n: f[:n])),
+                     st.sampled_from(["--nope", "--twice_j", "-s", "-h", "--help", "--", "x"]))
+    other = st.tuples(flag, st.sampled_from(VALUES)).flatmap(lambda fv: st.sampled_from(
+        [[fv[0], fv[1]], [f"{fv[0]}={fv[1]}"], [fv[0]], [fv[1]]]))
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        argv += draw(st.one_of(good, good, good, good, other))
+    return argv
+
+
+def _argparse(argv):
+    """``build_parser().parse_args(argv)``, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+class TestDirectReader:
+    """A well-formed command line is read from the command table without argparse; the
+    namespace is argparse's, key for key, in argparse's order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=command_lines())
+    @example(argv=["decay", "--ste", "5"])
+    @example(argv=["decay", "--out=--"])
+    @example(argv=["decay", "--out", "-"])
+    @example(argv=["decay", "--steps"])
+    @example(argv=["table", "--format=json", "--format", "text", "--arrow", "exc"])
+    @example(argv=["rep-check", "--row", "5", "--twice-j", "0"])
+    @example(argv=["evolve", "--kind", "grow", "--tmin", "-1e3", "--tmax", "0", "--steps", "3"])
+    def test_reads_what_argparse_reads_or_declines(self, argv):
+        argv = _attach_negative_values(argv)
+        read, parsed = _read(argv), _argparse(argv)
+        if read is not None:  # so argparse accepts argv, and gives the same namespace
+            assert parsed is not None
+            assert list(vars(read).items()) == list(vars(parsed).items())
+            assert [type(v) for v in vars(read).values()] == [
+                type(v) for v in vars(parsed).values()]
+
+    @pytest.mark.parametrize("argv", [
+        ("decay", "--steps", "11", "--steps=3"),
+        ("evolve", "--kind", "grow", "--tmin=-1", "--tmax", "0", "--format", "json"),
+        ("lineshape", "--er", "2", "--gamma", "0.5", "--emin", "0", "--out", "shape.csv"),
+        ("table", "--arrow", "exc", "--format", "text"),
+        ("cross-id", "--branch", "5b", "--config", "cli.cfg"),
+        ("rep-check", "--row", "4", "--twice-j", "127", "--gamma", "1e-3"),
+    ])
+    def test_well_formed_lines_are_read_directly(self, argv):
+        read = _read(list(argv))
+        assert read is not None and list(vars(read).items()) == list(vars(_argparse(argv)).items())

@@ -92,6 +92,36 @@ def test_command_loads_its_own_modules(tmp_path, argv, code, modules):
         code, modules)
 
 
+# As _CHILD, but prints the exit code and whether argparse was imported.
+_ARGPARSE_CHILD = _CHILD.replace('*sorted(m for m in sys.modules if m.startswith("gamowkit."))',
+                                 '"argparse" in sys.modules')
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (("decay", "--steps", "11"), 0, False),
+    (("evolve", "--kind", "grow", "--format", "json", "--out", "{out}"), 0, False),
+    (("lineshape", "--steps", "11"), 0, False),
+    (("table", "--arrow", "exc", "--format", "text"), 0, False),
+    (("cross-id", "--branch", "5a"), 0, False),
+    (("rep-check", "--row", "4", "--twice-j", "3"), 0, False),
+    (("decay", "--config", "{good}"), 0, False),
+    (("decay", "--tmin", "-1", "--tmax", "1", "--steps", "3"), 2, False),  # crosses t = 0
+    (("evolve", "--steps", "1", "--format", "json"), 2, False),
+    (("table", "--config", "{bad}"), 2, False),  # an unknown config key
+    (("--help",), 0, True),
+    (("decay", "--help"), 0, True),
+    (("decay", "--ste", "5"), 0, True),  # an abbreviation: argparse reads it
+    (("rep-check", "--row", "5", "--twice-j", "0"), 2, True),  # not a row: argparse rejects it
+    ((), 2, True),
+])
+def test_well_formed_command_lines_do_not_load_argparse(tmp_path, argv, code, loaded):
+    (tmp_path / "good.cfg").write_text("steps = 5\ntmax = 4\n")
+    (tmp_path / "bad.cfg").write_text("colour = red\n")
+    argv = [a.format(good=tmp_path / "good.cfg", bad=tmp_path / "bad.cfg", out=tmp_path / "o.json")
+            for a in argv]
+    assert _fresh("-c", _ARGPARSE_CHILD, *argv).split() == [str(code), str(loaded)]
+
+
 def test_every_export_in_order():
     names = _fresh("-c", "import gamowkit; print(*gamowkit.__all__)").split()
     assert names == EXPORTS and len(names) == 33

@@ -667,6 +667,18 @@ def test_hand_built_fields_checked_before_they_are_read(call, fields, message):
             call(rep)
 
 
+@pytest.mark.parametrize("call, fields", [
+    (verify_group_relations, {"row": np.int64(2), "twice_j": np.int64(3)}),
+    (check_conjugation_identities, {"row": np.int64(2), "twice_j": np.int64(3)}),
+    (verify_group_relations, {"reversal_sign": np.int64(build_representation(2, 3).reversal_sign)}),
+], ids=["relations-numpy-row-and-twice-j", "conjugation-numpy-row-and-twice-j",
+        "relations-numpy-sign"])
+def test_hand_built_numpy_ints_report_as_python_ints(call, fields):
+    rep = build_representation(2, 3)
+    report = call(RepresentationTriple(**{**vars(rep), **fields})).to_dict()
+    assert json.dumps(report) == json.dumps(call(rep).to_dict())
+
+
 def spin_matrices(twice_j):
     """Dense (J_x, J_y, J_z) for spin j = twice_j / 2, by the ladder construction in
     the ascending m basis: J_z = diag(-j, ..., +j), <m+1|J_+|m> = sqrt(j(j+1) - m(m+1))."""
