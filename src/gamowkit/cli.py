@@ -57,15 +57,18 @@ _OUTPUT_OPTIONS = (("--out", "output file (default standard output)", None, None
 
 def _parse_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not (sep and key):
+                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                values[key.strip().replace("-", "_")] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return values
 
 

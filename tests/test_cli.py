@@ -426,11 +426,17 @@ class TestOutputAndConfig:
         assert invoke(capsys, "decay", "--config", str(config)) == (
             2, "", "error: option 'kind' must be one of ['decay', 'grow'], got 'sideways'\n")
 
-    def test_malformed_config_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        (b"steps 5\n", "{path}:1: expected key=value, got 'steps 5'"),
+        (b"=5\n", "{path}:1: expected key=value, got '=5'"),
+        (b"steps = 5\n\xff\n",
+         "{path}: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+    ], ids=["no-equals", "no-key", "not-utf-8"])
+    def test_malformed_config_line(self, tmp_path, capsys, text, message):
         config = tmp_path / "bad.cfg"
-        config.write_text("steps 5\n")
-        code, _, err = invoke(capsys, "decay", "--config", str(config))
-        assert code == 2 and "key=value" in err
+        config.write_bytes(text)
+        assert invoke(capsys, "decay", "--config", str(config)) == (
+            2, "", f"error: {message.format(path=config)}\n")
 
     def test_missing_config_file(self, capsys):
         code, _, err = invoke(capsys, "decay", "--config", "/nonexistent/x.cfg")

@@ -1,33 +1,52 @@
-"""Start-up loads only what runs: ``import gamowkit`` loads no module of the
-package, and each CLI command, with its help and its rejected inputs, loads
-only the modules it uses, in a fresh interpreter each.  The package still
-exports every name: the first lookup of one loads all five modules."""
+"""What each run loads, in a fresh interpreter each.  Every CLI command, its
+help and its rejected inputs load only the modules of the package that they
+use, ``argparse`` only for help and input that argparse reads, and never
+numpy, ``typing`` or ``dataclasses`` (nor the ``inspect``, ``ast``, ``dis`` and
+``tokenize`` it brings).  ``import gamowkit`` loads no module of the package,
+each import loads what is asked for, and numpy loads on the first numeric call
+on an array.  The package still exports every name: the first lookup of one
+loads every module but ``cli``."""
 
+import json
 import os
 import subprocess
 import sys
 
+import numpy
 import pytest
 
 import gamowkit
+import gamowkit.core
 
-# Runs gamowkit.cli.main on its arguments with output swallowed, then prints
-# the exit code and the package's modules that were imported.
-_CHILD = """
-import contextlib, io, sys
-from gamowkit.cli import main
+# The modules that `import dataclasses` loads, which no run needs.
+_RECORD_MACHINERY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# Runs gamowkit.cli.main on its arguments, or execs the statement after --exec, with
+# output swallowed; then prints, as JSON, the exit code (None for a statement), the
+# package's modules and which of numpy, argparse, typing and _RECORD_MACHINERY are loaded.
+_CHILD = f"""
+import contextlib, io, json, sys
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        code = main(sys.argv[1:])
+        if sys.argv[1:2] == ["--exec"]:
+            code = exec(sys.argv[2])
+        else:
+            from gamowkit.cli import main
+            code = main(sys.argv[1:])
     except SystemExit as exc:  # --help and argparse's rejections
         code = exc.code
-print(code, *sorted(m for m in sys.modules if m.startswith("gamowkit.")))
+package = [m.removeprefix("gamowkit.") for m in sys.modules if m.startswith("gamowkit.")]
+watched = [m for m in ("numpy", "argparse", "typing", *{_RECORD_MACHINERY}) if m in sys.modules]
+print(json.dumps([code, package, watched]))
 """
 
 PARSER = {"cli", "core"}
 GRID = PARSER | {"evolution", "grid", "scenarios"}
 LABELS = PARSER | {"evolution", "transform"}
 SPIN = PARSER | {"grid", "symmetry"}
+LIBRARY = {"core", "evolution", "grid", "scenarios", "symmetry", "transform"}
+COMMANDS = ("table", "cross-id", "rep-check", "decay", "evolve", "lineshape")
+CONFIGS = {"good": b"steps = 5\ntmax = 4\n", "unknown": b"volume=11\n", "no-equals": b"steps 5\n",
+           "no-key": b"=5\n", "not-utf-8": b"steps = 5\n\xff\n"}  # and no file "missing"
 
 EXPORTS = [
     "Arrow", "GamowState", "HalfPlane", "Kind", "Orientation", "ResonancePole", "Role",
@@ -42,84 +61,96 @@ EXPORTS = [
 
 
 def _fresh(*args) -> str:
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gamowkit.__file__)))
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          check=True)
+    """The output of a fresh interpreter run on ``args``, which imports the package from its
+    source and can import numpy, also under ``-S``."""
+    path = os.pathsep.join(os.path.dirname(os.path.dirname(m.__file__)) for m in (gamowkit, numpy))
+    proc = subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
     return proc.stdout.strip()
 
 
-def _loaded(code: str) -> set[str]:
-    """The package's modules imported by ``code`` in a fresh interpreter."""
-    printed = _fresh("-c", f"{code}; import sys; print(*(m for m in sys.modules "
-                           f"if m.startswith('gamowkit.')))")
-    return {name.removeprefix("gamowkit.") for name in printed.split()}
-
-
-@pytest.mark.parametrize("code, modules", [
-    ("import gamowkit; gamowkit.__version__", set()),
-    ("import gamowkit; gamowkit.core", {"core"}),
-    ("import gamowkit.evolution", {"core", "evolution"}),
-    ("from gamowkit import transform", {"core", "evolution", "transform"}),
-    ("from gamowkit import cli", {"cli", "core"}),
-    ("import gamowkit; gamowkit.Arrow", {"core", "evolution", "grid", "scenarios", "symmetry",
-                                         "transform"}),
-], ids=["import", "core", "evolution", "from-import", "cli", "export"])
-def test_library_loads_what_is_asked_for(code, modules):
-    assert _loaded(code) == modules
-
-
-@pytest.mark.parametrize("argv, code, modules", [
-    (("--help",), 0, PARSER),
-    (("rep-check", "--help"), 0, PARSER),
-    (("decay", "--config", "{config}"), 2, PARSER),  # an unknown config key
-    (("rep-check", "--row", "5", "--twice-j", "0"), 2, PARSER),  # not a row: argparse
-    (("decay", "--steps", "11"), 0, GRID),
-    (("evolve", "--kind", "grow", "--format", "json", "--out", "{out}"), 0, GRID),
-    (("lineshape", "--steps", "11"), 0, GRID),
-    (("decay", "--tmin", "-1", "--tmax", "1", "--steps", "3"), 2, GRID),  # crosses t = 0
-    (("table", "--arrow", "exc", "--format", "text"), 0, LABELS),
-    (("cross-id", "--branch", "5a"), 0, LABELS),
-    (("cross-id",), 2, LABELS),
-    (("rep-check", "--row", "4", "--twice-j", "3"), 0, SPIN),
-    (("rep-check", "--row", "4", "--twice-j", "65536"), 2, SPIN),
+@pytest.mark.parametrize("argv, exit_code, modules, loads_argparse", [
+    *[(("table", "--arrow", arrow, "--format", fmt), 0, LABELS, False)
+      for arrow in ("prep", "exc") for fmt in ("json", "text")],
+    *[(("cross-id", "--branch", branch), 0, LABELS, False) for branch in ("5a", "5b")],
+    *[(("rep-check", "--row", row, "--twice-j", twice_j), 0, SPIN, False)
+      for row in ("1", "2", "3", "4") for twice_j in ("0", "1", "255")],
+    (("rep-check", "--row", "4", "--twice-j", "7"), 0, SPIN, False),
+    *[((*argv, "--format", fmt, *out), 0, GRID, False)
+      for argv in (("decay", "--steps", "1100"),  # many blocks
+                   ("evolve", "--kind", "grow", "--arrow", "exc", "--regime", "1",
+                    "--steps", "1100"),
+                   ("lineshape", "--steps", "1100"))
+      for fmt in ("csv", "json") for out in ((), ("--out", "{tmp}/grid.out"))],
+    *[((command, "--config", "{tmp}/good.cfg"), 0, GRID, False) for command in ("decay", "evolve")],
+    (("--help",), 0, PARSER, True),
+    *[((command, "--help"), 0, PARSER, True) for command in COMMANDS],
+    *[((command, "--ste", "5"), 0, GRID, True) for command in ("decay", "evolve", "lineshape")],
+    *[(argv, 0, LABELS, True) for argv in (("table", "--arr", "exc"), ("cross-id", "--bra", "5a"))],
+    (("rep-check", "--ro", "1", "--twice-j", "0"), 0, SPIN, True),  # argparse reads abbreviations
+    (("rep-check", "--row", "5", "--twice-j", "0"), 2, PARSER, True),  # not a row
+    ((), 2, PARSER, True),
+    (("nope",), 2, PARSER, True),
+    *[((command, "--bogus", "1"), 2, PARSER, True) for command in COMMANDS],
+    (("decay", "--steps", "x"), 2, PARSER, True),
+    (("table", "--arrow", "sideways"), 2, PARSER, True),
+    *[(("decay", "--config", f"{{tmp}}/{name}.cfg"), 2, PARSER, False)
+      for name in ("unknown", "no-equals", "no-key", "not-utf-8", "missing")],
+    (("rep-check", "--config", "{tmp}/good.cfg"), 2, PARSER, False),  # keys it does not take
+    (("table", "--config", "{tmp}/unknown.cfg"), 2, PARSER, False),
+    (("cross-id",), 2, LABELS, False),
+    (("decay", "--steps", "1"), 2, GRID, False),
+    (("evolve", "--steps", "1", "--format", "json"), 2, GRID, False),
+    (("decay", "--tmin", "-1", "--tmax", "1", "--steps", "3"), 2, GRID, False),  # crosses t = 0
+    (("decay", "--kind", "grow", "--tmin", "-1", "--tmax", "2", "--steps", "4"), 2, GRID, False),
+    (("decay", "--kind", "grow", "--tmin=-1.5e-323", "--tmax", "0", "--steps", "6"), 2, GRID,
+     False),
+    (("evolve", "--er", "1e300", "--tmax", "1e10", "--steps", "3"), 2, GRID, False),  # E_R * t
+    (("evolve", "--kind", "grow", "--er", "1e300", "--tmin=-1e10", "--steps", "3"), 2, GRID,
+     False),
+    (("lineshape", "--gamma", "1e-160", "--emin", "0", "--emax", "2"), 2, GRID, False),
+    (("rep-check", "--row", "4", "--twice-j", "65536"), 2, SPIN, False),
+    (("rep-check", "--row", "1", "--twice-j", "0", "--gamma", "1e307"), 2, SPIN, False),
 ])
-def test_command_loads_its_own_modules(tmp_path, argv, code, modules):
-    config = tmp_path / "bad.cfg"
-    config.write_text("volume=11\n")
-    argv = [a.format(config=config, out=tmp_path / "grid.out") for a in argv]
-    printed = _fresh("-c", _CHILD, *argv).split()
-    assert (int(printed[0]), {name.removeprefix("gamowkit.") for name in printed[1:]}) == (
-        code, modules)
+def test_command_loads_its_own_modules(tmp_path, argv, exit_code, modules, loads_argparse):
+    # -S: no .pth file of site-packages imports typing before the command runs
+    for name, text in CONFIGS.items():
+        (tmp_path / f"{name}.cfg").write_bytes(text)
+    code, package, watched = json.loads(_fresh("-S", "-c", _CHILD,
+                                               *(a.format(tmp=tmp_path) for a in argv)))
+    assert (code, set(package), set(watched)) == (
+        exit_code, modules, {"argparse"} if loads_argparse else set())
 
 
-# As _CHILD, but prints the exit code and whether argparse was imported.
-_ARGPARSE_CHILD = _CHILD.replace('*sorted(m for m in sys.modules if m.startswith("gamowkit."))',
-                                 '"argparse" in sys.modules')
+_POLE = "gamowkit.ResonancePole(1.0, 0.2)"
 
 
-@pytest.mark.parametrize("argv, code, loaded", [
-    (("decay", "--steps", "11"), 0, False),
-    (("evolve", "--kind", "grow", "--format", "json", "--out", "{out}"), 0, False),
-    (("lineshape", "--steps", "11"), 0, False),
-    (("table", "--arrow", "exc", "--format", "text"), 0, False),
-    (("cross-id", "--branch", "5a"), 0, False),
-    (("rep-check", "--row", "4", "--twice-j", "3"), 0, False),
-    (("decay", "--config", "{good}"), 0, False),
-    (("decay", "--tmin", "-1", "--tmax", "1", "--steps", "3"), 2, False),  # crosses t = 0
-    (("evolve", "--steps", "1", "--format", "json"), 2, False),
-    (("table", "--config", "{bad}"), 2, False),  # an unknown config key
-    (("--help",), 0, True),
-    (("decay", "--help"), 0, True),
-    (("decay", "--ste", "5"), 0, True),  # an abbreviation: argparse reads it
-    (("rep-check", "--row", "5", "--twice-j", "0"), 2, True),  # not a row: argparse rejects it
-    ((), 2, True),
-])
-def test_well_formed_command_lines_do_not_load_argparse(tmp_path, argv, code, loaded):
-    (tmp_path / "good.cfg").write_text("steps = 5\ntmax = 4\n")
-    (tmp_path / "bad.cfg").write_text("colour = red\n")
-    argv = [a.format(good=tmp_path / "good.cfg", bad=tmp_path / "bad.cfg", out=tmp_path / "o.json")
-            for a in argv]
-    assert _fresh("-c", _ARGPARSE_CHILD, *argv).split() == [str(code), str(loaded)]
+@pytest.mark.parametrize("statement, modules, loads_numpy", [
+    ("import gamowkit; gamowkit.__version__", set(), False),
+    ("import gamowkit; gamowkit.core", {"core"}, False),
+    ("import gamowkit.evolution", {"core", "evolution"}, False),
+    ("import gamowkit.grid", {"grid"}, False),
+    ("import gamowkit.scenarios", {"core", "evolution", "grid", "scenarios"}, False),
+    ("import gamowkit.symmetry", {"core", "grid", "symmetry"}, False),
+    ("from gamowkit import transform", {"core", "evolution", "transform"}, False),
+    ("from gamowkit import cli", PARSER, False),
+    ("import gamowkit; gamowkit.Arrow", LIBRARY, False),
+    (f"import gamowkit; gamowkit.resonance_s_matrix({_POLE}, 1.0)", LIBRARY, False),
+    (f"import gamowkit; gamowkit.resonance_s_matrix({_POLE}, [1.0])", LIBRARY, True),
+    (f"import gamowkit; gamowkit.Scenario({_POLE}, gamowkit.Arrow.PREPARATION_REGISTRATION,"
+     " gamowkit.Kind.DECAYING, 0, 0.0, 10.0, 1100).checked_times()", LIBRARY, False),
+], ids=["import", "core", "evolution", "grid", "scenarios", "symmetry", "transform", "cli",
+        "export", "float", "list", "scenario-check"])
+def test_library_loads_what_is_asked_for(statement, modules, loads_numpy):
+    code, package, watched = json.loads(_fresh("-c", _CHILD, "--exec", statement))
+    assert (code, set(package), "numpy" in watched) == (None, modules, loads_numpy)
+    if not loads_numpy:  # numpy itself loads inspect, ast, dis and tokenize
+        assert not set(watched) & set(_RECORD_MACHINERY)
+
+
+def test_lazy_numpy_is_numpy():
+    assert gamowkit.core.np.linspace is numpy.linspace
+    assert gamowkit.core.np.float64 is numpy.float64
 
 
 def test_every_export_in_order():
