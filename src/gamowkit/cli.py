@@ -58,7 +58,7 @@ _OUTPUT_OPTIONS = (("--out", "output file (default standard output)", None, None
 def _parse_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -82,7 +82,7 @@ def _resolve(args: argparse.Namespace) -> None:
 
     Unknown config keys fail first; then each config value is converted and
     checked as its flag would be, so no command sees an unchecked option."""
-    config = _parse_config(args.config) if isinstance(args.config, str) and args.config else {}
+    config = _parse_config(args.config) if isinstance(args.config, str) else {}
     unknown = set(config) - (set(vars(args)) - {"command", "config", "handler"})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -233,10 +233,10 @@ def _cmd_table(opts: argparse.Namespace):
 
 
 def _cmd_rep_check(opts: argparse.Namespace):
-    from .symmetry import build_representation, check_conjugation_identities, verify_group_relations
     row, twice_j = opts.row, opts.twice_j
     if row is None or twice_j is None:
         raise ValueError("rep-check requires --row and --twice-j")
+    from .symmetry import build_representation, check_conjugation_identities, verify_group_relations
     pole = ResonancePole(opts.er, opts.gamma)
     rep = build_representation(row, twice_j)
     relations = verify_group_relations(rep)
@@ -252,9 +252,9 @@ def _cmd_rep_check(opts: argparse.Namespace):
 
 
 def _cmd_cross_id(opts: argparse.Namespace):
-    from .transform import cross_identify
     if opts.branch is None:
         raise ValueError("cross-id requires --branch 5a or --branch 5b")
+    from .transform import cross_identify
     return json.dumps(cross_identify(opts.branch).to_dict(), indent=2), "\n"
 
 
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     try:
         _resolve(args)
         output = args.handler(args)  # strings, a grid's lazily, a block at a time
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(output)
         else:

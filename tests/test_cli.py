@@ -31,6 +31,120 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+NO_INVERSE = "; semigroup evolution has no inverse across t=0"
+TOO_NARROW = "is too narrow for the default window E_R +- 25*Gamma around --er"
+# Every command line that the CLI itself rejects, as (argv, config-file bytes or None, message).
+# "{cfg}" stands for the row's config file, which exists only where the row gives its bytes.
+REJECTED = [
+    # a grid outside its branch's half-domain names its first point outside, in grid order
+    ("decay --tmin -1 --tmax 1 --steps 3", None,
+     "t=-1.0 lies outside the t>=0 half-domain of branch 4b" + NO_INVERSE),
+    ("decay --tmin=-1 --tmax 1 --steps 3", None,
+     "t=-1.0 lies outside the t>=0 half-domain of branch 4b" + NO_INVERSE),
+    ("decay --kind grow --tmin=-1 --tmax 2 --steps 4", None,
+     "t=1.0 lies outside the t<=0 half-domain of branch 4a" + NO_INVERSE),
+    ("evolve --kind grow --tmin=-3 --tmax 0.5 --steps 1100", None,
+     "t=0.0031847133757962887 lies outside the t<=0 half-domain of branch 4a" + NO_INVERSE),
+    # the half-domain over the whole grid before the phase, whose E_R * t overflows at -1e10
+    ("evolve --er 1e300 --kind grow --tmin=-1e10 --tmax 1 --steps 1100", None,
+     "t=1.0 lies outside the t<=0 half-domain of branch 4a" + NO_INVERSE),
+    ("evolve --arrow exc --kind decay --regime 1 --tmin=-1e-320 --tmax 5 --steps 1100", None,
+     "t=-1e-320 lies outside the t>=0 half-domain of branch 13" + NO_INVERSE),
+    # a subnormal step overshoots t_max = 0 inside the grid, as np.linspace does
+    ("decay --kind grow --tmin=-1.5e-323 --tmax 0 --steps 6", None,
+     "t=5e-324 lies outside the t<=0 half-domain of branch 4a" + NO_INVERSE),
+    ("decay --gamma -0.5", None, "resonance width must be positive, got -0.5"),
+    ("decay --gamma inf", None, "resonance width must be finite, got inf"),
+    ("decay --er nan", None, "resonance energy must be finite, got nan"),
+    ("decay --tmax inf", None, "t_max must be finite, got inf"),
+    ("evolve --kind grow --tmin nan", None, "t_min must be finite, got nan"),
+    ("evolve --kind grow --tmax 0 --steps 3 --tmin -inf", None, "t_min must be finite, got -inf"),
+    ("lineshape --emin=-inf --emax=inf", None, "emin must be finite, got -inf"),
+    ("lineshape --emax nan", None, "emax must be finite, got nan"),
+    # finite bounds whose span overflows float64 are caught before the grid is built
+    ("lineshape --emin=-1e308 --emax=1e308 --steps 3", None, "emax - emin must be finite, got inf"),
+    ("decay --tmin=-1e308 --tmax=1e308 --steps 3", None, "t_max - t_min must be finite, got inf"),
+    ("decay --er=1e300 --tmax 1e10 --steps 5", None, "E_R * t must be finite, got inf"),
+    ("decay --er=-1e300 --tmax 1e10 --steps 5", None, "E_R * t must be finite, got -inf"),
+    ("evolve --er=1e300 --tmax 1e10 --steps 5", None, "E_R * t must be finite, got inf"),
+    ("evolve --er=-1e300 --tmax 1e10 --steps 5", None, "E_R * t must be finite, got -inf"),
+    ("decay --steps 1", None, "a scenario grid needs at least 2 steps, got 1"),
+    ("lineshape --steps 1", None, "lineshape grid needs at least 2 steps, got 1"),
+    # only cap + 1 is run: the check comes before anything is allocated
+    (f"decay --steps {MAX_GRID_STEPS + 1}", None,
+     f"a scenario grid allows at most {MAX_GRID_STEPS} steps, got {MAX_GRID_STEPS + 1}"),
+    (f"lineshape --steps {MAX_GRID_STEPS + 1}", None,
+     f"lineshape grid allows at most {MAX_GRID_STEPS} steps, got {MAX_GRID_STEPS + 1}"),
+    (f"rep-check --row 4 --twice-j {MAX_TWICE_J + 1}", None,
+     f"twice_j must be at most {MAX_TWICE_J}, got {MAX_TWICE_J + 1}"),
+    ("lineshape --emin 2 --emax 1", None, "emax=1.0 must exceed emin=2.0"),
+    ("lineshape --gamma 1e-20 --emin 1 --emax 1", None, "emax=1.0 must exceed emin=1.0"),
+    # a bound left to its default needs the whole default window
+    ("lineshape --gamma 1e307", None, "energy window E_R +- 25*Gamma must be finite, got -inf"),
+    ("lineshape --gamma 1e307 --emin 0", None,
+     "energy window E_R +- 25*Gamma must be finite, got -inf"),
+    ("lineshape --gamma 7e306 --steps 3", None, "energy window span must be finite, got inf"),
+    ("lineshape --gamma 1e-20", None, f"--gamma 1e-20 {TOO_NARROW} 1.0: it rounds to the single "
+     "energy 1.0; give --emin and --emax"),
+    ("lineshape --gamma 1e-200 --emin 2", None, f"--gamma 1e-200 {TOO_NARROW} 1.0: it rounds to "
+     "the single energy 1.0; give --emin and --emax"),
+    ("lineshape --er 1e20", None, f"--gamma 0.2 {TOO_NARROW} 1e+20: it rounds to the single energy "
+     "1e+20; give --emin and --emax"),
+    ("lineshape --gamma 1e-200 --emin 0 --emax 2 --steps 3", None, "resonance width 1e-200 is too "
+     "small for a lineshape: (Gamma/2)^2 is below the smallest normal double"),
+    ("lineshape --gamma 5e-324 --emin 0 --emax 2 --steps 3", None,
+     "resonance width 5e-324 is too small: Gamma/2 rounds to 0"),
+    ("rep-check --row 1 --twice-j 0 --gamma 5e-324", None,
+     "resonance width 5e-324 is too small: Gamma/2 rounds to 0"),
+    ("rep-check --row 1 --twice-j 0 --gamma 1e307", None,
+     "energy window E_R +- 25*Gamma must be finite, got -inf"),
+    ("rep-check --row 1 --twice-j 0 --gamma 7e306", None,
+     "energy window span must be finite, got inf"),
+    ("rep-check --row 2", None, "rep-check requires --row and --twice-j"),
+    ("cross-id", None, "cross-id requires --branch 5a or --branch 5b"),
+    ("decay --config {cfg}", b"volume=11\n", "unknown config keys: volume"),
+    ("decay --config {cfg}", b"steps=plenty\n", "invalid value 'plenty' for option 'steps'"),
+    ("decay --config {cfg}", b"kind = sideways\n",
+     "option 'kind' must be one of ['decay', 'grow'], got 'sideways'"),
+    ("table --config {cfg}", b"format = csv\n",
+     "option 'format' must be one of ['json', 'text'], got 'csv'"),
+    ("rep-check --config {cfg}", b"row = 5\n", "option 'row' must be one of [1, 2, 3, 4], got 5"),
+    ("evolve --config {cfg}", b"regime = 2\n", "option 'regime' must be one of [0, 1], got 2"),
+    ("cross-id --config {cfg}", b"branch = 4a\n",
+     "option 'branch' must be one of ['5a', '5b'], got '4a'"),
+    ("lineshape --config {cfg}", b"emin = low\n", "invalid value 'low' for option 'emin'"),
+    # a config value is checked before the missing --row or --branch, and before a bad flag value
+    ("rep-check --config {cfg}", b"format = csv\n",
+     "option 'format' must be one of ['json'], got 'csv'"),
+    ("cross-id --config {cfg}", b"format = csv\n",
+     "option 'format' must be one of ['json'], got 'csv'"),
+    ("decay --gamma -1 --config {cfg}", b"steps=plenty\n",
+     "invalid value 'plenty' for option 'steps'"),
+    ("decay --config {cfg}", b"steps 5\n", "{cfg}:1: expected key=value, got 'steps 5'"),
+    ("decay --config {cfg}", b"=5\n", "{cfg}:1: expected key=value, got '=5'"),
+    ("decay --config {cfg}", b"steps = 5\n\xff\n",
+     "{cfg}: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+    ("decay --config {cfg}", None, "[Errno 2] No such file or directory: '{cfg}'"),
+    # an empty path is a path that cannot be opened, not a missing option
+    ("decay --config=", None, "[Errno 2] No such file or directory: ''"),
+    ("decay --steps 3 --out=", None, "[Errno 2] No such file or directory: ''"),
+]
+
+
+@pytest.mark.parametrize("argv, config, message", REJECTED, ids=[row[0] for row in REJECTED])
+def test_rejected_command_line(tmp_path, capsys, argv, config, message):
+    # exit 2 with exactly one error line, to stdout and to --out alike; a warning fails the
+    # run too (filterwarnings = error in pyproject.toml)
+    path, target = tmp_path / "run.cfg", tmp_path / "out.txt"
+    if config is not None:
+        path.write_bytes(config)
+    argv = [token.replace("{cfg}", str(path)) for token in argv.split()]
+    sets_out = any(token.startswith("--out") for token in argv)
+    for run in [argv] if sets_out else [argv, [*argv, "--out", str(target)]]:
+        assert invoke(capsys, *run) == (2, "", f"error: {message.replace('{cfg}', str(path))}\n")
+        assert not target.exists()
+
+
 class TestDecayCommand:
     def test_csv_matches_library(self, capsys):
         code, out, err = invoke(capsys, "decay", "--er", "1", "--gamma", "0.2",
@@ -56,39 +170,6 @@ class TestDecayCommand:
         table = ResultTable.from_csv(out)
         assert table.rows[0][0] == -10.0 and table.rows[-1][0] == 0.0
 
-    def test_grid_outside_domain_is_validation_error(self, capsys):
-        code, out, err = invoke(capsys, "decay", "--tmin", "-1", "--tmax", "1",
-                                "--steps", "3")
-        assert code == 2 and "half-domain" in err and not out
-
-    def test_bad_width_is_validation_error(self, capsys):
-        code, _, err = invoke(capsys, "decay", "--gamma", "-0.5")
-        assert code == 2 and "width" in err
-
-    def test_single_step_grid_rejected(self, capsys):
-        code, _, err = invoke(capsys, "decay", "--steps", "1")
-        assert code == 2 and "steps" in err
-
-    @pytest.mark.parametrize("argv, message", [
-        (("decay", "--gamma", "inf"), "resonance width must be finite, got inf"),
-        (("decay", "--er", "nan"), "resonance energy must be finite, got nan"),
-        (("decay", "--tmax", "inf"), "t_max must be finite, got inf"),
-        (("evolve", "--kind", "grow", "--tmin", "nan"), "t_min must be finite, got nan"),
-        (("lineshape", "--emin=-inf", "--emax=inf"), "emin must be finite, got -inf"),
-        (("lineshape", "--emax", "nan"), "emax must be finite, got nan"),
-        # finite bounds whose span overflows float64 are caught before np.linspace
-        (("lineshape", "--emin=-1e308", "--emax=1e308", "--steps", "3"),
-         "emax - emin must be finite, got inf"),
-        (("decay", "--tmin=-1e308", "--tmax=1e308", "--steps", "3"),
-         "t_max - t_min must be finite, got inf"),
-    ])
-    def test_nonfinite_value_is_validation_error(self, capsys, argv, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the command
-            code, out, err = invoke(capsys, *argv)
-        assert code == 2 and not out
-        assert err == f"error: {message}\n"
-
 
 class TestOverflowingExponent:
     def test_decaying_modulus_underflows_to_zero_silently(self, capsys):
@@ -103,17 +184,6 @@ class TestOverflowingExponent:
                        "5000000000.0,0.0,0.0,-0.0\n"
                        "7500000000.0,0.0,0.0,0.0\n"
                        "10000000000.0,0.0,0.0,0.0\n")
-
-    @pytest.mark.parametrize("command", ["decay", "evolve"])
-    @pytest.mark.parametrize("energy", ["1e300", "-1e300"])
-    def test_overflowing_phase_is_validation_error(self, tmp_path, capsys, command, energy):
-        target = tmp_path / "out.csv"
-        argv = (command, f"--er={energy}", "--tmax", "1e10", "--steps", "5")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert invoke(capsys, *argv, "--out", str(target)) == (
-                2, "", f"error: E_R * t must be finite, got {energy.replace('1e300', 'inf')}\n")
-        assert not target.exists()
 
 
 class TestEvolveCommand:
@@ -134,10 +204,6 @@ class TestNegativeValueAfterSpace:
         spaced = invoke(capsys, *self.GROW, "--tmin", value)
         assert spaced == invoke(capsys, *self.GROW, f"--tmin={value}")
         assert spaced[0] == 0 and len(spaced[1].splitlines()) == 4
-
-    def test_nonfinite_value_is_validation_error(self, capsys):
-        assert invoke(capsys, *self.GROW, "--tmin", "-inf") == (
-            2, "", "error: t_min must be finite, got -inf\n")
 
     @pytest.mark.parametrize("argv, code, message", [
         (("--tmin", "--tmax", "0"), 2, "argument --tmin: expected one argument"),
@@ -171,59 +237,9 @@ class TestLineshapeCommand:
         assert code == 0
         assert len(json.loads(out)["rows"]) == 7
 
-    def test_degenerate_window_rejected(self, capsys):
-        code, _, err = invoke(capsys, "lineshape", "--emin", "2", "--emax", "1")
-        assert code == 2 and "emax" in err
-
-    def test_single_step_grid_rejected(self, capsys):
-        assert invoke(capsys, "lineshape", "--steps", "1") == (
-            2, "", "error: lineshape grid needs at least 2 steps, got 1\n")
-
-    @pytest.mark.parametrize("argv, message", [
-        (("--gamma", "1e307"), "energy window E_R +- 25*Gamma must be finite, got -inf"),
-        # a bound left to its default needs the whole default window
-        (("--gamma", "1e307", "--emin", "0"),
-         "energy window E_R +- 25*Gamma must be finite, got -inf"),
-        (("--gamma", "7e306", "--steps", "3"), "energy window span must be finite, got inf"),
-    ])
-    def test_overflowing_default_window_is_validation_error(self, tmp_path, capsys, argv, message):
-        target = tmp_path / "lineshape.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy overflow warning either
-            assert invoke(capsys, "lineshape", *argv, "--out", str(target)) == (
-                2, "", f"error: {message}\n")
-        assert not target.exists()
-
-    @pytest.mark.parametrize("to_file", [False, True])
-    def test_width_too_small_for_a_lineshape_is_validation_error(self, tmp_path, capsys, to_file):
-        target = tmp_path / "lineshape.csv"
-        argv = ("lineshape", "--gamma", "1e-200", "--emin", "0", "--emax", "2", "--steps", "3")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no divide-by-zero warning, and no inf in the output
-            assert invoke(capsys, *argv, *(("--out", str(target)) if to_file else ())) == (
-                2, "", "error: resonance width 1e-200 is too small for a lineshape: "
-                       "(Gamma/2)^2 is below the smallest normal double\n")
-        assert not target.exists()
-
-    @pytest.mark.parametrize("argv, window", [
-        (("--gamma", "1e-20"), "--gamma 1e-20 is too narrow for the default window E_R +- 25*Gamma "
-                               "around --er 1.0: it rounds to the single energy 1.0"),
-        (("--gamma", "1e-200", "--emin", "2"), "--gamma 1e-200 is too narrow for the default "
-         "window E_R +- 25*Gamma around --er 1.0: it rounds to the single energy 1.0"),
-        (("--er", "1e20"), "--gamma 0.2 is too narrow for the default window E_R +- 25*Gamma "
-                           "around --er 1e+20: it rounds to the single energy 1e+20"),
-    ], ids=["gamma-1e-20", "gamma-1e-200-emin-2", "er-1e20"])
-    def test_empty_default_window_names_the_width(self, tmp_path, capsys, argv, window):
-        target = tmp_path / "lineshape.csv"
-        assert invoke(capsys, "lineshape", *argv, "--out", str(target)) == (
-            2, "", f"error: {window}; give --emin and --emax\n")
-        assert not target.exists()
-
     def test_narrow_width_with_both_bounds_given_or_one_inside_the_window(self, capsys):
         code, out, _ = invoke(capsys, "lineshape", "--gamma", "1e-20", "--emin", "0", "--steps", "3")
         assert code == 0 and len(ResultTable.from_csv(out).rows) == 3
-        assert invoke(capsys, "lineshape", "--gamma", "1e-20", "--emin", "1", "--emax", "1") == (
-            2, "", "error: emax=1.0 must exceed emin=1.0\n")
 
     @pytest.mark.parametrize("argv", [
         ("--gamma", "1e308", "--emin", "0", "--emax", "1", "--steps", "3"),
@@ -236,21 +252,6 @@ class TestLineshapeCommand:
         assert code == 0 and err == ""
         densities = [density for _, density in ResultTable.from_csv(out).rows]
         assert all(math.isfinite(d) and d >= 0.0 for d in densities)
-
-
-@pytest.mark.parametrize("argv, message", [
-    (("decay", "--steps", str(MAX_GRID_STEPS + 1)),
-     f"a scenario grid allows at most {MAX_GRID_STEPS} steps, got {MAX_GRID_STEPS + 1}"),
-    (("lineshape", "--steps", str(MAX_GRID_STEPS + 1)),
-     f"lineshape grid allows at most {MAX_GRID_STEPS} steps, got {MAX_GRID_STEPS + 1}"),
-    (("rep-check", "--row", "4", "--twice-j", str(MAX_TWICE_J + 1)),
-     f"twice_j must be at most {MAX_TWICE_J}, got {MAX_TWICE_J + 1}"),
-])
-def test_size_cap_is_validation_error(capsys, argv, message):
-    # only cap + 1 is run: the check comes before anything is allocated
-    code, out, err = invoke(capsys, *argv)
-    assert code == 2 and not out
-    assert err == f"error: {message}\n"
 
 
 class TestTableCommand:
@@ -283,37 +284,11 @@ class TestRepCheckCommand:
         code, out, err = invoke(capsys, "rep-check", "--row", "4", "--twice-j", "65535")
         assert code == 0 and not err
         assert json.loads(out)["all_passed"] is True
-        code, out, err = invoke(capsys, "rep-check", "--row", "4", "--twice-j", "65536")
-        assert (code, out, err) == (2, "", "error: twice_j must be at most 65535, got 65536\n")
-
-    def test_requires_row_and_spin(self, capsys):
-        code, _, err = invoke(capsys, "rep-check", "--row", "2")
-        assert code == 2 and "twice-j" in err
 
     def test_row_out_of_range_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["rep-check", "--row", "7", "--twice-j", "0"])
         assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize("gamma, message", [
-        ("1e307", "energy window E_R +- 25*Gamma must be finite, got -inf"),
-        ("7e306", "energy window span must be finite, got inf"),
-    ])
-    def test_overflowing_energy_window_is_validation_error(self, capsys, gamma, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy overflow warning either
-            assert invoke(capsys, "rep-check", "--row", "1", "--twice-j", "0",
-                          "--gamma", gamma) == (2, "", f"error: {message}\n")
-
-    @pytest.mark.parametrize("argv", [
-        ("rep-check", "--row", "1", "--twice-j", "0", "--gamma", "5e-324"),
-        ("lineshape", "--gamma", "5e-324", "--emin", "0", "--emax", "2", "--steps", "3"),
-    ])
-    def test_width_whose_half_rounds_to_zero_is_validation_error(self, capsys, argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy warning, and no NaN in the output
-            assert invoke(capsys, *argv) == (
-                2, "", "error: resonance width 5e-324 is too small: Gamma/2 rounds to 0\n")
 
 
 class TestCrossIdCommand:
@@ -337,10 +312,6 @@ class TestCrossIdCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["cross-id", "--branch", "4a"])
         assert excinfo.value.code == 2
-
-    def test_missing_branch(self, capsys):
-        code, _, err = invoke(capsys, "cross-id")
-        assert code == 2 and "branch" in err
 
 
 class TestOutputAndConfig:
@@ -373,11 +344,12 @@ class TestOutputAndConfig:
         assert code == 0
         assert len(ResultTable.from_csv(out).rows) == 3
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("volume=11\n")
-        code, _, err = invoke(capsys, "decay", "--config", str(config))
-        assert code == 2 and "unknown config" in err
+    def test_config_may_start_with_a_byte_order_mark(self, tmp_path, capsys):
+        config = tmp_path / "bom.cfg"
+        config.write_bytes(b"\xef\xbb\xbfsteps = 3\ntmax = 4\n")  # as some editors save UTF-8
+        from_config = invoke(capsys, "decay", "--config", str(config))
+        assert from_config == invoke(capsys, "decay", "--steps", "3", "--tmax", "4")
+        assert from_config[0] == 0 and len(from_config[1].splitlines()) == 4
 
     @pytest.mark.parametrize("key", ["volume", "command", "config", "handler"])
     def test_unknown_config_key_rejected_before_the_command_runs(
@@ -393,24 +365,6 @@ class TestOutputAndConfig:
         assert invoke(capsys, "decay", "--config", str(config)) == (
             2, "", f"error: unknown config keys: {key}\n")
 
-    @pytest.mark.parametrize("command, line, message", [
-        ("table", "format = csv", "option 'format' must be one of ['json', 'text'], got 'csv'"),
-        ("rep-check", "row = 5", "option 'row' must be one of [1, 2, 3, 4], got 5"),
-        ("evolve", "regime = 2", "option 'regime' must be one of [0, 1], got 2"),
-        ("cross-id", "branch = 4a", "option 'branch' must be one of ['5a', '5b'], got '4a'"),
-        ("lineshape", "emin = low", "invalid value 'low' for option 'emin'"),
-        # before the missing --row or --branch
-        ("rep-check", "format = csv", "option 'format' must be one of ['json'], got 'csv'"),
-        ("cross-id", "format = csv", "option 'format' must be one of ['json'], got 'csv'"),
-        # before the bad flag value
-        ("decay --gamma -1", "steps=plenty", "invalid value 'plenty' for option 'steps'"),
-    ])
-    def test_config_value_checked_like_its_flag(self, tmp_path, capsys, command, line, message):
-        config = tmp_path / "bad.cfg"
-        config.write_text(line + "\n")
-        assert invoke(capsys, *command.split(), "--config", str(config)) == (
-            2, "", f"error: {message}\n")
-
     @pytest.mark.parametrize("command, steps",
                              [("decay", 101), ("evolve", 101), ("lineshape", 201)])
     def test_default_steps_shown_in_help(self, capsys, command, steps):
@@ -420,51 +374,8 @@ class TestOutputAndConfig:
         code, out, _ = invoke(capsys, command)
         assert code == 0 and len(out.splitlines()) == 1 + steps
 
-    def test_config_value_outside_choices(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("kind = sideways\n")
-        assert invoke(capsys, "decay", "--config", str(config)) == (
-            2, "", "error: option 'kind' must be one of ['decay', 'grow'], got 'sideways'\n")
-
-    @pytest.mark.parametrize("text, message", [
-        (b"steps 5\n", "{path}:1: expected key=value, got 'steps 5'"),
-        (b"=5\n", "{path}:1: expected key=value, got '=5'"),
-        (b"steps = 5\n\xff\n",
-         "{path}: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
-    ], ids=["no-equals", "no-key", "not-utf-8"])
-    def test_malformed_config_line(self, tmp_path, capsys, text, message):
-        config = tmp_path / "bad.cfg"
-        config.write_bytes(text)
-        assert invoke(capsys, "decay", "--config", str(config)) == (
-            2, "", f"error: {message.format(path=config)}\n")
-
-    def test_missing_config_file(self, capsys):
-        code, _, err = invoke(capsys, "decay", "--config", "/nonexistent/x.cfg")
-        assert code == 2
-
-    def test_bad_config_value_type(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("steps=plenty\n")
-        code, _, err = invoke(capsys, "decay", "--config", str(config))
-        assert code == 2 and "steps" in err
-
 
 class TestStreamedOutput:
-    @pytest.mark.parametrize("argv, config", [
-        (("--config", "{config}"), "volume=11\n"),
-        (("--tmin", "-1", "--tmax", "1", "--steps", "3"), None),
-        (("--steps", "1"), None),
-    ], ids=["unknown-config-key", "grid-crosses-zero", "one-step"])
-    def test_rejected_run_leaves_no_out_file(self, tmp_path, capsys, argv, config):
-        config_path = tmp_path / "run.cfg"
-        if config is not None:
-            config_path.write_text(config)
-        target = tmp_path / "decay.csv"
-        code, out, err = invoke(capsys, "decay", *(a.format(config=config_path) for a in argv),
-                                "--out", str(target))
-        assert code == 2 and err.startswith("error: ") and not out
-        assert not target.exists()
-
     # The CLI computes its grid from Python floats, the library from numpy arrays: the
     # bytes must agree on every branch, at block boundaries, on one-point spans and on
     # subnormal ones.
@@ -536,30 +447,6 @@ class TestStreamedOutput:
     def test_edge_grids_keep_their_bits(self, capsys, argv, line):
         code, out, err = invoke(capsys, *argv)
         assert code == 0 and not err and line in out.splitlines()
-
-    @pytest.mark.parametrize("argv, message", [
-        # the first point outside in grid order, not the grid's largest
-        (("decay", "--kind", "grow", "--tmin=-1", "--tmax", "2", "--steps", "4"),
-         "t=1.0 lies outside the t<=0 half-domain of branch 4a"),
-        (("evolve", "--kind", "grow", "--tmin=-3", "--tmax", "0.5", "--steps", "1100"),
-         "t=0.0031847133757962887 lies outside the t<=0 half-domain of branch 4a"),
-        # the half-domain over the whole grid before the phase, whose E_R * t overflows at -1e10
-        (("evolve", "--er", "1e300", "--kind", "grow", "--tmin=-1e10", "--tmax", "1",
-          "--steps", "1100"), "t=1.0 lies outside the t<=0 half-domain of branch 4a"),
-        (("decay", "--tmin=-1", "--tmax", "1", "--steps", "3"),
-         "t=-1.0 lies outside the t>=0 half-domain of branch 4b"),
-        (("evolve", "--arrow", "exc", "--kind", "decay", "--regime", "1", "--tmin=-1e-320",
-          "--tmax", "5", "--steps", "1100"), "t=-1e-320 lies outside the t>=0 half-domain of "
-         "branch 13"),
-        # a subnormal step overshoots t_max = 0 inside the grid, as np.linspace does
-        (("decay", "--kind", "grow", "--tmin=-1.5e-323", "--tmax", "0", "--steps", "6"),
-         "t=5e-324 lies outside the t<=0 half-domain of branch 4a"),
-    ])
-    def test_crossing_grid_names_its_first_point_outside(self, tmp_path, capsys, argv, message):
-        target = tmp_path / "grid.csv"
-        assert invoke(capsys, *argv, "--out", str(target)) == (
-            2, "", f"error: {message}; semigroup evolution has no inverse across t=0\n")
-        assert not target.exists()
 
 
 # Runs `gamowkit` in a fresh interpreter and reports the process's own peak

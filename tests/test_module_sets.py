@@ -98,7 +98,8 @@ def _fresh(*args) -> str:
       for name in ("unknown", "no-equals", "no-key", "not-utf-8", "missing")],
     (("rep-check", "--config", "{tmp}/good.cfg"), 2, PARSER, False),  # keys it does not take
     (("table", "--config", "{tmp}/unknown.cfg"), 2, PARSER, False),
-    (("cross-id",), 2, LABELS, False),
+    (("cross-id",), 2, PARSER, False),  # the check needs no module of its command
+    (("rep-check", "--row", "2"), 2, PARSER, False),
     (("decay", "--steps", "1"), 2, GRID, False),
     (("evolve", "--steps", "1", "--format", "json"), 2, GRID, False),
     (("decay", "--tmin", "-1", "--tmax", "1", "--steps", "3"), 2, GRID, False),  # crosses t = 0
