@@ -58,17 +58,18 @@ _OUTPUT_OPTIONS = (("--out", "output file (default standard output)", None, None
 def _parse_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not (sep and key):
-                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                values[key.strip().replace("-", "_")] = value.strip()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()  # decoded in one piece, so that an error gives the file offset
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not (sep and key):
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -279,8 +280,11 @@ def _attach_negative_values(argv) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
-    args = _read(argv) or build_parser().parse_args(argv)
     try:
+        for flag, sep, value in (token.partition("=") for token in argv):
+            if flag.startswith("--") and sep and value == "--":  # argparse reads it by version
+                raise ValueError(f"invalid value '--' for option {flag!r}")
+        args = _read(argv) or build_parser().parse_args(argv)
         _resolve(args)
         output = args.handler(args)  # strings, a grid's lazily, a block at a time
         if args.out is not None:

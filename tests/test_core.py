@@ -1,6 +1,3 @@
-import re
-import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,16 +11,9 @@ from gamowkit import (
     Orientation,
     ResonancePole,
     Role,
-    ResultTable,
     TimeHalf,
-    build_representation,
     canonical_state,
-    check_conjugation_identities,
-    evolve,
-    lineshape,
-    lorentzian_density,
     resonance_s_matrix,
-    survival_probability,
 )
 
 PREP = Arrow.PREPARATION_REGISTRATION
@@ -69,11 +59,6 @@ class TestResonancePole:
         assert pole.decaying_pole == -0.5j
         assert pole.growing_pole == +0.5j
 
-    @pytest.mark.parametrize("width", [-0.1, 0.0, -1e300])
-    def test_nonpositive_width_rejected(self, width):
-        with pytest.raises(ValueError, match="width"):
-            ResonancePole(1.0, width)
-
     def test_width_whose_half_rounds_to_zero_rejected(self):
         # both poles would sit on the real axis
         with pytest.raises(ValueError, match=r"^resonance width 5e-324 is too small: "
@@ -81,38 +66,11 @@ class TestResonancePole:
             ResonancePole(1.0, 5e-324)
         assert ResonancePole(1.0, 1e-323).decaying_pole == complex(1.0, -5e-324)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["energy", "width"])
-    def test_nonfinite_rejected(self, field, value):
-        fields = {"energy": 1.0, "width": 0.2, field: value}
-        with pytest.raises(ValueError, match=f"resonance {field} must be finite, got {value}"):
-            ResonancePole(**fields)
-
-    @pytest.mark.parametrize("energy, width, message", [
-        ("1", 0.2, "resonance energy must be real, got '1'"),
-        (None, 0.2, "resonance energy must be real, got None"),
-        (1 + 0j, 0.2, r"resonance energy must be real, got \(1\+0j\)"),
-        (1.0, True, "resonance width must be real, got True"),
-        (10**400, 1.0, "resonance energy must be finite, got an integer of 1329 bits"),
-    ])
-    def test_ill_typed_scalar_rejected(self, energy, width, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ResonancePole(energy, width)
-
     @pytest.mark.parametrize("energy, width",
                              [(np.float32(1.5), 0.2), (np.int64(2), np.float64(0.3)), (3, 1)])
     def test_numpy_and_int_scalars_accepted(self, energy, width):
         pole = ResonancePole(energy, width)
         assert pole.decaying_pole == complex(float(energy), -0.5 * float(width))
-
-    @pytest.mark.parametrize("energy, width, message", [
-        (np.array([1.0, 2.0]), 0.2, r"resonance energy must be one number, got an array of shape \(2,\)"),
-        ([1.0], 0.2, r"resonance energy must be one number, got an array of shape \(1,\)"),
-        (1.0, [[0.2]], r"resonance width must be one number, got an array of shape \(1, 1\)"),
-    ], ids=["array", "list", "nested-list"])
-    def test_grid_rejected(self, energy, width, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ResonancePole(energy, width)
 
     def test_stores_python_floats(self):
         pole = ResonancePole(np.float32(1.5), np.int64(2))
@@ -157,15 +115,6 @@ class TestCanonicalStates:
             states.add(first)
         assert len(states) == 8
 
-    def test_invalid_regime(self, pole):
-        with pytest.raises(ValueError, match="regime"):
-            canonical_state(PREP, Kind.GROWING, 2, pole)
-
-    @pytest.mark.parametrize("regime", [True, 1.0, "1", None])
-    def test_ill_typed_regime_rejected(self, pole, regime):
-        with pytest.raises(ValueError, match=f"^regime must be 0 or 1, got {regime}$"):
-            canonical_state(PREP, Kind.GROWING, regime, pole)
-
     def test_state_stores_only_its_key(self, pole):
         # Half-plane and role are derived, so a non-canonical pairing cannot be written.
         assert list(vars(GamowState(pole, Kind.GROWING, 0, PREP))) == \
@@ -178,98 +127,14 @@ class TestCanonicalStates:
             assert (scaled.half_plane, scaled.role, scaled.bracket) == \
                    (state.half_plane, state.role, state.bracket)
 
-    def test_ill_typed_key_rejected(self, pole):
-        with pytest.raises(ValueError, match="kind='growing'"):
-            canonical_state(PREP, "growing", 0, pole)
-        with pytest.raises(ValueError, match="arrow='prep'"):
-            GamowState(pole, Kind.GROWING, 0, "prep")
-
     def test_amplitude_carried(self, pole):
         state = canonical_state(EXC, Kind.DECAYING, 1, pole, amplitude=2.0 - 1.0j)
         assert state.amplitude == 2.0 - 1.0j
         assert GamowState(pole, Kind.DECAYING, 1, EXC, amplitude=3.0).amplitude == 3.0 + 0.0j
 
-    @pytest.mark.parametrize("amplitude", [
-        complex("nan"), complex(1.0, float("inf")), complex(float("-inf"), 0.0), float("nan"),
-        np.complex128(complex(0.0, float("nan"))),
-    ])
-    def test_nonfinite_amplitude_rejected(self, pole, amplitude):
-        message = rf"^amplitude must be finite, got {re.escape(str(complex(amplitude)))}$"
-        with pytest.raises(ValueError, match=message):
-            canonical_state(EXC, Kind.DECAYING, 1, pole, amplitude=amplitude)
-        state = canonical_state(EXC, Kind.DECAYING, 1, pole)
-        with pytest.raises(ValueError, match=message):
-            GamowState(state.pole, state.kind, state.regime, state.arrow, amplitude=amplitude)
-        with pytest.raises(ValueError, match=message):
-            GamowState(pole, Kind.DECAYING, 1, EXC, complex(amplitude))
-
     def test_complex_energy(self, pole):
         assert canonical_state(PREP, Kind.DECAYING, 0, pole).complex_energy == 1.0 - 0.1j
         assert canonical_state(PREP, Kind.GROWING, 0, pole).complex_energy == 1.0 + 0.1j
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda pole: lineshape(pole, ["a"]), "energies must be real, got ['a']"),
-    (lambda pole: resonance_s_matrix(pole, [1j]), "energies must be real, got [1j]"),
-    (lambda pole: canonical_state(PREP, Kind.GROWING, 0, pole, amplitude="x"),
-     "amplitude must be a complex number, got 'x'"),
-    (lambda pole: canonical_state(PREP, Kind.GROWING, 0, pole, amplitude=True),
-     "amplitude must be a complex number, got True"),
-    (lambda pole: canonical_state(PREP, Kind.GROWING, 0, pole, amplitude=10**400),
-     "amplitude must be finite, got int beyond the double range"),
-    (lambda pole: GamowState(pole, Kind.GROWING, 0, PREP, amplitude=Fraction(10**400, 3)),
-     "amplitude must be finite, got Fraction beyond the double range"),
-], ids=["lineshape-str", "s-matrix-complex", "amplitude-str", "amplitude-bool", "amplitude-huge-int",
-        "amplitude-huge-fraction"])
-def test_ill_typed_energies_and_amplitudes_name_themselves(pole, call, message):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy warning either
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call(pole)
-
-
-_RAGGED = [[0.0, 1.0], [2.0]]
-
-
-@pytest.mark.parametrize("call, name", [
-    (lambda pole: evolve(canonical_state(PREP, Kind.DECAYING, 0, pole), _RAGGED), "t"),
-    (lambda pole: survival_probability(canonical_state(PREP, Kind.DECAYING, 0, pole), _RAGGED),
-     "t"),
-    (lambda pole: lorentzian_density(pole, _RAGGED), "energies"),
-    (lambda pole: lineshape(pole, _RAGGED), "energies"),
-    (lambda pole: resonance_s_matrix(pole, _RAGGED), "energies"),
-    (lambda pole: ResultTable(("a", "b"), [[1.0, 2.0], [3.0]]), "rows"),
-], ids=["evolve", "survival", "density", "lineshape", "s-matrix", "table"])
-def test_ragged_input_names_itself(pole, call, name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy warning either
-        with pytest.raises(ValueError, match=f"^{name} must be a rectangular array, got a "
-                                             "ragged sequence$"):
-            call(pole)
-
-
-@pytest.mark.parametrize("pole", ["x", None, (1.0, 0.2)], ids=["str", "none", "tuple"])
-def test_state_needs_a_resonance_pole(pole):
-    message = f"pole must be a ResonancePole, got {pole!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        canonical_state(PREP, Kind.GROWING, 0, pole)
-
-
-@pytest.mark.parametrize("call", [
-    lambda pole: lineshape(pole, [1.0]),
-    lambda pole: lorentzian_density(pole, [1.0]),
-    lambda pole: lorentzian_density(pole, 1.0),
-    lambda pole: resonance_s_matrix(pole, 1.0),
-    lambda pole: resonance_s_matrix(pole, [1.0]),
-    lambda pole: check_conjugation_identities(build_representation(1, 0), pole),
-], ids=["lineshape", "density-grid", "density", "s-matrix", "s-matrix-grid", "conjugation"])
-@pytest.mark.parametrize("pole", ["x", None, (1.0, 0.2)], ids=["str", "none", "tuple"])
-def test_pole_functions_need_a_resonance_pole(call, pole):
-    message = f"pole must be a ResonancePole, got {pole!r}"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy warning either
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call(pole)
 
 
 def test_package_exports_each_module_list_once():
@@ -339,13 +204,6 @@ class TestSMatrix:
         # (E_R - z*) / (E_R - z) = (-i Gamma/2) / (+i Gamma/2) = -1
         value = resonance_s_matrix(pole, [pole.energy])[0]
         assert value == pytest.approx(-1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_nonfinite_energy_rejected(self, pole, value):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy RuntimeWarning either
-            with pytest.raises(ValueError, match=f"^energies must be finite, got {value}$"):
-                resonance_s_matrix(pole, [1.0, value])
 
     def test_unimodular_on_real_axis(self, pole):
         energies = np.linspace(-4.0, 6.0, 501)

@@ -12,7 +12,6 @@ from gamowkit import (
     Arrow,
     DomainViolationError,
     Kind,
-    NonHermitianError,
     ResonancePole,
     Scenario,
     TimeHalf,
@@ -116,14 +115,6 @@ class TestEvolve:
         with pytest.raises(DomainViolationError):
             evolve(state, wrong)
 
-    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("function", [evolve, survival_probability])
-    def test_nonfinite_time_rejected(self, pole, function, t):
-        state = state_for((PREP, Kind.DECAYING, 0), pole)
-        with pytest.raises(ValueError, match=f"t must be finite, got {t}") as excinfo:
-            function(state, t)
-        assert not isinstance(excinfo.value, DomainViolationError)
-
     @pytest.mark.parametrize("energy, t", [
         (1e300, 1e10),    # the phase overflows to inf: cmath refuses it
         (-1e300, 1e10),
@@ -220,28 +211,6 @@ class TestEvolve:
                 assert (factor.real.hex(), factor.imag.hex()) == (expected.real.hex(),
                                                                   expected.imag.hex())
 
-    @pytest.mark.parametrize("state", ["x", None, ResonancePole(1.0, 0.2)],
-                             ids=["str", "none", "pole"])
-    @pytest.mark.parametrize("call", [
-        lambda state: branch_for(state),
-        lambda state: evolve(state, 1.0),
-        lambda state: survival_probability(state, 1.0),
-    ], ids=["branch_for", "evolve", "survival_probability"])
-    def test_non_state_rejected(self, call, state):
-        with pytest.raises(ValueError, match=r"^state must be a GamowState, got "):
-            call(state)
-
-    @pytest.mark.parametrize("t, message", [
-        ("1", "t must be real, got '1'"),
-        (True, "t must be real, got True"),
-        (None, "t must be real, got None"),
-        (1j, r"t must be real, got 1j"),
-    ])
-    def test_ill_typed_time_rejected(self, pole, t, message):
-        state = state_for((PREP, Kind.DECAYING, 0), pole)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            evolve(state, t)
-
     def test_float_block_checked_as_a_list(self, pole):
         branch = branch_for(state_for((PREP, Kind.GROWING, 0), pole))
         # both ends inside, an inner point outside: the first point outside is named
@@ -315,16 +284,6 @@ class TestSurvivalProbability:
         assert survival_probability(state, 10.0) == pytest.approx(
             0.1353352832366127, abs=1e-12)
 
-    def test_domain_violation(self, pole):
-        state = state_for((PREP, Kind.DECAYING, 0), pole)
-        with pytest.raises(DomainViolationError):
-            survival_probability(state, -1.0)
-
-    def test_growing_state_rejected(self, pole):
-        state = state_for((PREP, Kind.GROWING, 0), pole)
-        with pytest.raises(ValueError, match="decaying"):
-            survival_probability(state, -1.0)
-
     @pytest.mark.parametrize("times", [[0.0, 0.5, 2.0, 7.5], np.linspace(0.0, 200.0, 401), []])
     def test_time_grid_matches_scalar_calls(self, pole, times):
         state = state_for((PREP, Kind.DECAYING, 0), pole)
@@ -348,9 +307,10 @@ def random_hermitian(rng, dim):
 
 
 class TestGroupEvolve:
-    def test_zero_hamiltonian_is_identity(self):
-        v = np.array([1.0 + 2.0j, -0.5j, 3.0])
-        np.testing.assert_array_equal(group_evolve(np.zeros((3, 3)), 17.3, v), v)
+    @pytest.mark.parametrize("dim", [3, 64])  # 64: the dimension cap
+    def test_zero_hamiltonian_is_identity(self, dim):
+        v = np.arange(dim) * (1.0 + 2.0j) - 0.5j
+        np.testing.assert_array_equal(group_evolve(np.zeros((dim, dim)), 17.3, v), v)
 
     def test_diagonal_spectral_example(self):
         out = group_evolve(np.diag([1.0, 2.0]), math.pi, np.array([1.0, 0.0]))
@@ -397,15 +357,6 @@ class TestGroupEvolve:
             with pytest.raises(ValueError, match=r"^eigenvalue \* t must be finite, got inf$"):
                 group_evolve(h, t, [1.0, 0.0])
 
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NonHermitianError):
-            group_evolve(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, np.array([1.0, 0.0]))
-
-    def test_dimension_cap(self):
-        group_evolve(np.zeros((64, 64)), 1.0, np.zeros(64))
-        with pytest.raises(ValueError, match="^dimension 65 exceeds the cap 64$"):
-            group_evolve(np.zeros((65, 65)), 1.0, np.zeros(65))
-
     @pytest.mark.parametrize("h, t, v, message", [
         (np.eye(2), math.nan, [1.0, 0.0], "t must be finite, got nan"),
         (np.eye(2), math.inf, [1.0, 0.0], "t must be finite, got inf"),
@@ -430,20 +381,3 @@ class TestGroupEvolve:
             with pytest.raises(ValueError) as excinfo:
                 group_evolve(h, t, v)
         assert str(excinfo.value) == message
-
-    @pytest.mark.parametrize("h, v, name", [
-        ([[1.0, 0.0], [0.0]], [1.0, 0.0], "hamiltonian"),
-        (np.eye(2), [[1.0], [0.0, 1.0]], "vector"),
-    ], ids=["hamiltonian", "vector"])
-    def test_ragged_input_names_itself(self, h, v, name):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy < 1.24 warned of a ragged array first
-            with pytest.raises(ValueError, match=f"^{name} must be a rectangular array, got a "
-                                                 "ragged sequence$"):
-                group_evolve(h, 1.0, v)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="square"):
-            group_evolve(np.zeros((2, 3)), 1.0, np.zeros(2))
-        with pytest.raises(ValueError, match="shape"):
-            group_evolve(np.zeros((2, 2)), 1.0, np.zeros(3))

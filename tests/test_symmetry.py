@@ -1,7 +1,5 @@
 import itertools
 import json
-import re
-import warnings
 
 import numpy as np
 import pytest
@@ -11,16 +9,12 @@ from hypothesis.extra import numpy as hnp
 
 from gamowkit import (
     AntilinearOperator,
-    Arrow,
-    Kind,
     ResonancePole,
     build_representation,
-    canonical_state,
     check_conjugation_identities,
     resonance_s_matrix,
     reversed_wavefunction,
     time_reversal_matrix,
-    time_reverse_twice,
     verify_group_relations,
 )
 import gamowkit.grid
@@ -88,13 +82,6 @@ class TestTimeReversalMatrix:
         r_anti = from_matrix(time_reversal_matrix(1), True)
         np.testing.assert_array_equal(
             r_anti.compose(r_anti).matrix, -np.eye(2, dtype=np.int64))
-
-    def test_rejects_bad_spin(self):
-        with pytest.raises(ValueError):
-            time_reversal_matrix(-1)
-        with pytest.raises(ValueError):
-            time_reversal_matrix(1.5)
-
 
 class TestSpinMatrices:
     def test_jz_diagonal(self):
@@ -255,29 +242,6 @@ class TestAntilinearOperator:
         with pytest.raises(ValueError, match=r"^cannot compose dimensions 3 and 2$"):
             b.compose(a)
 
-    @pytest.mark.parametrize("conjugates", ["no", 1, None, np.bool_(True)])
-    def test_conjugates_must_be_a_bool(self, conjugates):
-        message = f"conjugates must be a bool, got {conjugates!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            AntilinearOperator([1], conjugates)
-
-    @pytest.mark.parametrize("columns, message", [
-        ([[1, 2], [2, 1]], "columns must be signed integers, got list"),
-        ([1.0, 2.0], "columns must be signed integers, got float"),
-        (np.array([1, 2], dtype=np.uint8), "columns must be signed integers, got uint8"),
-        ([True, True], "columns must be signed integers, got bool"),
-        ([1, 0], "+-1, ..., +-2 once"),      # a 0
-        ([2, -2], "+-1, ..., +-2 once"),     # a repeated column
-        ([1, 3], "+-1, ..., +-2 once"),      # a column beyond d
-        ([-1, -1, 2], "+-1, ..., +-3 once"),
-        (5, "columns must be a sequence of signed integers, got 5"),  # no sequence at all
-        (None, "columns must be a sequence of signed integers, got None"),
-    ])
-    def test_columns_must_be_a_signed_permutation(self, columns, message):
-        with pytest.raises(ValueError) as excinfo:
-            AntilinearOperator(columns, False)
-        assert message in str(excinfo.value)
-
     def test_compose_goes_through_the_constructor(self):
         op = AntilinearOperator([-2, 1], True)
         square = op.compose(op)
@@ -366,16 +330,6 @@ class TestBuildRepresentation:
         data = json.loads(json.dumps(verify_group_relations(rep).to_dict()))
         assert data["row"] == row and data["all_passed"]
         assert json.dumps(check_conjugation_identities(rep).to_dict())
-
-    @pytest.mark.parametrize("row", [0, 5, -1, True, 1.0])
-    def test_invalid_row(self, row):
-        with pytest.raises(ValueError, match=rf"^row must be one of \(1, 2, 3, 4\), got {row}$"):
-            build_representation(row, 1)
-
-    @pytest.mark.parametrize("twice_j", [True, False, np.bool_(True)])
-    def test_bool_twice_j_rejected(self, twice_j):
-        with pytest.raises(ValueError, match="twice_j"):
-            build_representation(1, twice_j)
 
     @pytest.mark.parametrize("row", ROWS)
     @pytest.mark.parametrize("twice_j", TESTED_TWICE_J)
@@ -568,53 +522,12 @@ class TestConjugationIdentities:
         with pytest.raises(ValueError, match="signed permutation"):
             from_matrix(np.array(r_mat), True)
 
-    def test_time_reversal_of_another_dimension_rejected(self):
-        r_op = from_matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], True)
-        rep = with_operators(build_representation(1, 1), time_reversal=r_op)
-        with pytest.raises(ValueError, match="^time_reversal must be a 2x2 signed permutation matrix$"):
-            check_conjugation_identities(rep)
-
     def test_wrong_signed_permutation_reported_not_raised(self):
         r_op = from_matrix(np.eye(2, dtype=np.int64), True)
         rep = with_operators(build_representation(1, 1), time_reversal=r_op)
         flip = check_conjugation_identities(rep).entries[0]
         assert flip.name == "angular_momentum_flip"
         assert not flip.passed and flip.max_deviation == 1.0
-
-    @pytest.mark.parametrize("width, message", [
-        (1e307, "energy window E_R +- 25*Gamma must be finite, got -inf"),  # a bound overflows
-        (7e306, "energy window span must be finite, got inf"),  # finite bounds, span overflows
-    ])
-    def test_overflowing_energy_window_rejected(self, width, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # rejected before numpy sees the window
-            with pytest.raises(ValueError) as excinfo:
-                check_conjugation_identities(build_representation(1, 0), ResonancePole(1.0, width))
-        assert str(excinfo.value) == message
-
-
-@pytest.mark.parametrize("psi, message", [
-    ("ab", "an entry of psi must be a complex number, got 'b'"),
-    ([1.0, "a"], "an entry of psi must be a complex number, got 'a'"),
-    ([1.0, True], "an entry of psi must be a complex number, got True"),
-    ([float("nan"), 1.0], "an entry of psi must be finite, got (nan+0j)"),
-    (np.array([1.0, np.inf]), "an entry of psi must be finite, got (inf+0j)"),
-    ([complex(0.0, -np.inf)], "an entry of psi must be finite, got -infj"),
-    ([10**400], "an entry of psi must be finite, got int beyond the double range"),
-], ids=["str", "str-entry", "bool", "nan", "inf-array", "inf-imag", "huge-int"])
-def test_wavefunction_must_hold_finite_numbers(psi, message):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy warning either
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            reversed_wavefunction(psi)
-
-
-@pytest.mark.parametrize("psi", [5, (x for x in [1.0]), {1.0}], ids=["number", "generator", "set"])
-def test_wavefunction_must_be_a_sequence(psi):
-    message = f"psi must be a sequence of numbers, got {psi!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        reversed_wavefunction(psi)
-
 
 @pytest.mark.parametrize("row, twice_j", [(4, 7), (1, 0), (2, 63)])
 def test_conjugation_report_does_not_depend_on_the_block_size(monkeypatch, row, twice_j):
@@ -626,45 +539,6 @@ def test_conjugation_report_does_not_depend_on_the_block_size(monkeypatch, row, 
     assert report["all_passed"] is True
     flip = next(e for e in report["entries"] if e["name"] == "momentum_expectation_flip")
     assert flip["max_deviation"] < 1e-14
-
-
-@pytest.mark.parametrize("call", [
-    verify_group_relations,
-    check_conjugation_identities,
-    lambda rep: time_reverse_twice(canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.DECAYING,
-                                                   0, ResonancePole(1.0, 0.2)), rep),
-], ids=["relations", "conjugation", "time_reverse_twice"])
-@pytest.mark.parametrize("rep", ["x", None, 4], ids=["str", "none", "int"])
-def test_rep_must_be_a_representation_triple(call, rep):
-    message = f"rep must be a RepresentationTriple, got {rep!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call(rep)
-
-
-EMPTY = AntilinearOperator((), True)
-
-
-@pytest.mark.parametrize("call", [
-    verify_group_relations,
-    check_conjugation_identities,
-    lambda rep: time_reverse_twice(canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.DECAYING,
-                                                   0, ResonancePole(1.0, 0.2)), rep),
-], ids=["relations", "conjugation", "time_reverse_twice"])
-@pytest.mark.parametrize("fields, message", [
-    ({"twice_j": -1, "parity": EMPTY, "time_reversal": EMPTY, "total_inversion": EMPTY},
-     "twice_j must be a nonnegative integer, got -1"),
-    ({"twice_j": "x"}, "twice_j must be a nonnegative integer, got 'x'"),
-    ({"twice_j": 0.0}, "twice_j must be a nonnegative integer, got 0.0"),
-    ({"row": 5}, "row must be one of (1, 2, 3, 4), got 5"),
-    ({"reversal_sign": "x"}, "reversal_sign must be +1 or -1, got 'x'"),
-    ({"inversion_sign": 2}, "inversion_sign must be +1 or -1, got 2"),
-], ids=["negative-twice-j", "str-twice-j", "float-twice-j", "row", "str-sign", "sign-two"])
-def test_hand_built_fields_checked_before_they_are_read(call, fields, message):
-    rep = RepresentationTriple(**{**vars(build_representation(1, 0)), **fields})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call(rep)
 
 
 @pytest.mark.parametrize("call, fields", [
@@ -752,36 +626,3 @@ class TestSignedPermutationRelations:
                     signed_permutation_matrix(perm, signs), data.draw(st.booleans()))
         rep = with_operators(rep, **replaced)
         assert verify_group_relations(rep).to_dict() == dense_relation_report(rep)
-
-    @pytest.mark.parametrize("name", OPERATORS)
-    def test_operator_of_another_dimension_rejected(self, name):
-        rep = build_representation(4, 0)
-        operator = from_matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 1]], True)
-        rep = with_operators(rep, **{name: operator})
-        message = f"^{name} must be a 2x2 signed permutation matrix$"
-        with pytest.raises(ValueError, match=message):
-            verify_group_relations(rep)
-        if name == "time_reversal":
-            state = canonical_state(Arrow.PREPARATION_REGISTRATION, Kind.DECAYING, 0,
-                                    ResonancePole(1.0, 0.2))
-            with pytest.raises(ValueError, match=message):
-                time_reverse_twice(state, rep)
-
-    @pytest.mark.parametrize("name", OPERATORS)
-    def test_operator_must_be_an_antilinear_operator(self, name):
-        rep = with_operators(build_representation(4, 0), **{name: np.eye(2, dtype=np.int64)})
-        message = f"^{name} must be an AntilinearOperator, got ndarray$"
-        with pytest.raises(ValueError, match=message):
-            verify_group_relations(rep)
-        if name == "time_reversal":
-            with pytest.raises(ValueError, match=message):
-                check_conjugation_identities(rep)
-
-    @pytest.mark.parametrize("name", OPERATORS)
-    def test_family_operator_of_another_dimension_rejected(self, name):
-        # read as signed columns, never as a dense matrix (above the dense cap here)
-        rep = build_representation(4, 1000)
-        other = getattr(build_representation(1, 1000), name)
-        rep = with_operators(rep, **{name: other})
-        with pytest.raises(ValueError, match=f"^{name} must be a 2002x2002 signed permutation matrix$"):
-            verify_group_relations(rep)

@@ -23,8 +23,6 @@ from gamowkit import (
     time_reverse,
     time_reverse_twice,
 )
-from gamowkit.symmetry import RepresentationTriple
-from dense import from_matrix
 from golden_tables import EXCITATION_DEEXCITATION_TABLE, PREPARATION_REGISTRATION_TABLE
 
 PREP = Arrow.PREPARATION_REGISTRATION
@@ -85,14 +83,6 @@ class TestTimeReverse:
         state = canonical_state(arrow, kind, regime, pole, amplitude=0.3 - 0.7j)
         assert time_reverse(time_reverse(state)) == state
 
-    @pytest.mark.parametrize("state", ["x", None, ResonancePole(1.0, 0.2)],
-                             ids=["str", "none", "pole"])
-    def test_non_state_rejected(self, state):
-        for call in (lambda: time_reverse(state),
-                     lambda: time_reverse_twice(state, build_representation(2, 1))):
-            with pytest.raises(ValueError, match=r"^state must be a GamowState, got "):
-                call()
-
     @pytest.mark.parametrize("arrow,kind,regime", ALL_LABELS)
     def test_domain_reflects(self, pole, arrow, kind, regime):
         state = canonical_state(arrow, kind, regime, pole)
@@ -115,23 +105,6 @@ class TestTimeReverseTwice:
         restored, factor = time_reverse_twice(state, rep)
         assert restored == state
         assert factor == sign == rep.reversal_sign
-
-    def test_single_sheet_family_rejected(self, pole):
-        rep = build_representation(1, 1)
-        state = canonical_state(PREP, Kind.GROWING, 0, pole)
-        with pytest.raises(ValueError, match="^rep must be a doubled family, got family 1: "):
-            time_reverse_twice(state, rep)
-
-    def test_non_scalar_square_rejected(self, pole):
-        # a signed permutation that cycles three of the four basis vectors:
-        # its square is another 3-cycle, no multiple of I
-        cycle = np.eye(4, dtype=np.int64)[[1, 2, 0, 3]]
-        rep = RepresentationTriple(**{**vars(build_representation(2, 1)),
-                                      "time_reversal": from_matrix(cycle, True)})
-        state = canonical_state(PREP, Kind.GROWING, 0, pole)
-        with pytest.raises(ValueError, match="not a scalar multiple of the identity"):
-            time_reverse_twice(state, rep)
-
 
 class TestDerivedTables:
     def test_matches_golden_preparation_registration(self):
@@ -183,12 +156,6 @@ class TestCrossIdentify:
         assert (b5a.phase_sign, b5a.growth_sign, b5a.domain) == \
                (b11.phase_sign, b11.growth_sign, b11.domain)
         assert cross_identify("5a").matches_factor_of is None
-
-    @pytest.mark.parametrize("label", ["4a", "4b", "10", "11", "12", "13", "zz", [], ["5a"]])
-    def test_other_branches_rejected(self, label):
-        with pytest.raises(ValueError, match="5a and 5b, got label="):
-            cross_identify(label)
-
 
 class TestFactorConsistency:
     @pytest.mark.parametrize("key", ALL_LABELS, ids=lambda key: BRANCHES[key].label)
