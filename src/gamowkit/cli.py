@@ -9,12 +9,13 @@ table      derived time-reversal state table (JSON or aligned text)
 rep-check  group-relation and conjugation-identity report (JSON)
 cross-id   regime identification for branches 5a/5b (JSON)
 
-Exit codes: 0 on success, 2 on validation errors (bad flags, bad or non-finite
-values, grids outside the half-domain), 1 on internal errors, 141 when a reader
-closes the standard output pipe early (as ``| head`` does).  An optional
-``--config FILE`` supplies flat key=value defaults; explicit flags win.  Every
-option is resolved before the command runs, so a bad config value is reported
-before any other check.  Exact, valid flags are read without argparse.
+One reader, ``_read``, reads and rejects every command line; argparse only
+prints help.  Exit codes: 0 on success, 2 with one ``error:`` line on bad input
+(bad flags, bad or non-finite values, grids outside the half-domain), 1 on
+internal errors, 141 when a reader closes the standard output pipe early (as
+``| head`` does).  An optional ``--config FILE`` supplies flat key=value
+defaults; explicit flags win.  Every option is resolved before the command
+runs, so a bad config value is reported before any other check.
 
 Each command runs its checks, then returns its text as an iterable of
 strings, which ``main`` writes to standard output or ``--out``.  The grid
@@ -27,7 +28,6 @@ numpy.  Every run loads ``core``, and each command imports its own modules:
 
 from __future__ import annotations
 
-import collections
 import itertools
 import json
 import os
@@ -40,7 +40,7 @@ from .core import (CROSS_IDENTIFIED, DEFAULT_POLE, ROWS, Arrow, Kind, ResonanceP
 ARROWS = {"prep": Arrow.PREPARATION_REGISTRATION, "exc": Arrow.EXCITATION_DEEXCITATION}
 KINDS = {"grow": Kind.GROWING, "decay": Kind.DECAYING}
 
-# Each option as (flag, help, default, type, choices), stated once for argparse,
+# Each option as (flag, help, default, type, choices), stated once for the reader,
 # the config file and the help.
 _POLE_OPTIONS = (("--er", "resonance energy E_R", DEFAULT_POLE.energy, float, None),
                  ("--gamma", "resonance width Gamma", DEFAULT_POLE.width, float, None))
@@ -73,33 +73,15 @@ def _parse_config(path: str) -> dict[str, str]:
     return values
 
 
-# What the namespace holds for an option not given as a flag: its default, and
-# the type and choices that a config-file value for it must meet.
-_Unset = collections.namedtuple("_Unset", "default convert choices")
-
-
-def _resolve(args: argparse.Namespace) -> None:
-    """Set each option not given as a flag to its config value, else its default.
-
-    Unknown config keys fail first; then each config value is converted and
-    checked as its flag would be, so no command sees an unchecked option."""
-    config = _parse_config(args.config) if isinstance(args.config, str) else {}
-    unknown = set(config) - (set(vars(args)) - {"command", "config", "handler"})
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for name, unset in vars(args).items():
-        if not isinstance(unset, _Unset):
-            continue  # a flag, converted and checked as it was read
-        value = config.get(name, unset.default)
-        if name in config and unset.convert is not None:
-            try:
-                value = unset.convert(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"invalid value {value!r} for option {name!r}") from None
-        if name in config and unset.choices is not None and value not in unset.choices:
-            raise ValueError(
-                f"option {name!r} must be one of {sorted(unset.choices)}, got {value!r}")
-        setattr(args, name, value)
+def _convert(name: str, value: str, convert, choices):
+    """A flag's or config value ``value`` of option ``name``, converted, then checked."""
+    try:
+        value = value if convert is None else convert(value)
+    except ValueError:
+        raise ValueError(f"invalid value {value!r} for option {name!r}") from None
+    if choices is not None and value not in choices:
+        raise ValueError(f"option {name!r} must be one of {sorted(choices)}, got {value!r}")
+    return value
 
 
 def _commands() -> dict:
@@ -126,45 +108,89 @@ def _commands() -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's parser of the help of gamowkit and of each command; it reads no line."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="gamowkit",
         description="Semigroup evolution of resonance states, time reversal, "
                     "and the extended spacetime symmetry families.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help, handler, options) in _commands().items():
+    sub = parser.add_subparsers()
+    for name, (help, _, options) in _commands().items():
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
-        for flag, text, default, type, choices in options:
-            p.add_argument(flag, type=type, choices=choices, default=_Unset(default, type, choices),
+        for flag, text, default, _, choices in options:
+            p.add_argument(flag, choices=choices,
                            help=text if default is None else f"{text} (default {default})")
     return parser
 
 
-def _read(argv: list[str]) -> types.SimpleNamespace | None:
-    """``build_parser().parse_args(argv)`` for a command, then only ``--flag value`` (a value
-    not starting with ``-``) or ``--flag=value``, each flag exactly one of the command's and each
-    value of its type and in its choices; else None, and argparse reads ``argv``."""
-    if not argv or argv[0] not in (commands := _commands()):
-        return None
-    _, handler, options = commands[argv[0]]
-    flags = {o[0]: (o[0][2:].replace("-", "_"), *o[3:]) for o in options}  # dest, type, choices
-    values = {"command": argv[0], **{flags[o[0]][0]: _Unset(*o[2:]) for o in options}}
-    tokens = iter(argv[1:])
-    for token in tokens:
-        flag, sep, value = token.partition("=")
-        value = value if sep else next(tokens, "-")  # a missing value fails as a "-" one
-        if flag not in flags or value == "--" or not sep and value.startswith("-"):
-            return None
-        dest, type, choices = flags[flag]
+def _token(token: str, flags) -> tuple[str | None, str | None]:
+    """(flag, the value after its ``=`` or None) for ``--help`` or a flag of ``flags``, given
+    whole or by a unique prefix, as argparse matches them; (None, token) for a value: ``-``, a
+    number such as ``-1e3``, one with a space or not starting with ``-``; else (None, None)."""
+    if token.startswith("-h"):  # -h or -hh, as for argparse; -hx gives --help the value x
+        return "--help", token[2:].lstrip("h") or None
+    if token.startswith("--") and token != "--":
+        name, sep, value = token.partition("=")
+        matches = [name] if name in flags else [f for f in ("--help", *flags) if f.startswith(name)]
+        if len(matches) > 1:
+            raise ValueError(f"ambiguous option {name!r}: it could be {' or '.join(matches)}")
+        if matches:
+            return matches[0], value if sep else None
+    if token.startswith("-") and token != "-" and " " not in token:
         try:
-            values[dest] = value = value if type is None else type(value)
+            float(token)
         except ValueError:
-            return None
-        if choices is not None and value not in choices:
-            return None
-    return types.SimpleNamespace(**values, handler=handler)
+            return None, None
+    return None, token
+
+
+def _read(argv: list[str]) -> types.SimpleNamespace:
+    """The command in ``argv`` and its options: each flag's value, else the config file's, else
+    the default, converted and checked as it is read.  A help flag has argparse print help; any
+    other bad input raises a ValueError, as in argparse only at the end for an unknown flag or a
+    stray value, so that a later help flag still prints help."""
+    commands = _commands()
+    command, flags, given, strays = None, {}, {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":  # argparse reads what follows it by Python version
+            raise ValueError("unrecognized arguments: '--'")
+        flag, value = _token(token, flags)
+        if flag == "--help":
+            if value is not None:
+                raise ValueError("option '--help' takes no value")
+            for later in itertools.takewhile(lambda t: t != "--", tokens):
+                _token(later, flags)  # argparse rejects an ambiguous prefix even after help
+            build_parser().parse_args([command, "--help"] if command else ["--help"])
+        elif flag is not None:
+            if value is None:
+                value = next(tokens, None)
+                if value is None or _token(value, flags) != (None, value):
+                    raise ValueError(f"option {flag!r} expects a value")
+            elif value == "--":
+                raise ValueError(f"invalid value '--' for option {flag!r}")
+            dest, _, *check = flags[flag]
+            given[dest] = _convert(flag, value, *check)
+        elif command or value is None:
+            strays.append(token)
+        elif token not in commands:
+            raise ValueError(f"unknown command {token!r}: give one of {', '.join(commands)}")
+        else:
+            command, (_, handler, options) = token, commands[token]
+            flags.update((o[0], (o[0][2:].replace("-", "_"), *o[2:])) for o in options)
+    if command is None:
+        raise ValueError(f"no command given: give one of {', '.join(commands)}")
+    if strays:
+        raise ValueError(f"unrecognized arguments: {', '.join(map(repr, strays))}")
+    config = _parse_config(given["config"]) if "config" in given else {}
+    unknown = set(config) - {dest for dest, *_ in flags.values() if dest != "config"}
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for dest, default, *check in flags.values():
+        if dest not in given:
+            given[dest] = _convert(dest, config[dest], *check) if dest in config else default
+    return types.SimpleNamespace(command=command, handler=handler, **given)
 
 
 def _table_text(fmt: str, columns, row, points):
@@ -176,7 +202,7 @@ def _table_text(fmt: str, columns, row, points):
     return itertools.chain(json_text(columns, blocks), "\n")
 
 
-def _cmd_time_table(opts: argparse.Namespace):
+def _cmd_time_table(opts: types.SimpleNamespace):
     from .evolution import branch_for
     from .scenarios import TIME_TABLES, Scenario, linspace_blocks
     columns, row = TIME_TABLES[opts.command]
@@ -192,7 +218,7 @@ def _cmd_time_table(opts: argparse.Namespace):
                        linspace_blocks(t_min, t_max, steps))
 
 
-def _cmd_lineshape(opts: argparse.Namespace):
+def _cmd_lineshape(opts: types.SimpleNamespace):
     from .scenarios import LINESHAPE_COLUMNS, check_steps, linspace_blocks, lorentzian
     pole = ResonancePole(opts.er, opts.gamma)
     e_min, e_max = opts.emin, opts.emax
@@ -215,36 +241,29 @@ def _cmd_lineshape(opts: argparse.Namespace):
                        linspace_blocks(e_min, e_max, opts.steps))
 
 
-def _format_table_text(data: dict) -> str:
-    headers = ("row", "r", "bracket", "domain", "orientation", "branch")
-    rows = [(c["row"], str(c["regime"]), c["bracket"], c["domain"],
-             c["orientation"], c["branch"]) for c in data["cells"]]
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
-    lines = [f"arrow: {data['arrow']}"]
-    lines += ("  ".join(v.ljust(w) for v, w in zip(r, widths)) for r in (headers, *rows))
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_table(opts: argparse.Namespace):
+def _cmd_table(opts: types.SimpleNamespace):
     from .transform import derive_table
     data = derive_table(ARROWS[opts.arrow]).to_dict()
     if opts.format == "json":
         return json.dumps(data, indent=2), "\n"
-    return (_format_table_text(data),)
+    headers = ("row", "r", "bracket", "domain", "orientation", "branch")  # a cell's keys, in order
+    rows = [tuple(map(str, cell.values())) for cell in data["cells"]]
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    return (f"arrow: {data['arrow']}\n",
+            *("  ".join(v.ljust(w) for v, w in zip(r, widths)) + "\n" for r in (headers, *rows)))
 
 
-def _cmd_rep_check(opts: argparse.Namespace):
-    row, twice_j = opts.row, opts.twice_j
-    if row is None or twice_j is None:
+def _cmd_rep_check(opts: types.SimpleNamespace):
+    if opts.row is None or opts.twice_j is None:
         raise ValueError("rep-check requires --row and --twice-j")
     from .symmetry import build_representation, check_conjugation_identities, verify_group_relations
     pole = ResonancePole(opts.er, opts.gamma)
-    rep = build_representation(row, twice_j)
+    rep = build_representation(opts.row, opts.twice_j)
     relations = verify_group_relations(rep)
     identities = check_conjugation_identities(rep, pole)
     payload = {
-        "row": row,
-        "twice_j": twice_j,
+        "row": rep.row,
+        "twice_j": rep.twice_j,
         "group_relations": relations.to_dict(),
         "conjugation_identities": identities.to_dict(),
         "all_passed": relations.all_passed and identities.all_passed,
@@ -252,40 +271,16 @@ def _cmd_rep_check(opts: argparse.Namespace):
     return json.dumps(payload, indent=2), "\n"
 
 
-def _cmd_cross_id(opts: argparse.Namespace):
+def _cmd_cross_id(opts: types.SimpleNamespace):
     if opts.branch is None:
         raise ValueError("cross-id requires --branch 5a or --branch 5b")
     from .transform import cross_identify
     return json.dumps(cross_identify(opts.branch).to_dict(), indent=2), "\n"
 
 
-def _attach_negative_values(argv) -> list[str]:
-    """``--flag -1e3`` as ``--flag=-1e3``: argparse reads only ``-1000`` and
-    ``-.5`` as negative numbers, and takes ``-1e3`` or ``-inf`` for an option."""
-    tokens: list[str] = []
-    for token in argv:
-        prev = tokens[-1] if tokens else ""
-        if (token.startswith("-") and prev.startswith("--") and "=" not in prev
-                and prev not in ("--", "--help")):
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
-                tokens[-1] = f"{prev}={token}"
-                continue
-        tokens.append(token)
-    return tokens
-
-
 def main(argv=None) -> int:
-    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        for flag, sep, value in (token.partition("=") for token in argv):
-            if flag.startswith("--") and sep and value == "--":  # argparse reads it by version
-                raise ValueError(f"invalid value '--' for option {flag!r}")
-        args = _read(argv) or build_parser().parse_args(argv)
-        _resolve(args)
+        args = _read(sys.argv[1:] if argv is None else argv)
         output = args.handler(args)  # strings, a grid's lazily, a block at a time
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:

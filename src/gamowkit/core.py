@@ -351,6 +351,13 @@ def canonical_state(arrow: Arrow, kind: Kind, regime: int, pole: ResonancePole,
     return GamowState(pole, kind, regime, arrow, amplitude)
 
 
+def s_matrix(pole: ResonancePole):
+    """After the pole check, the S-matrix of ``resonance_s_matrix`` as an unchecked function
+    of a real energy (a float, without numpy) or of a float array."""
+    z_star, z = require_pole(pole).growing_pole, pole.decaying_pole
+    return lambda e: (e - z_star) / (e - z)
+
+
 def resonance_s_matrix(pole: ResonancePole, energies):
     """Rank-one resonance S-matrix at a real energy (a complex, without
     numpy) or at every energy of a grid (a complex array).
@@ -359,6 +366,4 @@ def resonance_s_matrix(pole: ResonancePole, energies):
     axis numerator and denominator are complex conjugates, so |S(E)| = 1 and
     conj(S) = 1/S.
     """
-    require_pole(pole)
-    e = require_finite("energies", energies)
-    return (e - pole.growing_pole) / (e - pole.decaying_pole)
+    return s_matrix(pole)(require_finite("energies", energies))

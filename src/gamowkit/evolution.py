@@ -158,7 +158,7 @@ def survival_probability(state: GamowState, t):
     """
     branch = branch_for(state)
     if state.kind is not Kind.DECAYING:
-        raise ValueError("survival probability is defined for decaying states only")
+        raise ValueError("state must be decaying for a survival probability, got a growing one")
     times = branch.checked_times(t)
     rate = branch.growth_sign * state.pole.width
     if isinstance(times, float):
@@ -183,7 +183,7 @@ def group_evolve(hamiltonian, t: float, vector) -> np.ndarray:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"hamiltonian must be a square matrix, got shape {h.shape}")
     if h.shape[0] > DEFAULT_DIM_CAP:
-        raise ValueError(f"dimension {h.shape[0]} exceeds the cap {DEFAULT_DIM_CAP}")
+        raise ValueError(f"hamiltonian dimension {h.shape[0]} exceeds the cap {DEFAULT_DIM_CAP}")
     for name, value in (("hamiltonian", h), ("vector", v)):
         require_finite(name, value.real)
         require_finite(name, value.imag)

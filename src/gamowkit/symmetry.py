@@ -24,7 +24,7 @@ import math
 import operator
 
 from .core import (DEFAULT_POLE, ROWS, Record, ResonancePole, energy_window, is_integer, np,
-                   require_complex, resonance_s_matrix)
+                   require_complex, s_matrix)
 from .grid import linspace_points
 
 __all__ = ["AntilinearOperator", "build_representation", "check_conjugation_identities",
@@ -233,21 +233,26 @@ class RelationCheck(Record):
     observed: str
 
 
-class RelationReport(Record):
+class _Report(Record):
+    """A family's report, whose field named ``_CHECKS`` holds its checks."""
+
+    @property
+    def all_passed(self) -> bool:
+        return all(check.passed for check in getattr(self, self._CHECKS))
+
+    def to_dict(self) -> dict:
+        checks = [dict(vars(check)) for check in getattr(self, self._CHECKS)]  # their fields
+        return {**vars(self), self._CHECKS: checks, "all_passed": self.all_passed}
+
+
+class RelationReport(_Report):
     """Outcome of the exact group-relation checks for one family."""
 
+    _CHECKS = "checks"
     row: int
     twice_j: int
     checks: tuple[RelationCheck, ...]
     commutation_sign: int | None
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        checks = [dict(vars(check)) for check in self.checks]  # each one's vars: its fields
-        return {**vars(self), "checks": checks, "all_passed": self.all_passed}
 
 
 def verify_group_relations(rep: RepresentationTriple) -> RelationReport:
@@ -293,18 +298,11 @@ class IdentityCheck(Record):
     tolerance: float
 
 
-class ConjugationReport(Record):
+class ConjugationReport(_Report):
+    _CHECKS = "entries"
     row: int
     twice_j: int
     entries: tuple[IdentityCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-    def to_dict(self) -> dict:
-        entries = [dict(vars(entry)) for entry in self.entries]  # each one's vars: its fields
-        return {**vars(self), "entries": entries, "all_passed": self.all_passed}
 
 
 def reversed_wavefunction(psi) -> list[complex]:
@@ -392,8 +390,8 @@ def check_conjugation_identities(rep: RepresentationTriple,
     psi = [complex(math.exp(-((x - 2.0) * (x - 2.0)) / 2.0)) for x in p]
     psi_rev = reversed_wavefunction(psi)
     kinetic = [0.5 * (x * x) for x in p]
-    s = [resonance_s_matrix(pole, e)
-         for e in linspace_points(e_min, e_max, _ENERGY_POINTS, range(_ENERGY_POINTS))]
+    s = list(map(s_matrix(pole),
+                 linspace_points(e_min, e_max, _ENERGY_POINTS, range(_ENERGY_POINTS))))
     identities = (  # (name, deviation, tolerance), each passing at deviation <= tolerance
         ("angular_momentum_flip", _angular_momentum_flip(r, twice_j), 1e-12),
         ("momentum_expectation_flip",

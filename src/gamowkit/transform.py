@@ -66,7 +66,7 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
     restored = time_reverse(time_reverse(state))
     sign = _square_scalar(r)
     if sign is None:
-        raise ValueError("time reversal squared is not a scalar multiple of the identity")
+        raise ValueError("rep must have a time reversal whose square is a multiple of the identity")
     return restored, sign
 
 

@@ -203,7 +203,7 @@ CONTRACT = {
                           [[0.0, 1.0], [2.0, 0.0]],  # not square, not Hermitian
                           Says(np.array([[0.0, 1.0], [0.0, 0.0]]), "hamiltonian is not Hermitian: "
                                "max |H - H^dagger| = 1.000e+00", NonHermitianError),
-                          Says(np.zeros((65, 65)), "dimension 65 exceeds the cap 64"),
+                          Says(np.zeros((65, 65)), "hamiltonian dimension 65 exceeds the cap 64"),
                           Says(np.zeros((2, 3)),
                                "hamiltonian must be a square matrix, got shape (2, 3)"),
                           Says([[1.0, 0.0], [0.0]],
@@ -215,8 +215,8 @@ CONTRACT = {
                           "vector must be a rectangular array, got a ragged sequence")])),
     "survival_probability": (survival_probability, dict(state=STATE, t=2.0), dict(
         state=[*OBJECT, *NOT_A_STATE,
-               Says(canonical_state(PREP, Kind.GROWING, 0, POLE), "survival probability is "
-                    "defined for decaying states only", shown="growing-state", t=-1.0)],
+               Says(canonical_state(PREP, Kind.GROWING, 0, POLE), "state must be decaying for a "
+                    "survival probability, got a growing one", shown="growing-state", t=-1.0)],
         t=[*GRID, -1.0, *says("t must be finite, got {}", *NONFINITE), ragged("t"),
            Says(-1.0, "t=-1.0 lies outside the t>=0 half-domain of branch 4b; semigroup "
                 "evolution has no inverse across t=0", DomainViolationError)])),
@@ -348,7 +348,7 @@ CONTRACT = {
              # a signed permutation that cycles three of the four basis vectors: its square is
              # another 3-cycle, no multiple of I
              Says(family(2, 1, time_reversal=AntilinearOperator((2, 3, 1, 4), True)),
-                  "time reversal squared is not a scalar multiple of the identity",
+                  "rep must have a time reversal whose square is a multiple of the identity",
                   shown="3-cycle-reversal")])),
 }
 

@@ -1,6 +1,6 @@
 """What each run loads, in a fresh interpreter each.  Every CLI command, its
 help and its rejected inputs load only the modules of the package that they
-use, ``argparse`` only for help and input that argparse reads, and never
+use, ``argparse`` only for help, and never
 numpy, ``typing`` or ``dataclasses`` (nor the ``inspect``, ``ast``, ``dis`` and
 ``tokenize`` it brings).  ``import gamowkit`` loads no module of the package,
 each import loads what is asked for, and numpy loads on the first numeric call
@@ -32,7 +32,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         else:
             from gamowkit.cli import main
             code = main(sys.argv[1:])
-    except SystemExit as exc:  # --help and argparse's rejections
+    except SystemExit as exc:  # help
         code = exc.code
 package = [m.removeprefix("gamowkit.") for m in sys.modules if m.startswith("gamowkit.")]
 watched = [m for m in ("numpy", "argparse", "typing", *{_RECORD_MACHINERY}) if m in sys.modules]
@@ -83,17 +83,18 @@ def _fresh(*args) -> str:
                    ("lineshape", "--steps", "1100"))
       for fmt in ("csv", "json") for out in ((), ("--out", "{tmp}/grid.out"))],
     *[((command, "--config", "{tmp}/good.cfg"), 0, GRID, False) for command in ("decay", "evolve")],
-    (("--help",), 0, PARSER, True),
-    *[((command, "--help"), 0, PARSER, True) for command in COMMANDS],
-    *[((command, "--ste", "5"), 0, GRID, True) for command in ("decay", "evolve", "lineshape")],
-    *[(argv, 0, LABELS, True) for argv in (("table", "--arr", "exc"), ("cross-id", "--bra", "5a"))],
-    (("rep-check", "--ro", "1", "--twice-j", "0"), 0, SPIN, True),  # argparse reads abbreviations
-    (("rep-check", "--row", "5", "--twice-j", "0"), 2, PARSER, True),  # not a row
-    ((), 2, PARSER, True),
-    (("nope",), 2, PARSER, True),
-    *[((command, "--bogus", "1"), 2, PARSER, True) for command in COMMANDS],
-    (("decay", "--steps", "x"), 2, PARSER, True),
-    (("table", "--arrow", "sideways"), 2, PARSER, True),
+    *[((help,), 0, PARSER, True) for help in ("--help", "-h")],
+    *[((command, help), 0, PARSER, True) for command in COMMANDS for help in ("--help", "-h")],
+    *[((command, "--ste", "5"), 0, GRID, False) for command in ("decay", "evolve", "lineshape")],
+    *[(argv, 0, LABELS, False)
+      for argv in (("table", "--arr", "exc"), ("cross-id", "--bra", "5a"))],
+    (("rep-check", "--ro", "1", "--twice-j", "0"), 0, SPIN, False),  # abbreviations
+    (("rep-check", "--row", "5", "--twice-j", "0"), 2, PARSER, False),  # not a row
+    ((), 2, PARSER, False),
+    (("nope",), 2, PARSER, False),
+    *[((command, "--bogus", "1"), 2, PARSER, False) for command in COMMANDS],
+    (("decay", "--steps", "x"), 2, PARSER, False),
+    (("table", "--arrow", "sideways"), 2, PARSER, False),
     *[(("decay", "--config", f"{{tmp}}/{name}.cfg"), 2, PARSER, False)
       for name in ("unknown", "no-equals", "no-key", "not-utf-8", "missing")],
     (("rep-check", "--config", "{tmp}/good.cfg"), 2, PARSER, False),  # keys it does not take
