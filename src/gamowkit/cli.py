@@ -75,6 +75,8 @@ def _parse_config(path: str) -> dict[str, str]:
 
 def _convert(name: str, value: str, convert, choices):
     """A flag's or config value ``value`` of option ``name``, converted, then checked."""
+    if value == "--":  # no value, in a flag or a file; argparse read "--flag=--" by version
+        raise ValueError(f"invalid value '--' for option {name!r}")
     try:
         value = value if convert is None else convert(value)
     except ValueError:
@@ -168,8 +170,6 @@ def _read(argv: list[str]) -> types.SimpleNamespace:
                 value = next(tokens, None)
                 if value is None or _token(value, flags) != (None, value):
                     raise ValueError(f"option {flag!r} expects a value")
-            elif value == "--":
-                raise ValueError(f"invalid value '--' for option {flag!r}")
             dest, _, *check = flags[flag]
             given[dest] = _convert(flag, value, *check)
         elif command or value is None:
