@@ -1,6 +1,6 @@
 """gamowkit: resonance states, half-domain semigroup evolution, and the
 extended spacetime symmetry families.  Importing it loads none of its
-modules: a module's name loads that module, and any other name all five.
+modules: a module's name loads that module; any other name, the five exporting ones.
 """
 
 import importlib

@@ -22,14 +22,14 @@ strings, which ``main`` writes to standard output or ``--out``.  The grid
 commands yield their rows one block of Python floats at a time, and
 ``rep-check`` checks signed permutations as tuples of ints: no command loads
 numpy.  Every run loads ``core``, and each command imports its own modules:
-``evolution``, ``grid`` and ``scenarios`` for a grid, ``transform`` for
+``evolution``, ``grid`` and ``curves`` for a grid, ``transform`` for
 ``table`` and ``cross-id``, and ``grid`` and ``symmetry`` for ``rep-check``.
+``csv`` and ``json`` load only for their own output, and only after those.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import sys
 import types
@@ -193,9 +193,14 @@ def _read(argv: list[str]) -> types.SimpleNamespace:
     return types.SimpleNamespace(command=command, handler=handler, **given)
 
 
+def _indented_json(data):
+    import json  # only for JSON output, after the command's own modules compiled
+    return json.dumps(data, indent=2), "\n"
+
+
 def _table_text(fmt: str, columns, row, points):
     """The text of ``row(point)`` over checked ``points``, a block at a time."""
-    from .scenarios import csv_text, json_text
+    from .curves import csv_text, json_text
     blocks = (list(map(row, block)) for block in points)
     if fmt == "csv":
         return csv_text(columns, blocks)
@@ -203,8 +208,8 @@ def _table_text(fmt: str, columns, row, points):
 
 
 def _cmd_time_table(opts: types.SimpleNamespace):
+    from .curves import TIME_TABLES, Scenario, linspace_blocks
     from .evolution import branch_for
-    from .scenarios import TIME_TABLES, Scenario, linspace_blocks
     columns, row = TIME_TABLES[opts.command]
     pole = ResonancePole(opts.er, opts.gamma)
     arrow, kind, steps = ARROWS[opts.arrow], KINDS[opts.kind], opts.steps
@@ -219,7 +224,7 @@ def _cmd_time_table(opts: types.SimpleNamespace):
 
 
 def _cmd_lineshape(opts: types.SimpleNamespace):
-    from .scenarios import LINESHAPE_COLUMNS, check_steps, linspace_blocks, lorentzian
+    from .curves import LINESHAPE_COLUMNS, check_steps, linspace_blocks, lorentzian
     pole = ResonancePole(opts.er, opts.gamma)
     e_min, e_max = opts.emin, opts.emax
     window = None
@@ -245,7 +250,7 @@ def _cmd_table(opts: types.SimpleNamespace):
     from .transform import derive_table
     data = derive_table(ARROWS[opts.arrow]).to_dict()
     if opts.format == "json":
-        return json.dumps(data, indent=2), "\n"
+        return _indented_json(data)
     headers = ("row", "r", "bracket", "domain", "orientation", "branch")  # a cell's keys, in order
     rows = [tuple(map(str, cell.values())) for cell in data["cells"]]
     widths = [max(map(len, column)) for column in zip(headers, *rows)]
@@ -268,14 +273,14 @@ def _cmd_rep_check(opts: types.SimpleNamespace):
         "conjugation_identities": identities.to_dict(),
         "all_passed": relations.all_passed and identities.all_passed,
     }
-    return json.dumps(payload, indent=2), "\n"
+    return _indented_json(payload)
 
 
 def _cmd_cross_id(opts: types.SimpleNamespace):
     if opts.branch is None:
         raise ValueError("cross-id requires --branch 5a or --branch 5b")
     from .transform import cross_identify
-    return json.dumps(cross_identify(opts.branch).to_dict(), indent=2), "\n"
+    return _indented_json(cross_identify(opts.branch).to_dict())
 
 
 def main(argv=None) -> int:

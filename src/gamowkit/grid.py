@@ -27,8 +27,3 @@ def linspace_blocks(start, stop, steps: int):
     for first in range(0, steps, _BLOCK_ROWS):
         yield linspace_points(start, stop, steps, range(first, min(first + _BLOCK_ROWS, steps)))
 
-
-def row_blocks(values):
-    """The rows of a float array in order, as lists of at most _BLOCK_ROWS rows of floats."""
-    for start in range(0, len(values), _BLOCK_ROWS):
-        yield values[start:start + _BLOCK_ROWS].tolist()

@@ -22,7 +22,7 @@ from gamowkit import cli
 from gamowkit.cli import ARROWS, KINDS, _commands, _read, build_parser, main
 from gamowkit.core import TimeHalf, canonical_time_domain
 from gamowkit.grid import _BLOCK_ROWS
-from gamowkit.scenarios import MAX_GRID_STEPS
+from gamowkit.curves import MAX_GRID_STEPS
 from gamowkit.symmetry import MAX_TWICE_J
 
 

@@ -30,7 +30,7 @@ from gamowkit import (
     run_decay,
 )
 from gamowkit.grid import _BLOCK_ROWS, linspace_blocks, linspace_points
-from gamowkit.scenarios import csv_text, decay_row, json_text
+from gamowkit.curves import csv_text, decay_row, json_text
 
 # numpy < 2.0 names the trapezoidal rule trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
