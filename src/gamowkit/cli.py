@@ -304,7 +304,3 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def run() -> None:
-    raise SystemExit(main())

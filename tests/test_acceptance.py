@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from gamowkit import (
-    Arrow,
     DomainViolationError,
     Kind,
     ResonancePole,
@@ -34,26 +33,17 @@ from gamowkit import (
     time_reverse_twice,
     verify_group_relations,
 )
+from canonical_states import ALL_STATE_KEYS, EXC, PREP, expected_signs
 from dense import diagonal_reversal_matrix, from_matrix
 from golden_tables import EXCITATION_DEEXCITATION_TABLE, PREPARATION_REGISTRATION_TABLE
 
-PREP = Arrow.PREPARATION_REGISTRATION
-EXC = Arrow.EXCITATION_DEEXCITATION
 TESTED_TWICE_J = (0, 1, 2, 3, 4)
-ALL_STATE_KEYS = [(arrow, kind, regime)
-                  for arrow in Arrow for kind in Kind for regime in (0, 1)]
 
 POLE = ResonancePole(1.0, 0.2)
 
 
 def _report(number: int, text: str) -> None:
     print(f"[criterion {number}] PASS - {text}")
-
-
-def _expected_signs(row: int, twice_j: int) -> tuple[int, int]:
-    base = (-1) ** twice_j
-    return ({1: base, 2: -base, 3: base, 4: -base}[row],
-            {1: base, 2: base, 3: -base, 4: -base}[row])
 
 
 def test_criterion_1_symmetry_family_suite():
@@ -66,7 +56,7 @@ def test_criterion_1_symmetry_family_suite():
                 assert np.issubdtype(op.matrix.dtype, np.integer)
             report = verify_group_relations(rep)
             assert report.all_passed, report.to_dict()
-            eps_r, eps_t = _expected_signs(row, twice_j)
+            eps_r, eps_t = expected_signs(row, twice_j)
             assert rep.reversal_sign == eps_r
             assert rep.inversion_sign == eps_t
             by_name = {c.name: c for c in report.checks}
@@ -91,7 +81,7 @@ def test_criterion_2_conjugation_matrix_consistency():
     r_diag = from_matrix(diagonal_reversal_matrix(1), True)
     diag_square = r_diag.compose(r_diag)
     np.testing.assert_array_equal(diag_square.matrix, np.eye(2, dtype=np.int64))
-    required_sign, _ = _expected_signs(1, 1)
+    required_sign, _ = expected_signs(1, 1)
     assert required_sign == -1
     assert not np.array_equal(diag_square.matrix,
                               required_sign * np.eye(2, dtype=np.int64))
@@ -169,7 +159,7 @@ def test_criterion_6_involution_and_square_sign():
     for row in (2, 3, 4):
         for twice_j in TESTED_TWICE_J:
             rep = build_representation(row, twice_j)
-            expected_sign, _ = _expected_signs(row, twice_j)
+            expected_sign, _ = expected_signs(row, twice_j)
             for key in ALL_STATE_KEYS:
                 state = canonical_state(*key, POLE)
                 restored, sign = time_reverse_twice(state, rep)

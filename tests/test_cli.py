@@ -524,21 +524,58 @@ ACCEPTED = [
      "f7eeee6bfeb8976c687c218c5cf1e2e503e573710278e8fcab9bfdd2c4c9c675"),
     ("decay --steps 3 --tmax 4", None,
      "f7eeee6bfeb8976c687c218c5cf1e2e503e573710278e8fcab9bfdd2c4c9c675"),
+    # the help of gamowkit and of each command, as argparse prints it at 80 columns: -h and
+    # --help print one text, and a number after the help flag changes nothing
+    ("--help", None,
+     "564d76d9c52d2ed22eeab571d095056839d9daf7439b545b0f6096298d813c1d"),
+    ("-h", None,
+     "564d76d9c52d2ed22eeab571d095056839d9daf7439b545b0f6096298d813c1d"),
+    ("evolve --help", None,
+     "f2f03f23f2e321ae81cc7157a1d39a5ec1ad773db1caf2e57de87466afb5682e"),
+    ("evolve -h", None,
+     "f2f03f23f2e321ae81cc7157a1d39a5ec1ad773db1caf2e57de87466afb5682e"),
+    ("evolve --help -1e3", None,
+     "f2f03f23f2e321ae81cc7157a1d39a5ec1ad773db1caf2e57de87466afb5682e"),
+    ("decay --help", None,
+     "9729df1fdb947fad1662a9c3c92eccaf4046b47c34fb7502abaaa8febc9ed93d"),
+    ("decay -h", None,
+     "9729df1fdb947fad1662a9c3c92eccaf4046b47c34fb7502abaaa8febc9ed93d"),
+    ("lineshape --help", None,
+     "dac0ece1ba614bcafc1fcc86da56d545f1b9fb1b6247bb33f77f2ec34a6ade6e"),
+    ("lineshape -h", None,
+     "dac0ece1ba614bcafc1fcc86da56d545f1b9fb1b6247bb33f77f2ec34a6ade6e"),
+    ("table --help", None,
+     "42b6bbc0809c092530ef04a0bdfd82ed966266d93d58312c3510f9edbc6330b2"),
+    ("table -h", None,
+     "42b6bbc0809c092530ef04a0bdfd82ed966266d93d58312c3510f9edbc6330b2"),
+    ("rep-check --help", None,
+     "ce252dad643518ba3cec19a128710ed24f300e398b42955e4be337c33cc371c2"),
+    ("rep-check -h", None,
+     "ce252dad643518ba3cec19a128710ed24f300e398b42955e4be337c33cc371c2"),
+    ("cross-id --help", None,
+     "c89fcccf86574f349daf4ffecf69b3b9b854a9b0948a8fa5ff1d3fb5744fcae8"),
+    ("cross-id -h", None,
+     "c89fcccf86574f349daf4ffecf69b3b9b854a9b0948a8fa5ff1d3fb5744fcae8"),
 ]
 
 
 @pytest.mark.parametrize("argv, config, digest", ACCEPTED, ids=[row[0] for row in ACCEPTED])
-def test_accepted_command_line(tmp_path, capsys, argv, config, digest):
+def test_accepted_command_line(tmp_path, capsys, monkeypatch, argv, config, digest):
     # exit 0, nothing on stderr and the row's bytes on stdout, then the same bytes to --out; a
     # warning fails the run too.  The rows at 50001 points and at 2j = 65535 skip --out: they
     # take most of the table's time, and --out writes any size through the same writelines.
+    # A help row exits through argparse's SystemExit and skips --out, which help ignores.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
     argv, _ = _command_line(tmp_path, argv, config)
-    code, out, err = invoke(capsys, *argv)
+    try:
+        code, out, err = invoke(capsys, *argv)
+    except SystemExit as exc:
+        code, (out, err) = exc.code, capsys.readouterr()
     assert (code, err) == (0, "")
     printed = hashlib.sha256(out.encode()).hexdigest()
     assert printed == digest, f"{' '.join(argv)} now prints sha256 {printed}, starting:\n" + (
         "".join(out.splitlines(keepends=True)[:8]))
-    if not {"50001", "65535"} & set(argv):
+    if not {"50001", "65535", "-h", "--help"} & set(argv):
         target = tmp_path / "out.txt"
         assert invoke(capsys, *argv, "--out", str(target)) == (0, "", "")
         assert target.read_bytes() == out.encode()
@@ -567,12 +604,6 @@ class TestDecayCommand:
 class TestNegativeValueAfterSpace:
     GROW = ("evolve", "--kind", "grow", "--tmax", "0", "--steps", "3")
 
-    def test_help_before_a_number_prints_help(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["evolve", "--help", "-1e3"])
-        assert excinfo.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: gamowkit evolve [-h]")
-
     def test_console_arguments(self, capsys):
         proc = subprocess.run(
             [sys.executable, "-m", "gamowkit", *self.GROW, "--tmin", "-1e3"],
@@ -596,13 +627,6 @@ class TestTableCommand:
         code, out, _ = invoke(capsys, "table", "--arrow", "exc")
         assert code == 0
         assert json.loads(out) == derive_table(Arrow.EXCITATION_DEEXCITATION).to_dict()
-
-
-class TestCrossIdCommand:
-    def test_branch_choices_are_the_identified_branches(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["cross-id", "--help"])
-        assert "--branch {5a,5b}" in capsys.readouterr().out
 
 
 class TestOutputAndConfig:
@@ -635,14 +659,6 @@ class TestOutputAndConfig:
         config.write_text(f"steps=plenty\n{key}=11\n")  # the unknown key is reported first
         assert invoke(capsys, "decay", "--config", str(config)) == (
             2, "", f"error: unknown config keys: {key}\n")
-
-    @pytest.mark.parametrize("command, steps",
-                             [("decay", 101), ("evolve", 101), ("lineshape", 201)])
-    def test_default_steps_shown_in_help(self, capsys, command, steps):
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        assert f"grid points (default {steps})" in " ".join(capsys.readouterr().out.split())
-
 
 class TestStreamedOutput:
     # The CLI computes its grid from Python floats, the library from numpy arrays: the

@@ -10,42 +10,11 @@ from gamowkit import (
     Kind,
     Orientation,
     ResonancePole,
-    Role,
     TimeHalf,
     canonical_state,
     resonance_s_matrix,
 )
-
-PREP = Arrow.PREPARATION_REGISTRATION
-EXC = Arrow.EXCITATION_DEEXCITATION
-
-
-# Transcription of the two four-cell summary tables, one entry per
-# canonical state: (arrow, kind, regime) -> half-plane, role, half-domain,
-# orientation, bracket.
-CANONICAL_TABLE = [
-    (PREP, Kind.GROWING, 0, HalfPlane.MINUS, Role.STATE,
-     TimeHalf.NONPOS, Orientation.TOWARD_ZERO_FROM_MINUS_INF, "<phi,r=0|Z_R*,r=0>"),
-    (PREP, Kind.DECAYING, 0, HalfPlane.PLUS, Role.OBSERVABLE,
-     TimeHalf.NONNEG, Orientation.TOWARD_PLUS_INF, "<psi,r=0|Z_R,r=0>"),
-    (PREP, Kind.DECAYING, 1, HalfPlane.PLUS, Role.OBSERVABLE,
-     TimeHalf.NONNEG, Orientation.TOWARD_ZERO_FROM_PLUS_INF, "<psi,r=1|Z_R,r=1>"),
-    (PREP, Kind.GROWING, 1, HalfPlane.MINUS, Role.STATE,
-     TimeHalf.NONPOS, Orientation.TOWARD_MINUS_INF, "<phi,r=1|Z_R*,r=1>"),
-    (EXC, Kind.GROWING, 0, HalfPlane.PLUS, Role.EXCITATION,
-     TimeHalf.NONPOS, Orientation.TOWARD_ZERO_FROM_MINUS_INF, "<phi_+,r=0|Z_R*,r=0>"),
-    (EXC, Kind.DECAYING, 0, HalfPlane.MINUS, Role.DEEXCITATION,
-     TimeHalf.NONNEG, Orientation.TOWARD_PLUS_INF, "<phi_-,r=0|Z_R,r=0>"),
-    (EXC, Kind.DECAYING, 1, HalfPlane.MINUS, Role.DEEXCITATION,
-     TimeHalf.NONNEG, Orientation.TOWARD_ZERO_FROM_PLUS_INF, "<phi_-,r=1|Z_R,r=1>"),
-    (EXC, Kind.GROWING, 1, HalfPlane.PLUS, Role.EXCITATION,
-     TimeHalf.NONPOS, Orientation.TOWARD_MINUS_INF, "<phi_+,r=1|Z_R*,r=1>"),
-]
-
-
-@pytest.fixture
-def pole():
-    return ResonancePole(1.0, 0.2)
+from canonical_states import CANONICAL_STATES, EXC, PREP
 
 
 class TestResonancePole:
@@ -94,23 +63,21 @@ class TestResonancePole:
 
 
 class TestCanonicalStates:
-    @pytest.mark.parametrize(
-        "arrow,kind,regime,half_plane,role,half,orientation,bracket", CANONICAL_TABLE)
-    def test_assignments(self, pole, arrow, kind, regime, half_plane, role,
-                         half, orientation, bracket):
-        state = canonical_state(arrow, kind, regime, pole)
-        assert state.half_plane is half_plane
-        assert state.role is role
-        assert state.time_domain is orientation
-        assert state.time_domain.half is half
-        assert state.bracket == bracket
+    @pytest.mark.parametrize("key", CANONICAL_STATES, ids=lambda key: CANONICAL_STATES[key].label)
+    def test_assignments(self, pole, key):
+        expected = CANONICAL_STATES[key]
+        state = canonical_state(*key, pole)
+        assert state.half_plane is expected.half_plane
+        assert state.role is expected.role
+        assert state.time_domain is expected.orientation
+        assert state.bracket == expected.bracket
         assert state.amplitude == 1.0 + 0.0j
 
     def test_total_and_deterministic(self, pole):
         states = set()
-        for arrow, kind, regime, *_ in CANONICAL_TABLE:
-            first = canonical_state(arrow, kind, regime, pole)
-            again = canonical_state(arrow, kind, regime, pole)
+        for key in CANONICAL_STATES:
+            first = canonical_state(*key, pole)
+            again = canonical_state(*key, pole)
             assert first == again
             states.add(first)
         assert len(states) == 8
@@ -119,7 +86,7 @@ class TestCanonicalStates:
         # Half-plane and role are derived, so a non-canonical pairing cannot be written.
         assert list(vars(GamowState(pole, Kind.GROWING, 0, PREP))) == \
                ["pole", "kind", "regime", "arrow", "amplitude"]
-        for arrow, kind, regime, *_ in CANONICAL_TABLE:
+        for arrow, kind, regime in CANONICAL_STATES:
             state = GamowState(pole, kind, regime, arrow)
             assert state == canonical_state(arrow, kind, regime, pole)
             scaled = GamowState(pole, kind, regime, arrow, amplitude=0.5j)

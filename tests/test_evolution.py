@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gamowkit import (
     BRANCHES,
-    Arrow,
     DomainViolationError,
     Kind,
     ResonancePole,
@@ -22,30 +21,7 @@ from gamowkit import (
     run_decay,
     survival_probability,
 )
-
-PREP = Arrow.PREPARATION_REGISTRATION
-EXC = Arrow.EXCITATION_DEEXCITATION
-
-# Sign pattern of the eight formulas, read off independently of the
-# implementation: (arrow, kind, regime) -> (label, phase_sign, growth_sign,
-# half-domain).
-BRANCH_FIXTURE = {
-    (PREP, Kind.GROWING, 0): ("4a", -1, +1, TimeHalf.NONPOS),
-    (PREP, Kind.DECAYING, 0): ("4b", -1, -1, TimeHalf.NONNEG),
-    (PREP, Kind.DECAYING, 1): ("10", +1, -1, TimeHalf.NONNEG),
-    (PREP, Kind.GROWING, 1): ("11", +1, +1, TimeHalf.NONPOS),
-    (EXC, Kind.GROWING, 0): ("12", +1, +1, TimeHalf.NONPOS),
-    (EXC, Kind.DECAYING, 0): ("5b", -1, -1, TimeHalf.NONNEG),
-    (EXC, Kind.DECAYING, 1): ("13", -1, -1, TimeHalf.NONNEG),
-    (EXC, Kind.GROWING, 1): ("5a", +1, +1, TimeHalf.NONPOS),
-}
-
-ALL_KEYS = sorted(BRANCH_FIXTURE, key=lambda k: BRANCH_FIXTURE[k][0])
-
-
-@pytest.fixture
-def pole():
-    return ResonancePole(1.0, 0.2)
+from canonical_states import BRANCH_KEYS, CANONICAL_STATES, EXC, PREP
 
 
 def state_for(key, pole, amplitude=1.0 + 0.0j):
@@ -54,26 +30,25 @@ def state_for(key, pole, amplitude=1.0 + 0.0j):
 
 
 class TestBranchTable:
-    @pytest.mark.parametrize("key", ALL_KEYS)
+    @pytest.mark.parametrize("key", BRANCH_KEYS)
     def test_matches_fixture(self, pole, key):
-        label, phase_sign, growth_sign, half = BRANCH_FIXTURE[key]
+        expected = CANONICAL_STATES[key]
         branch = branch_for(state_for(key, pole))
-        assert branch.label == label
-        assert branch.phase_sign == phase_sign
-        assert branch.growth_sign == growth_sign
-        assert branch.domain.half is half
+        assert branch.label == expected.label
+        assert branch.phase_sign == expected.phase_sign
+        assert branch.growth_sign == expected.growth_sign
+        assert branch.domain.half is expected.orientation.half
 
     def test_domain_agrees_with_state(self, pole):
-        for key in ALL_KEYS:
+        for key in BRANCH_KEYS:
             state = state_for(key, pole)
             assert branch_for(state).domain == state.time_domain
 
     def test_iteration_order(self):
-        # each arrow's two r = 0 rows, then their time-reversed partners
-        assert list(BRANCHES) == list(BRANCH_FIXTURE)
+        assert list(BRANCHES) == list(CANONICAL_STATES)
 
     def test_labels_unique(self, pole):
-        labels = {branch_for(state_for(key, pole)).label for key in ALL_KEYS}
+        labels = {branch_for(state_for(key, pole)).label for key in BRANCH_KEYS}
         assert len(labels) == 8
 
 
@@ -107,7 +82,7 @@ class TestEvolve:
         scaled = evolve(state_for((PREP, Kind.DECAYING, 0), pole, amplitude=amp), 2.0)
         assert scaled == pytest.approx(plain * amp, abs=1e-14)
 
-    @pytest.mark.parametrize("key", ALL_KEYS)
+    @pytest.mark.parametrize("key", BRANCH_KEYS)
     def test_no_inverse_across_boundary(self, pole, key):
         state = state_for(key, pole)
         half = branch_for(state).domain.half
@@ -211,7 +186,7 @@ class TestEvolve:
                 assert (factor.real.hex(), factor.imag.hex()) == (expected.real.hex(),
                                                                   expected.imag.hex())
 
-    def test_float_block_checked_as_a_list(self, pole):
+    def test_list_and_array_of_times_checked_alike(self, pole):
         branch = branch_for(state_for((PREP, Kind.GROWING, 0), pole))
         # both ends inside, an inner point outside: the first point outside is named
         for times in ([-1.0, 0.5, -3.0, 2.0, -1.0], np.array([-1.0, 0.5, -3.0, 2.0, -1.0])):
@@ -238,7 +213,7 @@ class TestEvolve:
         assert type(times) is np.ndarray and times.dtype == float and times.tolist() == [0.0, 2.0]
 
     @pytest.mark.parametrize("energy", [1e300, -1e300])
-    @pytest.mark.parametrize("key", ALL_KEYS)
+    @pytest.mark.parametrize("key", BRANCH_KEYS)
     def test_scalar_and_grid_phase_messages_agree(self, key, energy):
         # the phase is checked at |t|, so its sign is E_R's on either half-domain
         state = state_for(key, ResonancePole(energy, 0.2))
@@ -252,7 +227,7 @@ class TestEvolve:
 
     def test_composition_random(self, pole):
         rng = np.random.default_rng(7)
-        for key in ALL_KEYS:
+        for key in BRANCH_KEYS:
             state = state_for(key, pole)
             sign = 1.0 if branch_for(state).domain.half is TimeHalf.NONNEG else -1.0
             for _ in range(200):
@@ -265,7 +240,7 @@ class TestEvolve:
     @given(index=st.integers(0, 7), magnitude=st.floats(0.0, 80.0))
     def test_modulus_law(self, index, magnitude):
         pole = ResonancePole(1.0, 0.2)
-        key = ALL_KEYS[index]
+        key = BRANCH_KEYS[index]
         state = state_for(key, pole, amplitude=1.5 + 0.5j)
         branch = branch_for(state)
         t = magnitude if branch.domain.half is TimeHalf.NONNEG else -magnitude
@@ -344,7 +319,7 @@ class TestGroupEvolve:
 
     def test_semigroup_does_not_preserve_modulus(self, pole):
         # contrast: every branch changes the modulus away from t = 0
-        for key in ALL_KEYS:
+        for key in BRANCH_KEYS:
             state = state_for(key, pole)
             sign = 1.0 if branch_for(state).domain.half is TimeHalf.NONNEG else -1.0
             assert abs(abs(evolve(state, sign * 2.0)) - 1.0) > 0.1

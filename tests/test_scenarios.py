@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from gamowkit import (
     BRANCHES,
-    Arrow,
     DomainViolationError,
     GamowState,
     Kind,
@@ -31,18 +30,10 @@ from gamowkit import (
 )
 from gamowkit.grid import _BLOCK_ROWS, linspace_blocks, linspace_points
 from gamowkit.curves import csv_text, decay_row, json_text
+from canonical_states import BRANCH_KEYS, EXC, PREP
 
 # numpy < 2.0 names the trapezoidal rule trapz
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-PREP = Arrow.PREPARATION_REGISTRATION
-EXC = Arrow.EXCITATION_DEEXCITATION
-BRANCH_KEYS = sorted(BRANCHES, key=lambda key: BRANCHES[key].label)
-
-
-@pytest.fixture
-def pole():
-    return ResonancePole(1.0, 0.2)
 
 
 def _in_domain(pole, key, lo, hi, steps):

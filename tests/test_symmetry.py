@@ -19,6 +19,7 @@ from gamowkit import (
 )
 import gamowkit.grid
 from gamowkit.symmetry import MAX_DENSE_DIM, MAX_TWICE_J, RepresentationTriple
+from canonical_states import expected_signs
 from dense import apply, diagonal_reversal_matrix, from_matrix
 
 # numpy < 2.0 names the trapezoidal rule trapz
@@ -31,13 +32,6 @@ ROWS = (1, 2, 3, 4)
 def with_operators(rep, **operators):
     """The family ``rep`` with the named operators in place of its own."""
     return RepresentationTriple(**{**vars(rep), **operators})
-
-
-def expected_signs(row, twice_j):
-    base = (-1) ** twice_j
-    eps_r = {1: base, 2: -base, 3: base, 4: -base}[row]
-    eps_t = {1: base, 2: base, 3: -base, 4: -base}[row]
-    return eps_r, eps_t
 
 
 class TestTimeReversalMatrix:
@@ -82,6 +76,7 @@ class TestTimeReversalMatrix:
         r_anti = from_matrix(time_reversal_matrix(1), True)
         np.testing.assert_array_equal(
             r_anti.compose(r_anti).matrix, -np.eye(2, dtype=np.int64))
+
 
 class TestSpinMatrices:
     def test_jz_diagonal(self):

@@ -23,20 +23,10 @@ from gamowkit import (
     time_reverse,
     time_reverse_twice,
 )
+from canonical_states import ALL_STATE_KEYS, EXC, PREP
 from golden_tables import EXCITATION_DEEXCITATION_TABLE, PREPARATION_REGISTRATION_TABLE
 
-PREP = Arrow.PREPARATION_REGISTRATION
-EXC = Arrow.EXCITATION_DEEXCITATION
-
-ALL_LABELS = [(arrow, kind, regime)
-              for arrow in Arrow for kind in Kind for regime in (0, 1)]
-
 BY_LABEL = {b.label: b for b in BRANCHES.values()}
-
-
-@pytest.fixture
-def pole():
-    return ResonancePole(1.0, 0.2)
 
 
 class TestTimeReverse:
@@ -68,7 +58,7 @@ class TestTimeReverse:
         state = canonical_state(EXC, Kind.GROWING, 1, pole)
         assert time_reverse(state).pole == pole
 
-    @pytest.mark.parametrize("arrow,kind,regime", ALL_LABELS)
+    @pytest.mark.parametrize("arrow,kind,regime", ALL_STATE_KEYS)
     def test_flip_law(self, pole, arrow, kind, regime):
         state = canonical_state(arrow, kind, regime, pole)
         image = time_reverse(state)
@@ -78,12 +68,12 @@ class TestTimeReverse:
         assert image.role is not state.role
         assert image.arrow is state.arrow
 
-    @pytest.mark.parametrize("arrow,kind,regime", ALL_LABELS)
+    @pytest.mark.parametrize("arrow,kind,regime", ALL_STATE_KEYS)
     def test_involution_on_descriptors(self, pole, arrow, kind, regime):
         state = canonical_state(arrow, kind, regime, pole, amplitude=0.3 - 0.7j)
         assert time_reverse(time_reverse(state)) == state
 
-    @pytest.mark.parametrize("arrow,kind,regime", ALL_LABELS)
+    @pytest.mark.parametrize("arrow,kind,regime", ALL_STATE_KEYS)
     def test_domain_reflects(self, pole, arrow, kind, regime):
         state = canonical_state(arrow, kind, regime, pole)
         before = branch_for(state).domain
@@ -130,6 +120,7 @@ class TestDerivedTables:
             assert len(derive_table(arrow).cells) == 4
 
 
+
 class TestCrossIdentify:
     def test_branch_5a(self):
         record = cross_identify("5a")
@@ -158,7 +149,7 @@ class TestCrossIdentify:
         assert cross_identify("5a").matches_factor_of is None
 
 class TestFactorConsistency:
-    @pytest.mark.parametrize("key", ALL_LABELS, ids=lambda key: BRANCHES[key].label)
+    @pytest.mark.parametrize("key", ALL_STATE_KEYS, ids=lambda key: BRANCHES[key].label)
     def test_reversed_factor_conjugates_up_to_twice_the_energy_phase(self, key, pole):
         # conj(evolve(s, t)) == evolve(R s, -t) * exp(-2i * phase_sign * E_R * t): the moduli
         # agree, but the tabulated phases do not conjugate, and the tables keep that gap
@@ -187,7 +178,7 @@ class TestFactorConsistency:
             return np.atleast_1d(np.asarray(z, dtype=complex)).view(np.int64)
 
         pole = ResonancePole(energy, width)
-        for key in ALL_LABELS:
+        for key in ALL_STATE_KEYS:
             state = canonical_state(*key, pole)
             reversed_state = time_reverse(state)
             sign = 1.0 if branch_for(state).domain.half is TimeHalf.NONNEG else -1.0
