@@ -1,6 +1,7 @@
 """gamowkit: resonance states, half-domain semigroup evolution, and the
 extended spacetime symmetry families.  Importing it loads none of its
 modules: a module's name loads that module; any other name, the five exporting ones.
+``core`` imports ``base``, ``symmetry`` imports ``operators`` and ``cli`` imports ``reader``.
 """
 
 import importlib
@@ -11,7 +12,7 @@ _MODULES = ("core", "evolution", "scenarios", "symmetry", "transform")
 
 
 def __getattr__(name: str):
-    if name in _MODULES or name == "cli":
+    if name in _MODULES or name in ("cli", "reader"):
         return importlib.import_module(f"{__name__}.{name}")
     exports = {export: getattr(module, export)
                for module in map(__getattr__, _MODULES) for export in module.__all__}

@@ -9,21 +9,23 @@ table      derived time-reversal state table (JSON or aligned text)
 rep-check  group-relation and conjugation-identity report (JSON)
 cross-id   regime identification for branches 5a/5b (JSON)
 
-One reader, ``_read``, reads and rejects every command line; argparse only
-prints help.  Exit codes: 0 on success, 2 with one ``error:`` line on bad input
-(bad flags, bad or non-finite values, grids outside the half-domain), 1 on
-internal errors, 141 when a reader closes the standard output pipe early (as
-``| head`` does).  An optional ``--config FILE`` supplies flat key=value
-defaults; explicit flags win.  Every option is resolved before the command
-runs, so a bad config value is reported before any other check.
+One reader, ``reader._read``, reads and rejects every command line against
+``_commands``; argparse only prints help.  Exit codes: 0 on success, 2 with
+one ``error:`` line on bad input (bad flags, bad or non-finite values, grids
+outside the half-domain), 1 on internal errors, 141 when a reader closes the
+standard output pipe early (as ``| head`` does).  An optional ``--config
+FILE`` supplies flat key=value defaults; explicit flags win.  Every option is
+resolved before the command runs, so a bad config value is reported before
+any other check.
 
 Each command runs its checks, then returns its text as an iterable of
 strings, which ``main`` writes to standard output or ``--out``.  The grid
 commands yield their rows one block of Python floats at a time, and
 ``rep-check`` checks signed permutations as tuples of ints: no command loads
-numpy.  Every run loads ``core``, and each command imports its own modules:
-``evolution``, ``grid`` and ``curves`` for a grid, ``transform`` for
-``table`` and ``cross-id``, and ``grid`` and ``symmetry`` for ``rep-check``.
+numpy.  Every run loads ``base``, ``core`` and ``reader``, and each command
+imports its own modules: ``evolution``, ``grid`` and ``curves`` for a grid,
+``transform`` for ``table`` and ``cross-id``, and ``grid``, ``operators`` and
+``symmetry`` for ``rep-check``.
 ``csv`` and ``json`` load only for their own output, and only after those.
 """
 
@@ -36,6 +38,7 @@ import types
 
 from .core import (CROSS_IDENTIFIED, DEFAULT_POLE, ROWS, Arrow, Kind, ResonancePole, energy_window,
                    require_finite)
+from .reader import _read
 
 ARROWS = {"prep": Arrow.PREPARATION_REGISTRATION, "exc": Arrow.EXCITATION_DEEXCITATION}
 KINDS = {"grow": Kind.GROWING, "decay": Kind.DECAYING}
@@ -53,37 +56,6 @@ _GRID_OPTIONS = (*_POLE_OPTIONS, _ARROW_OPTION,
                  ("--steps", "grid points", 101, int, None))
 _OUTPUT_OPTIONS = (("--out", "output file (default standard output)", None, None, None),
                    ("--config", "key=value config file; flags override it", None, None, None))
-
-
-def _parse_config(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()  # decoded in one piece, so that an error gives the file offset
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not (sep and key):
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _convert(name: str, value: str, convert, choices):
-    """A flag's or config value ``value`` of option ``name``, converted, then checked."""
-    if value == "--":  # no value, in a flag or a file; argparse read "--flag=--" by version
-        raise ValueError(f"invalid value '--' for option {name!r}")
-    try:
-        value = value if convert is None else convert(value)
-    except ValueError:
-        raise ValueError(f"invalid value {value!r} for option {name!r}") from None
-    if choices is not None and value not in choices:
-        raise ValueError(f"option {name!r} must be one of {sorted(choices)}, got {value!r}")
-    return value
 
 
 def _commands() -> dict:
@@ -107,90 +79,6 @@ def _commands() -> dict:
         "cross-id": command("regime identification for branches 5a/5b", _cmd_cross_id, (
             ("--branch", "branch to identify", None, None, tuple(CROSS_IDENTIFIED)),), ("json",)),
     }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """argparse's parser of the help of gamowkit and of each command; it reads no line."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="gamowkit",
-        description="Semigroup evolution of resonance states, time reversal, "
-                    "and the extended spacetime symmetry families.",
-    )
-    sub = parser.add_subparsers()
-    for name, (help, _, options) in _commands().items():
-        p = sub.add_parser(name, help=help)
-        for flag, text, default, _, choices in options:
-            p.add_argument(flag, choices=choices,
-                           help=text if default is None else f"{text} (default {default})")
-    return parser
-
-
-def _token(token: str, flags) -> tuple[str | None, str | None]:
-    """(flag, the value after its ``=`` or None) for ``--help`` or a flag of ``flags``, given
-    whole or by a unique prefix, as argparse matches them; (None, token) for a value: ``-``, a
-    number such as ``-1e3``, one with a space or not starting with ``-``; else (None, None)."""
-    if token.startswith("-h"):  # -h or -hh, as for argparse; -hx gives --help the value x
-        return "--help", token[2:].lstrip("h") or None
-    if token.startswith("--") and token != "--":
-        name, sep, value = token.partition("=")
-        matches = [name] if name in flags else [f for f in ("--help", *flags) if f.startswith(name)]
-        if len(matches) > 1:
-            raise ValueError(f"ambiguous option {name!r}: it could be {' or '.join(matches)}")
-        if matches:
-            return matches[0], value if sep else None
-    if token.startswith("-") and token != "-" and " " not in token:
-        try:
-            float(token)
-        except ValueError:
-            return None, None
-    return None, token
-
-
-def _read(argv: list[str]) -> types.SimpleNamespace:
-    """The command in ``argv`` and its options: each flag's value, else the config file's, else
-    the default, converted and checked as it is read.  A help flag has argparse print help; any
-    other bad input raises a ValueError, as in argparse only at the end for an unknown flag or a
-    stray value, so that a later help flag still prints help."""
-    commands = _commands()
-    command, flags, given, strays = None, {}, {}, []
-    tokens = iter(argv)
-    for token in tokens:
-        if token == "--":  # argparse reads what follows it by Python version
-            raise ValueError("unrecognized arguments: '--'")
-        flag, value = _token(token, flags)
-        if flag == "--help":
-            if value is not None:
-                raise ValueError("option '--help' takes no value")
-            for later in itertools.takewhile(lambda t: t != "--", tokens):
-                _token(later, flags)  # argparse rejects an ambiguous prefix even after help
-            build_parser().parse_args([command, "--help"] if command else ["--help"])
-        elif flag is not None:
-            if value is None:
-                value = next(tokens, None)
-                if value is None or _token(value, flags) != (None, value):
-                    raise ValueError(f"option {flag!r} expects a value")
-            dest, _, *check = flags[flag]
-            given[dest] = _convert(flag, value, *check)
-        elif command or value is None:
-            strays.append(token)
-        elif token not in commands:
-            raise ValueError(f"unknown command {token!r}: give one of {', '.join(commands)}")
-        else:
-            command, (_, handler, options) = token, commands[token]
-            flags.update((o[0], (o[0][2:].replace("-", "_"), *o[2:])) for o in options)
-    if command is None:
-        raise ValueError(f"no command given: give one of {', '.join(commands)}")
-    if strays:
-        raise ValueError(f"unrecognized arguments: {', '.join(map(repr, strays))}")
-    config = _parse_config(given["config"]) if "config" in given else {}
-    unknown = set(config) - {dest for dest, *_ in flags.values() if dest != "config"}
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for dest, default, *check in flags.values():
-        if dest not in given:
-            given[dest] = _convert(dest, config[dest], *check) if dest in config else default
-    return types.SimpleNamespace(command=command, handler=handler, **given)
 
 
 def _indented_json(data):
@@ -285,7 +173,7 @@ def _cmd_cross_id(opts: types.SimpleNamespace):
 
 def main(argv=None) -> int:
     try:
-        args = _read(sys.argv[1:] if argv is None else argv)
+        args = _read(sys.argv[1:] if argv is None else argv, _commands())
         output = args.handler(args)  # strings, a grid's lazily, a block at a time
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:

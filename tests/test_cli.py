@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 import gamowkit
 from gamowkit import (Arrow, DomainViolationError, Kind, ResonancePole, ResultTable, Scenario,
                       derive_table, evolution_table, lineshape, run_decay)
-from gamowkit import cli
-from gamowkit.cli import ARROWS, KINDS, _commands, _read, build_parser, main
+from gamowkit import reader
+from gamowkit.cli import ARROWS, KINDS, _commands, main
 from gamowkit.core import TimeHalf, canonical_time_domain
 from gamowkit.grid import _BLOCK_ROWS
 from gamowkit.curves import MAX_GRID_STEPS
-from gamowkit.symmetry import MAX_TWICE_J
+from gamowkit.operators import MAX_TWICE_J
+from gamowkit.reader import _read, build_parser
 
 
 def invoke(capsys, *argv):
@@ -849,7 +850,8 @@ def _reference():
     """argparse's parser of the command table, each option with its type and default: it read
     every command line before the reader did."""
     import argparse
-    parser = argparse.ArgumentParser(prog="gamowkit", description=build_parser().description)
+    parser = argparse.ArgumentParser(prog="gamowkit",
+                                     description=build_parser(_commands()).description)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help, handler, options) in _commands().items():
         p = sub.add_parser(name, help=help)
@@ -893,11 +895,16 @@ def _by_version(argv):
                or t.startswith("-h") and t[2:].lstrip("h") for t in argv)
 
 
+def _read_table(argv):
+    """The reader on ``argv`` and the command table that ``main`` gives it."""
+    return _read(argv, _commands())
+
+
 def _outcome(read, argv):
     """What ``read(argv)`` does: ("ok", each option's type and value), ("help", its text) or
     ("error",).  Every config file reads as empty, so options not given hold their defaults."""
     out = io.StringIO()
-    with mock.patch.object(cli, "_parse_config", lambda path: {}), \
+    with mock.patch.object(reader, "_parse_config", lambda path: {}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             return "ok", {name: (type(v), v) for name, v in vars(read(argv)).items()}
@@ -930,7 +937,7 @@ class TestDirectReader:
     @example(argv=["--bogus", "-h", "decay"])
     def test_reads_what_argparse_reads(self, argv):
         if not _by_version(argv):
-            assert _outcome(_read, argv) == _outcome(_reference().parse_args, _joined(argv))
+            assert _outcome(_read_table, argv) == _outcome(_reference().parse_args, _joined(argv))
 
     @pytest.mark.parametrize("argv", [
         ("decay", "--steps", "11", "--steps=3"),
@@ -941,5 +948,5 @@ class TestDirectReader:
         ("rep-check", "--row", "4", "--twice-j", "127", "--gamma", "1e-3"),
     ])
     def test_well_formed_lines_are_read(self, argv):
-        read = _outcome(_read, list(argv))
+        read = _outcome(_read_table, list(argv))
         assert read[0] == "ok" and read == _outcome(_reference().parse_args, list(argv))

@@ -5,8 +5,9 @@ numpy, ``typing`` or ``dataclasses`` (nor the ``inspect``, ``ast``, ``dis`` and
 ``tokenize`` it brings).  ``import gamowkit`` loads no module of the package,
 each import loads what is asked for, and numpy loads on the first numeric call
 on an array.  The package still exports every name: the first lookup of one
-loads every module but ``cli``."""
+loads every module but ``cli`` and ``reader``."""
 
+import ast
 import json
 import os
 import subprocess
@@ -16,7 +17,11 @@ import numpy
 import pytest
 
 import gamowkit
+import gamowkit.base
+import gamowkit.cli
 import gamowkit.core
+import gamowkit.operators
+import gamowkit.reader
 
 # The modules that `import dataclasses` loads, which no run needs.
 _RECORD_MACHINERY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
@@ -42,11 +47,12 @@ import json
 print(json.dumps([code, package, watched]))
 """
 
-PARSER = {"cli", "core"}
+PARSER = {"base", "cli", "core", "reader"}
 GRID = PARSER | {"curves", "evolution", "grid"}
 LABELS = PARSER | {"evolution", "transform"}
-SPIN = PARSER | {"grid", "symmetry"}
-LIBRARY = {"core", "curves", "evolution", "grid", "scenarios", "symmetry", "transform"}
+SPIN = PARSER | {"grid", "operators", "symmetry"}
+LIBRARY = {"base", "core", "curves", "evolution", "grid", "operators", "scenarios", "symmetry",
+           "transform"}
 COMMANDS = ("table", "cross-id", "rep-check", "decay", "evolve", "lineshape")
 CONFIGS = {"good": b"steps = 5\ntmax = 4\n", "unknown": b"volume=11\n", "no-equals": b"steps 5\n",
            "no-key": b"=5\n", "not-utf-8": b"steps = 5\n\xff\n"}  # and no file "missing"
@@ -134,21 +140,25 @@ _POLE = "gamowkit.ResonancePole(1.0, 0.2)"
 
 @pytest.mark.parametrize("statement, modules, loads_numpy", [
     ("import gamowkit; gamowkit.__version__", set(), False),
-    ("import gamowkit; gamowkit.core", {"core"}, False),
-    ("import gamowkit.evolution", {"core", "evolution"}, False),
+    ("import gamowkit.base", {"base"}, False),
+    ("import gamowkit; gamowkit.core", {"base", "core"}, False),
+    ("import gamowkit.evolution", {"base", "core", "evolution"}, False),
     ("import gamowkit.grid", {"grid"}, False),
-    ("import gamowkit.curves", {"core", "curves", "evolution", "grid"}, False),
-    ("import gamowkit.scenarios", {"core", "curves", "evolution", "grid", "scenarios"}, False),
-    ("import gamowkit.symmetry", {"core", "grid", "symmetry"}, False),
-    ("from gamowkit import transform", {"core", "evolution", "transform"}, False),
+    ("import gamowkit.curves", {"base", "core", "curves", "evolution", "grid"}, False),
+    ("import gamowkit.scenarios", {"base", "core", "curves", "evolution", "grid", "scenarios"},
+     False),
+    ("import gamowkit.operators", {"base", "core", "operators"}, False),
+    ("import gamowkit.symmetry", {"base", "core", "grid", "operators", "symmetry"}, False),
+    ("from gamowkit import transform", {"base", "core", "evolution", "transform"}, False),
+    ("from gamowkit import reader", {"reader"}, False),
     ("from gamowkit import cli", PARSER, False),
     ("import gamowkit; gamowkit.Arrow", LIBRARY, False),
     (f"import gamowkit; gamowkit.resonance_s_matrix({_POLE}, 1.0)", LIBRARY, False),
     (f"import gamowkit; gamowkit.resonance_s_matrix({_POLE}, [1.0])", LIBRARY, True),
     (f"import gamowkit; gamowkit.Scenario({_POLE}, gamowkit.Arrow.PREPARATION_REGISTRATION,"
      " gamowkit.Kind.DECAYING, 0, 0.0, 10.0, 1100).checked_times()", LIBRARY, False),
-], ids=["import", "core", "evolution", "grid", "curves", "scenarios", "symmetry", "transform",
-        "cli", "export", "float", "list", "scenario-check"])
+], ids=["import", "base", "core", "evolution", "grid", "curves", "scenarios", "operators",
+        "symmetry", "transform", "reader", "cli", "export", "float", "list", "scenario-check"])
 def test_library_loads_what_is_asked_for(statement, modules, loads_numpy):
     code, package, watched = json.loads(_fresh("-c", _CHILD, "--exec", statement))
     assert (code, set(package), "numpy" in watched) == (None, modules, loads_numpy)
@@ -202,6 +212,31 @@ def test_moved_tables_still_resolve_from_their_old_modules():
     assert gamowkit.transform.CROSS_IDENTIFIED is gamowkit.core.CROSS_IDENTIFIED
     for name in ("Scenario", "csv_text", "json_text", "decay_row", "lorentzian"):  # the float path
         assert getattr(gamowkit.scenarios, name) is getattr(gamowkit.curves, name)
+    for name in ("Record", "is_integer", "np", "require_array", "require_complex",
+                 "require_finite", "require_number"):
+        assert getattr(gamowkit.core, name) is getattr(gamowkit.base, name)
+    for name in ("AntilinearOperator", "RepresentationTriple", "_check_row", "_check_twice_j",
+                 "build_representation", "time_reversal_matrix"):
+        assert getattr(gamowkit.symmetry, name) is getattr(gamowkit.operators, name)
+    assert gamowkit.cli._read is gamowkit.reader._read
+
+
+# One compile() of a module raises a fresh interpreter's VmHWM by about 0.45 MiB per 1,000
+# AST nodes (Python 3.11, Linux x86-64), and the process keeps that heap: where modules
+# compile from source, a run peaks at its largest single compile, not at the sum of them.
+# ast.walk gives the same count on Python 3.10 to 3.13; a count of tokens does not.
+MAX_MODULE_NODES = 1700
+
+
+def test_no_module_compiles_above_the_node_cap():
+    package = os.path.dirname(gamowkit.__file__)
+    nodes = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                nodes[name] = sum(1 for _ in ast.walk(ast.parse(fh.read())))
+    assert {name: n for name, n in nodes.items() if n > MAX_MODULE_NODES} == {}
+    assert "cli.py" in nodes and "symmetry.py" in nodes
 
 
 def test_unknown_name_raises_attribute_error():

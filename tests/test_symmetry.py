@@ -18,7 +18,8 @@ from gamowkit import (
     verify_group_relations,
 )
 import gamowkit.grid
-from gamowkit.symmetry import MAX_DENSE_DIM, MAX_TWICE_J, RepresentationTriple
+from gamowkit.operators import MAX_DENSE_DIM, MAX_TWICE_J
+from gamowkit.symmetry import RepresentationTriple
 from canonical_states import expected_signs
 from dense import apply, diagonal_reversal_matrix, from_matrix
 
