@@ -24,8 +24,8 @@ commands yield their rows one block of Python floats at a time, and
 ``rep-check`` checks signed permutations as tuples of ints: no command loads
 numpy.  Every run loads ``base``, ``core`` and ``reader``, and each command
 imports its own modules: ``evolution``, ``grid`` and ``curves`` for a grid,
-``transform`` for ``table`` and ``cross-id``, and ``grid``, ``operators`` and
-``symmetry`` for ``rep-check``.
+``transform`` for ``table`` and ``cross-id``, and ``grid``, ``operators``,
+``relations`` and ``symmetry`` for ``rep-check``.
 ``csv`` and ``json`` load only for their own output, and only after those.
 """
 

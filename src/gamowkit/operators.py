@@ -2,8 +2,8 @@
 
 Every Sigma, R and T is a signed permutation, one +-1 in each row and each
 column (Wigner's co-representations), held by :class:`AntilinearOperator`
-as its rows' signed columns, a tuple of ints; ``symmetry`` checks the
-families.  2j goes up to ``MAX_TWICE_J`` = 65535; an operator's matrix,
+as its rows' signed columns, a tuple of ints; ``relations`` and ``symmetry``
+check the families.  2j goes up to ``MAX_TWICE_J`` = 65535; an operator's matrix,
 ``time_reversal_matrix`` included, stops at dimension ``MAX_DENSE_DIM`` = 1024.
 """
 

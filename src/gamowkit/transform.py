@@ -56,7 +56,7 @@ def time_reverse_twice(state: GamowState, rep: RepresentationTriple) -> tuple[Ga
     RepresentationTriple, that has a field out of range, or whose time reversal
     is of another dimension or squares to no multiple of I, raises ValueError.
     """
-    from .symmetry import _checked, _square_scalar
+    from .relations import _checked, _square_scalar
     *_, r = _checked(rep, "time_reversal")  # checks rep before it is read
     if not rep.doubled:
         raise ValueError(

@@ -5,6 +5,12 @@ logic so that transcription errors and logic drift are caught
 independently.  Cell order: growing r=0, growing r=1, decaying r=0,
 decaying r=1.  Half-domains are normalized to closed halves (t = 0 belongs
 to both).
+
+The benchmark reads this file without running it: ``load_golden`` in
+``perfbench/checks.py`` evaluates every top-level assignment with
+``ast.literal_eval`` and files the value under its ``"arrow"``.  So each
+assignment here is one table literal with an ``"arrow"`` key, and nothing
+else is assigned; ``tests/test_transform.py`` checks this.
 """
 
 PREPARATION_REGISTRATION_TABLE = {

@@ -1,5 +1,7 @@
+import ast
 import cmath
 import json
+import os
 
 import numpy as np
 import pytest
@@ -106,6 +108,17 @@ class TestDerivedTables:
         derived = derive_table(EXC).to_dict()
         assert json.dumps(derived, sort_keys=True) == json.dumps(
             EXCITATION_DEEXCITATION_TABLE, sort_keys=True)
+
+    def test_fixture_file_is_one_literal_table_per_arrow(self):
+        # the rule by which the benchmark's load_golden reads the file, without running it
+        path = os.path.join(os.path.dirname(__file__), "golden_tables.py")
+        with open(path, encoding="utf-8") as fh:
+            body = ast.parse(fh.read()).body
+        tables = [ast.literal_eval(node.value) for node in body if isinstance(node, ast.Assign)]
+        assert {table["arrow"]: table for table in tables} == {
+            "preparation_registration": PREPARATION_REGISTRATION_TABLE,
+            "excitation_deexcitation": EXCITATION_DEEXCITATION_TABLE,
+        }
 
     def test_tables_share_decaying_laboratory_cell(self):
         cells = {}
